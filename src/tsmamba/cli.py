@@ -27,18 +27,17 @@ from .discontinuity import (
     search_to_csv,
 )
 from .model import (
-    LossConfig,
     TsMambaWeights,
-    TsmaConfig,
     charbonnier_loss,
     count_params_macs,
+    set_weight,
     total_loss,
     trajectory_loss,
     ts_mamba_forward,
+    weight_map,
 )
 from .numerics import (
     ModelConfig,
-    Tensor,
     read_pnm,
     read_tstf,
     write_pnm,
@@ -57,15 +56,7 @@ from .ssm import (
     gradient_check,
     selective_scan_forward,
 )
-from .trajectory import (
-    TokenField,
-    block_matching_flow,
-    generate_tokens,
-    initial_trajectories,
-    propagate_trajectories,
-    select_tokens,
-)
-from .trajectory import GWeights
+from .trajectory import GWeights, block_matching_flow, select_along_trajectories
 
 
 class CliError(Exception):
@@ -96,15 +87,6 @@ def _emit(obj, out_path=None):
             f.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
-
-
-def _threads(args):
-    n = getattr(args, "threads", None)
-    if n is None:
-        n = int(os.environ.get("TSM_THREADS", "1"))
-    if n < 1:
-        raise CliError("--threads must be >= 1")
-    return n
 
 
 # --- scan -------------------------------------------------------------------
@@ -190,27 +172,15 @@ def cmd_traj_select(args):
     config = ModelConfig()
     rng = np.random.default_rng(args.seed)
     weights = GWeights.random(config, rng, c_in=frames[0].dims[0])
-    h, w = frames[0].dims[1], frames[0].dims[2]
-    t = config.token_size
-    fields = []
-    for k, frame in enumerate(frames):
-        _, field = generate_tokens(frame, config, weights)
-        field.frame_index = k
-        fields.append(field)
-    traj = initial_trajectories(config, h // t, w // t, h, w)
     flow_paths = []
-    for k in range(1, len(frames)):
-        if args.flows:
-            fp = os.path.join(args.flows, f"flow_{k:04d}.tstf")
-            flow = read_tstf(fp)
-            flow_paths.append(fp)
-        else:
-            flow = block_matching_flow(frames[k], frames[k - 1], args.radius)
-        traj = propagate_trajectories(traj, flow, config)
-    pool = list(reversed(fields[:-1])) or [fields[0]]
-    while len(pool) < args.s:
-        pool.append(pool[-1])
-    sel = select_tokens(fields[-1], pool, traj, args.s, t)
+    if args.flows:
+        flow_paths = [os.path.join(args.flows, f"flow_{k:04d}.tstf")
+                      for k in range(1, len(frames))]
+        flows = [read_tstf(fp) for fp in flow_paths]
+    else:
+        flows = [block_matching_flow(frames[k], frames[k - 1], args.radius)
+                 for k in range(1, len(frames))]
+    _, sel = select_along_trajectories(frames, flows, weights, config, args.s)
     payload = {
         "indices": sel.indices.tolist(),
         "scores": [[round(v, 8) for v in row] for row in sel.scores.tolist()],
@@ -276,10 +246,15 @@ def cmd_model_forward(args):
     config = ModelConfig()
     if args.config:
         with open(args.config) as f:
-            for k, v in json.load(f).items():
-                if not hasattr(config, k):
-                    raise CliError(f"unknown config key {k!r}")
-                setattr(config, k, v)
+            overrides = json.load(f)
+        if not isinstance(overrides, dict):
+            raise CliError("--config must hold a JSON object")
+        for k, v in overrides.items():
+            if not hasattr(config, k):
+                raise CliError(f"unknown config key {k!r}")
+            if type(v) is not int:
+                raise CliError(f"config key {k!r} must be an integer, got {v!r}")
+            setattr(config, k, v)
         config.validate()
     if args.weights:
         weights = _load_weight_bundle(args.weights, config)
@@ -299,66 +274,19 @@ def _load_weight_bundle(directory, config):
         raise CliError(f"weight bundle missing manifest.json in {directory}")
     with open(manifest_path) as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise CliError("manifest.json must hold a JSON object")
     weights = TsMambaWeights.random(config, seed=0)
-    layers = _flatten_weight_layers(weights)
-    missing = [name for name in layers if name not in manifest]
+    names = list(weight_map(weights))
+    missing = [name for name in names if name not in manifest]
     if missing:
         raise CliError("weight bundle missing layers: " + ", ".join(sorted(missing)))
-    for name, setter in layers.items():
+    for name in names:
+        if not isinstance(manifest[name], str):
+            raise CliError(f"manifest entry for {name} must be a file name")
         t = read_tstf(os.path.join(directory, manifest[name]))
-        setter(t.data.astype(np.float64))
+        set_weight(weights, name, t.data.astype(np.float64))
     return weights
-
-
-def _flatten_weight_layers(weights):
-    """name -> setter for every weight array in the bundle."""
-    layers = {}
-
-    def bind(obj, attr, name):
-        def setter(arr, obj=obj, attr=attr):
-            cur = getattr(obj, attr)
-            if tuple(arr.shape) != tuple(np.asarray(cur).shape):
-                raise CliError(f"layer {name}: shape {arr.shape} != {np.asarray(cur).shape}")
-            setattr(obj, attr, arr)
-        layers[name] = setter
-
-    g = weights.g
-    bind(g, "conv_w", "g.conv_w"); bind(g, "conv_b", "g.conv_b")
-    bind(g, "proj_w", "g.proj_w"); bind(g, "proj_b", "g.proj_b")
-    for i, _ in enumerate(g.res):
-        for j, part in enumerate(("w1", "b1", "w2", "b2")):
-            name = f"g.res{i}.{part}"
-            def set_part(arr, i=i, j=j, name=name):
-                blk = list(g.res[i])
-                if tuple(arr.shape) != tuple(np.asarray(blk[j]).shape):
-                    raise CliError(f"layer {name}: bad shape {arr.shape}")
-                blk[j] = arr
-                g.res[i] = tuple(blk)
-            layers[name] = set_part
-    t = weights.tsma
-    bind(t, "concat_proj_w", "tsma.concat_proj_w")
-    bind(t, "concat_proj_b", "tsma.concat_proj_b")
-    bind(t, "fusion_w", "tsma.fusion_w"); bind(t, "fusion_b", "tsma.fusion_b")
-    bind(t, "ln_gamma", "tsma.ln_gamma"); bind(t, "ln_beta", "tsma.ln_beta")
-    for bname, params in t.block_params.items():
-        for part in ("A", "D", "dt", "B", "C"):
-            bind(params, part, f"tsma.{bname}.{part}")
-    r = weights.r
-    bind(r, "head_w", "r.head_w"); bind(r, "head_b", "r.head_b")
-    bind(r, "up1_w", "r.up1_w"); bind(r, "up1_b", "r.up1_b")
-    bind(r, "up2_w", "r.up2_w"); bind(r, "up2_b", "r.up2_b")
-    bind(r, "tail_w", "r.tail_w"); bind(r, "tail_b", "r.tail_b")
-    for i, _ in enumerate(r.res):
-        for j, part in enumerate(("w1", "b1", "w2", "b2")):
-            name = f"r.res{i}.{part}"
-            def set_part(arr, i=i, j=j, name=name):
-                blk = list(r.res[i])
-                if tuple(arr.shape) != tuple(np.asarray(blk[j]).shape):
-                    raise CliError(f"layer {name}: bad shape {arr.shape}")
-                blk[j] = arr
-                r.res[i] = tuple(blk)
-            layers[name] = set_part
-    return layers
 
 
 def cmd_model_count(args):
@@ -397,8 +325,6 @@ def cmd_loss_eval(args):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="tsm", description=__doc__)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: env TSM_THREADS or 1)")
     sub = p.add_subparsers(dest="group", required=True)
 
     scan = sub.add_parser("scan").add_subparsers(dest="cmd", required=True)
@@ -496,7 +422,6 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _threads(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

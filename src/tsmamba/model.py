@@ -7,18 +7,18 @@ The TSMA module runs two scan-shift-scan paths:
   path 2: standard Scan-2 block, then IntraWCB Scan-2 -> L(1) -> Scan-4 and
           InterWCB Scan-2 -> UL(3) -> Scan-4 (LU == UL).
 
-Branch outputs are concatenated and fused by a pointwise convolution (the
-deformable attention block of the reference design is substituted by this
-pointwise fusion; the config flag records the substitution).
+Branch outputs are concatenated and fused by a pointwise convolution: the
+deformable attention block (DAB) of the reference design is substituted by
+this pointwise fusion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ModelConfig, Tensor, bicubic_upsample, conv2d, layer_norm, pixel_shuffle, residual_block
+from .numerics import ModelConfig, Tensor, bicubic_upsample, conv2d, pixel_shuffle, residual_block
 from .scanorder import (
     ScanVariant,
     ShiftSpec,
@@ -27,13 +27,15 @@ from .scanorder import (
     window_tiled_order,
 )
 from .ssm import SelectiveScanParams, ssm_block
-from .trajectory import GWeights, generate_tokens, initial_trajectories, propagate_trajectories, select_tokens
+from .trajectory import GWeights, select_along_trajectories
 
 __all__ = [
-    "TsmaConfig",
-    "LossConfig",
+    "TSMA_PATHS",
     "TsmaWeights",
     "RWeights",
+    "TsMambaWeights",
+    "weight_map",
+    "set_weight",
     "tsma_forward",
     "ts_mamba_forward",
     "charbonnier_loss",
@@ -43,25 +45,16 @@ __all__ = [
 ]
 
 
-@dataclass
-class TsmaConfig:
-    """Path procedures are pinned to the two branches of the reference design."""
-
-    path1_standard: ScanVariant = ScanVariant.Scan1
-    path1_intra: tuple = (ScanVariant.Scan1, "U1", ScanVariant.Scan3)
-    path1_inter: tuple = (ScanVariant.Scan1, "UL3", ScanVariant.Scan3)
-    path2_standard: ScanVariant = ScanVariant.Scan2
-    path2_intra: tuple = (ScanVariant.Scan2, "L1", ScanVariant.Scan4)
-    path2_inter: tuple = (ScanVariant.Scan2, "UL3", ScanVariant.Scan4)
-    dab_substituted_by_pointwise_conv: bool = True
-    enable_wcb: bool = True           # ablation hook (v1.5: both branches off)
-
-
-@dataclass
-class LossConfig:
-    epsilon: float = 1e-4
-    lam: float = 0.1
-    scale: int = 4
+# The two branches of the reference design: (block-name prefix, standard
+# scan, IntraWCB (first, shift, second), InterWCB (first, shift, second)).
+TSMA_PATHS = (
+    ("p1", ScanVariant.Scan1,
+     (ScanVariant.Scan1, "U1", ScanVariant.Scan3),
+     (ScanVariant.Scan1, "UL3", ScanVariant.Scan3)),
+    ("p2", ScanVariant.Scan2,
+     (ScanVariant.Scan2, "L1", ScanVariant.Scan4),
+     (ScanVariant.Scan2, "UL3", ScanVariant.Scan4)),
+)
 
 
 def _effective_window(config, ht, wt):
@@ -116,10 +109,8 @@ class TsmaWeights:
         c = config.channels
         s = config.s_selected
         L = config.window_size ** 2 * (s + 1)
-        names = [
-            "p1_std", "p1_intra", "p1_inter",
-            "p2_std", "p2_intra", "p2_inter",
-        ]
+        names = [f"{prefix}_{branch}" for prefix, *_ in TSMA_PATHS
+                 for branch in ("std", "intra", "inter")]
         blocks = {n: SelectiveScanParams.init(c, config.state_dim, L, rng)
                   for n in names}
         std = 0.05
@@ -134,7 +125,7 @@ class TsmaWeights:
         )
 
 
-def tsma_forward(q_field, selection, tsma_config, weights, config):
+def tsma_forward(q_field, selection, weights, config):
     """TSMA(Q, V_s) -> aggregated token field Tensor[N, C]."""
     q = q_field.tokens.data
     n, c = q.shape
@@ -159,18 +150,11 @@ def tsma_forward(q_field, selection, tsma_config, weights, config):
                          gamma=weights.ln_gamma, beta=weights.ln_beta)
 
     outs = []
-    for prefix, std_var, intra, inter in (
-        ("p1", tsma_config.path1_standard, tsma_config.path1_intra, tsma_config.path1_inter),
-        ("p2", tsma_config.path2_standard, tsma_config.path2_intra, tsma_config.path2_inter),
-    ):
+    for prefix, std_var, intra, inter in TSMA_PATHS:
         trunk = run_block(x, f"{prefix}_std", std_var)
         outs.append(trunk)
-        if tsma_config.enable_wcb:
-            outs.append(run_block(trunk, f"{prefix}_intra", intra[0], intra[1], intra[2]))
-            outs.append(run_block(trunk, f"{prefix}_inter", inter[0], inter[1], inter[2]))
-        else:
-            outs.append(trunk)
-            outs.append(trunk)
+        outs.append(run_block(trunk, f"{prefix}_intra", *intra))
+        outs.append(run_block(trunk, f"{prefix}_inter", *inter))
     cat = np.concatenate([o.data for o in outs], axis=1)    # [N, 6C]
     # pointwise fusion conv (the DAB substitution) with a residual skip
     fused_in = cat.reshape(q_field.ht, q_field.wt, 6 * c).transpose(2, 0, 1)
@@ -257,53 +241,82 @@ class TsMambaWeights:
                    r=RWeights.random(config, rng))
 
 
-def ts_mamba_forward(frames, flows, weights, config,
-                     tsma_config=None, return_state=False):
+_RES_PARTS = ("w1", "b1", "w2", "b2")
+_SSM_PARTS = ("A", "D", "dt", "B", "C")
+
+
+def _weight_slots(weights):
+    """(name, owner, key) for every weight array, in bundle order.  The array
+    is attribute `key` of `owner`, or, for key = (i, j), entry j of the
+    residual-block tuple owner[i]."""
+    g, t, r = weights.g, weights.tsma, weights.r
+    for attr in ("conv_w", "conv_b", "proj_w", "proj_b"):
+        yield f"g.{attr}", g, attr
+    for i in range(len(g.res)):
+        for j, part in enumerate(_RES_PARTS):
+            yield f"g.res{i}.{part}", g.res, (i, j)
+    for attr in ("concat_proj_w", "concat_proj_b", "fusion_w", "fusion_b",
+                 "ln_gamma", "ln_beta"):
+        yield f"tsma.{attr}", t, attr
+    for block, params in t.block_params.items():
+        for attr in _SSM_PARTS:
+            yield f"tsma.{block}.{attr}", params, attr
+    for attr in ("head_w", "head_b", "up1_w", "up1_b", "up2_w", "up2_b",
+                 "tail_w", "tail_b"):
+        yield f"r.{attr}", r, attr
+    for i in range(len(r.res)):
+        for j, part in enumerate(_RES_PARTS):
+            yield f"r.res{i}.{part}", r.res, (i, j)
+
+
+def _get_slot(owner, key):
+    if isinstance(key, tuple):
+        return owner[key[0]][key[1]]
+    return getattr(owner, key)
+
+
+def weight_map(weights):
+    """name -> array for every weight array of a TsMambaWeights (the names of
+    a weight bundle's manifest)."""
+    return {name: _get_slot(owner, key) for name, owner, key in _weight_slots(weights)}
+
+
+def set_weight(weights, name, array):
+    """Replace the named weight array; its shape must stay the same."""
+    for slot_name, owner, key in _weight_slots(weights):
+        if slot_name == name:
+            break
+    else:
+        raise ValueError(f"unknown layer {name!r}")
+    cur = np.asarray(_get_slot(owner, key))
+    if tuple(array.shape) != cur.shape:
+        raise ValueError(f"layer {name}: shape {tuple(array.shape)} != {cur.shape}")
+    if isinstance(key, tuple):
+        i, j = key
+        block = list(owner[i])
+        block[j] = array
+        owner[i] = tuple(block)
+    else:
+        setattr(owner, key, array)
+
+
+def ts_mamba_forward(frames, flows, weights, config):
     """Online forward over a frame list; returns the SR of the last frame.
 
     frames : list of Tensor[3, H, W], oldest first, last entry is frame t.
     flows  : list of Tensor[2, H, W] flow from frame k to k-1 (len(frames)-1
              entries) or None for a static scene.
     """
-    tsma_config = tsma_config or TsmaConfig()
     config.validate()
-    if not frames:
-        raise ValueError("need at least one frame")
-    h, w = frames[0].dims[1], frames[0].dims[2]
-    for f in frames:
-        if f.dims != (3, h, w):
-            raise ValueError("all frames must share dims [3,H,W]")
-    t = config.token_size
-    ht, wt = h // t, w // t
-
-    fields = []
-    for k, frame in enumerate(frames):
-        _, field = generate_tokens(frame, config, weights.g)
-        field.frame_index = k
-        fields.append(field)
-
-    traj = initial_trajectories(config, ht, wt, h, w)
-    for k in range(1, len(frames)):
-        flow = flows[k - 1] if flows else Tensor(np.zeros((2, h, w), dtype=np.float32))
-        traj = propagate_trajectories(traj, flow, config)
-
-    # candidate pool: previous frames, most recent first; pad by repeating the
-    # oldest frame for the cold start
-    pool = list(reversed(fields[:-1]))
-    if not pool:
-        pool = [fields[0]]
-    while len(pool) < max(config.s_selected, 1):
-        pool.append(pool[-1])
-    selection = select_tokens(fields[-1], pool, traj, config.s_selected, t)
-
-    agg = tsma_forward(fields[-1], selection, tsma_config, weights.tsma, config)
-    feature = untokenize(agg, ht, wt, config, weights.g.proj_w)
+    if any(f.dims[0] != 3 for f in frames):
+        raise ValueError("frames must have 3 channels")
+    q_field, selection = select_along_trajectories(frames, flows, weights.g,
+                                                   config, config.s_selected)
+    agg = tsma_forward(q_field, selection, weights.tsma, config)
+    feature = untokenize(agg, q_field.ht, q_field.wt, config, weights.g.proj_w)
     residual = reconstruct(feature, weights.r, config)
     skip = bicubic_upsample(frames[-1], config.scale)
-    out = Tensor(residual.data + skip.data)
-    if return_state:
-        return out, {"selection": selection, "trajectories": traj}
-    return out
+    return Tensor(residual.data + skip.data)
 
 
 # --- losses -----------------------------------------------------------------

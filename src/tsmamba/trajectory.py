@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ModelConfig, Tensor, conv2d, residual_block
+from .numerics import Tensor, conv2d, residual_block
 
 __all__ = [
     "TokenField",
@@ -22,6 +22,7 @@ __all__ = [
     "propagate_trajectories",
     "block_matching_flow",
     "select_tokens",
+    "select_along_trajectories",
     "GWeights",
 ]
 
@@ -266,11 +267,11 @@ def _nearest_token_index(x, y, ht, wt, token_size):
     return r * wt + c
 
 
-def select_tokens(q_field, v_fields, traj, s, token_size, squared_norms=False):
+def select_tokens(q_field, v_fields, traj, s, token_size):
     """Top-s most similar previous-frame tokens along each trajectory (Eq. 7).
 
     v_fields[0] is the most recent previous frame (offset 1); scores are
-    cosine similarities (or the squared-norm variant behind the switch).
+    cosine similarities.
     Ties break toward the more recent frame.  Returned selected tokens are
     ordered by ascending frame index (oldest first).
     """
@@ -294,8 +295,6 @@ def select_tokens(q_field, v_fields, traj, s, token_size, squared_norms=False):
             vn = np.linalg.norm(vv)
             if qn == 0.0 or vn == 0.0:
                 score = 0.0
-            elif squared_norms:
-                score = float(qv @ vv) / (qn * qn * vn * vn)
             else:
                 score = float(qv @ vv) / (qn * vn)
             cand.append((score, off, j, vv))
@@ -310,3 +309,39 @@ def select_tokens(q_field, v_fields, traj, s, token_size, squared_norms=False):
                 sorted(chosen, key=lambda t: -t[1])):
             selected[i, j] = vv.astype(np.float32)
     return SelectionResult(indices=indices, scores=scores, selected=Tensor(selected))
+
+
+def select_along_trajectories(frames, flows, g_weights, config, s):
+    """Front end of the forward pass: G(.) on every frame, trajectory
+    propagation, and top-s selection over the previous frames' tokens.
+
+    frames : list of Tensor[C, H, W], oldest first, last entry is frame t.
+    flows  : list of Tensor[2, H, W] flow from frame k to k-1 (len(frames)-1
+             entries) or None for a static scene.
+    Returns (TokenField of frame t, SelectionResult).
+    """
+    if not frames:
+        raise ValueError("need at least one frame")
+    dims = frames[0].dims
+    if any(f.dims != dims for f in frames):
+        raise ValueError("all frames must share dims [C,H,W]")
+    _, h, w = dims
+    t = config.token_size
+
+    fields = []
+    for k, frame in enumerate(frames):
+        _, field = generate_tokens(frame, config, g_weights)
+        field.frame_index = k
+        fields.append(field)
+
+    traj = initial_trajectories(config, h // t, w // t, h, w)
+    for k in range(1, len(frames)):
+        flow = flows[k - 1] if flows else Tensor(np.zeros((2, h, w), dtype=np.float32))
+        traj = propagate_trajectories(traj, flow, config)
+
+    # candidate pool: previous frames, most recent first; pad by repeating the
+    # oldest frame for the cold start
+    pool = list(reversed(fields[:-1])) or [fields[0]]
+    while len(pool) < max(s, 1):
+        pool.append(pool[-1])
+    return fields[-1], select_tokens(fields[-1], pool, traj, s, t)

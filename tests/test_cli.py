@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tsmamba.cli import main
-from tsmamba.numerics import Tensor, read_tstf, write_pnm, write_tstf
+from tsmamba.model import TsMambaWeights, set_weight, ts_mamba_forward, weight_map
+from tsmamba.numerics import ModelConfig, Tensor, read_pnm, read_tstf, write_pnm, write_tstf
 
 
 def test_unknown_subcommand_exit_2(capsys):
@@ -88,6 +89,27 @@ def test_traj_select(tmp_path, capsys):
     assert read_tstf(toks).dims[1:] == (3, 32)
 
 
+def test_traj_select_zero_flows_match_radius_0(tmp_path):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    _write_frames(frames, n=3)
+    flows = tmp_path / "flows"
+    flows.mkdir()
+    for k in (1, 2):
+        write_tstf(flows / f"flow_{k:04d}.tstf", Tensor(np.zeros((2, 16, 16))))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["traj", "select", "--frames", str(frames), "--radius", "0",
+                 "--out", str(a)]) == 0
+    assert main(["traj", "select", "--frames", str(frames), "--flows", str(flows),
+                 "--out", str(b)]) == 0
+    env_a, env_b = json.loads(a.read_text()), json.loads(b.read_text())
+    assert env_a["payload"] == env_b["payload"]
+    assert "flow_0002.tstf" in env_b["inputs"]
+    (flows / "flow_0002.tstf").unlink()
+    assert main(["traj", "select", "--frames", str(frames), "--flows", str(flows),
+                 "--out", str(b)]) == 2
+
+
 def test_traj_select_empty_dir(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -142,9 +164,66 @@ def test_model_forward_bad_config_key(tmp_path):
     frames.mkdir()
     _write_frames(frames, n=1, size=16)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nope": 1}))
-    assert main(["model", "forward", "--frames", str(frames),
-                 "--config", str(cfg), "--out", str(frames / "x.tstf")]) == 2
+    for bad in ({"nope": 1}, {"channels": "8"}, {"channels": 8.0},
+                {"channels": True}, {"channels": None}, {"channels": 0},
+                [1, 2], "channels"):
+        cfg.write_text(json.dumps(bad))
+        assert main(["model", "forward", "--frames", str(frames),
+                     "--config", str(cfg), "--out", str(frames / "x.tstf")]) == 2, bad
+
+
+def _write_bundle(directory, weights):
+    """One TSTF file per named weight array, listed in manifest.json."""
+    directory.mkdir()
+    manifest = {}
+    for name, arr in weight_map(weights).items():
+        manifest[name] = f"{name}.tstf"
+        write_tstf(directory / manifest[name], Tensor(arr))
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    return manifest
+
+
+def test_model_forward_weight_bundle(tmp_path):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    _write_frames(frames, n=2, size=16)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"channels": 6, "state_dim": 4, "n2_res_blocks": 2}))
+    config = ModelConfig(channels=6, state_dim=4, n2_res_blocks=2)
+    weights = TsMambaWeights.random(config, seed=5)
+    _write_bundle(tmp_path / "bundle", weights)
+    out = tmp_path / "sr.tstf"
+    assert main(["model", "forward", "--frames", str(frames), "--config", str(cfg),
+                 "--weights", str(tmp_path / "bundle"), "--out", str(out)]) == 0
+
+    for name, arr in weight_map(weights).items():
+        set_weight(weights, name, arr.astype(np.float32).astype(np.float64))
+    clip = [read_pnm(p) for p in sorted(frames.iterdir())]
+    want = ts_mamba_forward(clip, None, weights, config)
+    assert np.array_equal(read_tstf(out).data, want.data)
+
+
+@pytest.mark.parametrize("defect", ["missing", "shape", "non_string", "not_object"])
+def test_model_forward_bad_weight_bundle(tmp_path, defect):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    _write_frames(frames, n=1, size=16)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"channels": 6, "state_dim": 4, "n2_res_blocks": 2}))
+    config = ModelConfig(channels=6, state_dim=4, n2_res_blocks=2)
+    bundle = tmp_path / "bundle"
+    manifest = _write_bundle(bundle, TsMambaWeights.random(config, seed=5))
+    if defect == "missing":
+        del manifest["r.res1.b2"]
+    elif defect == "shape":
+        write_tstf(bundle / manifest["tsma.fusion_w"], Tensor(np.zeros((6, 6, 1, 1))))
+    elif defect == "non_string":
+        manifest["g.conv_b"] = 3
+    else:
+        manifest = list(manifest.values())
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["model", "forward", "--frames", str(frames), "--config", str(cfg),
+                 "--weights", str(bundle), "--out", str(tmp_path / "sr.tstf")]) == 2
 
 
 def test_loss_eval_fixed_point(tmp_path, capsys):
@@ -155,7 +234,3 @@ def test_loss_eval_fixed_point(tmp_path, capsys):
     env = json.loads(capsys.readouterr().out)
     assert env["payload"]["spatial"] == pytest.approx(1e-4, abs=1e-12)
 
-
-def test_threads_flag_validated(tmp_path, capsys):
-    assert main(["--threads", "0", "model", "count"]) == 2
-    assert main(["--threads", "8", "model", "count"]) == 0

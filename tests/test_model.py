@@ -4,14 +4,15 @@ import pytest
 from tsmamba.numerics import ModelConfig, Tensor, bicubic_upsample
 from tsmamba.model import (
     TsMambaWeights,
-    TsmaConfig,
     calibrate_channels,
     charbonnier_grad,
     charbonnier_loss,
     count_params_macs,
     total_loss,
     trajectory_loss,
+    set_weight,
     ts_mamba_forward,
+    weight_map,
     window_scans_for_grid,
 )
 from tsmamba.trajectory import TrajectorySet, token_centers
@@ -68,11 +69,31 @@ def test_window_scans_cover_token_grid():
         window_scans_for_grid(6, 8, cfg, ScanVariant.Scan1)
 
 
-def test_wcb_disable_changes_output():
+def test_wcb_weights_change_output():
     cfg, weights, frames = _toy_setup()
-    on = ts_mamba_forward(frames, None, weights, cfg, TsmaConfig(enable_wcb=True))
-    off = ts_mamba_forward(frames, None, weights, cfg, TsmaConfig(enable_wcb=False))
-    assert not np.array_equal(on.data, off.data)
+    before = ts_mamba_forward(frames, None, weights, cfg)
+    c = weight_map(weights)["tsma.p1_intra.C"]
+    set_weight(weights, "tsma.p1_intra.C", c + 0.5)
+    after = ts_mamba_forward(frames, None, weights, cfg)
+    assert not np.array_equal(before.data, after.data)
+
+
+def test_weight_map_names_and_setter():
+    cfg = ModelConfig(channels=4, state_dim=2, n1_res_blocks=1, n2_res_blocks=2)
+    weights = TsMambaWeights.random(cfg, seed=0)
+    layers = weight_map(weights)
+    assert list(layers)[:4] == ["g.conv_w", "g.conv_b", "g.proj_w", "g.proj_b"]
+    assert "g.res0.w2" in layers and "r.res1.b1" in layers
+    assert "tsma.p2_inter.dt" in layers and "r.tail_b" in layers
+    assert len(layers) == 4 + 4 + 6 + 6 * 5 + 8 + 2 * 4
+    new = np.ones_like(layers["r.res1.w2"])
+    set_weight(weights, "r.res1.w2", new)
+    assert weights.r.res[1][2] is new
+    assert weight_map(weights)["r.res1.w2"] is new
+    with pytest.raises(ValueError):
+        set_weight(weights, "r.res1.w2", np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        set_weight(weights, "r.res9.w2", new)
 
 
 # --- losses -----------------------------------------------------------------
