@@ -1,8 +1,10 @@
 """Dense-tensor substrate and neural building blocks for the forward pipeline.
 
-Tensors are thin wrappers around row-major float32 numpy arrays.  All
-reductions use fixed, documented summation orders so that outputs are
-bit-identical across runs and thread counts.
+Tensors are thin wrappers around row-major float32 numpy arrays.  Outputs
+are byte-identical for the same inputs on the same numpy/BLAS build: every
+reduction is either a fixed-order numpy expression or a float32 GEMM whose
+result does not depend on the BLAS thread count.  A different numpy or BLAS
+build may round the GEMM differently in the last bits.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor",
@@ -30,6 +33,10 @@ __all__ = [
 ]
 
 PSNR_CAP_DB = 100.0
+# float32 elements of im2col columns gathered per GEMM in conv2d (256 KiB):
+# large enough for BLAS to run at speed, small enough that a conv never
+# holds more than a sliver of its column matrix.
+_CONV_CHUNK = 1 << 16
 
 
 class Tensor:
@@ -94,8 +101,11 @@ def _as_array(x):
 def conv2d(inp, weights, bias=None, stride=1, padding=0):
     """Cross-correlation of [Cin,H,W] with [Cout,Cin,kh,kw] -> [Cout,H',W'].
 
-    The reduction per output element runs over (cin, kh, kw) in that fixed
-    order, accumulating in float32 like the quadruple-loop reference.
+    im2col + GEMM: output rows are taken in blocks whose [Cin*kh*kw, rows*W']
+    column matrix holds about _CONV_CHUNK floats, and each block is one float32
+    matrix product with the [Cout, Cin*kh*kw] weights.  The result is
+    byte-identical for the same inputs on the same numpy/BLAS build; it
+    differs from a tap-by-tap float32 sum only by reordering (about 1e-6).
     """
     x = _as_array(inp)
     w = _as_array(weights)
@@ -109,17 +119,18 @@ def conv2d(inp, weights, bias=None, stride=1, padding=0):
         raise ValueError("kernel does not fit inside the padded input")
     if padding:
         x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    ho = (x.shape[1] - kh) // stride + 1
-    wo = (x.shape[2] - kw) // stride + 1
-    out = np.zeros((cout, ho, wo), dtype=np.float32)
-    # Accumulate one (cin, kh, kw) tap at a time: this fixes the summation
-    # order per output element regardless of any outer parallelism.
-    for ci in range(cin):
-        for i in range(kh):
-            for j in range(kw):
-                patch = x[ci, i:i + stride * ho:stride, j:j + stride * wo:stride]
-                for co in range(cout):
-                    out[co] += w[co, ci, i, j] * patch
+    # [Cin, H', W', kh, kw] view of every receptive field; nothing is copied yet
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    _, ho, wo, _, _ = win.shape
+    k = cin * kh * kw
+    wmat = w.reshape(cout, k)
+    out = np.empty((cout, ho, wo), dtype=np.float32)
+    rows = max(1, _CONV_CHUNK // (k * wo))
+    for r0 in range(0, ho, rows):
+        r1 = min(r0 + rows, ho)
+        # the reshape gathers the block's columns in (cin, kh, kw) order
+        cols = win[:, r0:r1].transpose(0, 3, 4, 1, 2).reshape(k, (r1 - r0) * wo)
+        np.matmul(wmat, cols, out=out[:, r0:r1].reshape(cout, (r1 - r0) * wo))
     if bias is not None:
         out += _as_array(bias).reshape(cout, 1, 1)
     return Tensor(out)
@@ -161,21 +172,22 @@ def _cubic_kernel(t, a=-0.5):
 
 
 def _bicubic_axis_weights(n_in, scale):
-    """Sample positions (align_corners=false) and 4-tap weights per output row."""
-    taps = []
+    """Sample positions (align_corners=false) and 4-tap weights per output row.
+
+    Returns (idx, wts), both [n_in*scale, 4]: tap k reads input row idx[:, k]
+    with weight wts[:, k], for k = -1, 0, 1, 2 around the sample's floor.
+    """
+    idx = []
+    wts = []
     for i_out in range(n_in * scale):
         src = (i_out + 0.5) / scale - 0.5
         base = math.floor(src)
         frac = src - base
-        idx = []
-        wts = []
-        for k in range(-1, 3):
-            j = min(max(base + k, 0), n_in - 1)   # edge replicate
-            idx.append(j)
-            wts.append(_cubic_kernel(frac - k))
-        s = sum(wts)
-        taps.append((idx, [w / s for w in wts]))
-    return taps
+        taps = [_cubic_kernel(frac - k) for k in range(-1, 3)]
+        s = sum(taps)
+        idx.append([min(max(base + k, 0), n_in - 1) for k in range(-1, 3)])  # edge replicate
+        wts.append([t / s for t in taps])
+    return np.array(idx, dtype=np.intp), np.array(wts, dtype=np.float64)
 
 
 def bicubic_upsample(inp, scale):
@@ -189,18 +201,17 @@ def bicubic_upsample(inp, scale):
     if x.ndim != 3:
         raise ValueError("bicubic_upsample expects [C,H,W]")
     c, h, w = x.shape
-    rows = _bicubic_axis_weights(h, scale)
-    cols = _bicubic_axis_weights(w, scale)
-    # rows first, then columns; float64 intermediates, rounded once at the end
+    ridx, rwts = _bicubic_axis_weights(h, scale)
+    cidx, cwts = _bicubic_axis_weights(w, scale)
+    # rows first, then columns; float64 intermediates, rounded once at the end.
+    # Each pass adds its four gathered taps to zeros in k order.
     xd = x.astype(np.float64)
     tmp = np.zeros((c, h * scale, w), dtype=np.float64)
-    for i_out, (idx, wts) in enumerate(rows):
-        for j, wt in zip(idx, wts):
-            tmp[:, i_out, :] += wt * xd[:, j, :]
+    for k in range(4):
+        tmp += rwts[:, k, None] * xd[:, ridx[:, k], :]
     out = np.zeros((c, h * scale, w * scale), dtype=np.float64)
-    for j_out, (idx, wts) in enumerate(cols):
-        for j, wt in zip(idx, wts):
-            out[:, :, j_out] += wt * tmp[:, :, j]
+    for k in range(4):
+        out += cwts[:, k] * tmp[:, :, cidx[:, k]]
     return Tensor(out.astype(np.float32))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import Tensor, conv2d, residual_block
 
@@ -105,15 +106,10 @@ class GWeights:
 
 def token_centers(ht, wt, token_size):
     """[N, 2] 1-based feature-pixel centers of the token grid, row-major."""
-    centers = np.zeros((ht * wt, 2), dtype=np.float64)
     half = (token_size + 1) / 2.0
-    i = 0
-    for r in range(ht):
-        for c in range(wt):
-            centers[i, 0] = r * token_size + half
-            centers[i, 1] = c * token_size + half
-            i += 1
-    return centers
+    rows, cols = np.meshgrid(np.arange(ht) * token_size + half,
+                             np.arange(wt) * token_size + half, indexing="ij")
+    return np.stack([rows.ravel(), cols.ravel()], axis=1)
 
 
 def generate_tokens(frame, config, weights):
@@ -155,17 +151,22 @@ def initial_trajectories(config, ht, wt, height, width, frame_index=0):
     )
 
 
-def _bilinear_sample(grid, x, y):
-    """Sample [H, W, 2] coordinate grid at 1-based (x, y) with clamping."""
-    h, w, _ = grid.shape
-    xf = min(max(x - 1.0, 0.0), h - 1.0)
-    yf = min(max(y - 1.0, 0.0), w - 1.0)
-    x0, y0 = int(np.floor(xf)), int(np.floor(yf))
-    x1, y1 = min(x0 + 1, h - 1), min(y0 + 1, w - 1)
+def _bilinear_taps(x, y, h, w):
+    """Corner indices and weights for bilinear sampling of an [h, w] grid at
+    1-based float64 positions (x, y), clamped to the grid.
+
+    Returns ((x0, y0, x1, y1), (w00, w01, w10, w11)); a sample is
+    w00*g[x0, y0] + w01*g[x0, y1] + w10*g[x1, y0] + w11*g[x1, y1], summed in
+    that order.
+    """
+    xf = np.minimum(np.maximum(x - 1.0, 0.0), h - 1.0)
+    yf = np.minimum(np.maximum(y - 1.0, 0.0), w - 1.0)
+    x0 = np.floor(xf).astype(np.intp)
+    y0 = np.floor(yf).astype(np.intp)
+    x1, y1 = np.minimum(x0 + 1, h - 1), np.minimum(y0 + 1, w - 1)
     ax, ay = xf - x0, yf - y0
-    v = ((1 - ax) * (1 - ay) * grid[x0, y0] + (1 - ax) * ay * grid[x0, y1]
-         + ax * (1 - ay) * grid[x1, y0] + ax * ay * grid[x1, y1])
-    return v
+    weights = ((1 - ax) * (1 - ay), (1 - ax) * ay, ax * (1 - ay), ax * ay)
+    return (x0, y0, x1, y1), weights
 
 
 def propagate_trajectories(prev, flow, config):
@@ -175,7 +176,9 @@ def propagate_trajectories(prev, flow, config):
     content at (x, y) in frame t came from (x + dx, y + dy) in frame t-1.
     For each token center, its frame-(t-1) position is looked up; history
     coordinates are bilinearly carried over from the previous trajectory
-    field and clamped to bounds.
+    field and clamped to bounds.  The previous field is piecewise constant
+    over each token's pixels (edge pixels beyond the token grid take the last
+    token), so each bilinear corner reads its token's coordinates directly.
     """
     f = flow.data if isinstance(flow, Tensor) else np.asarray(flow, dtype=np.float32)
     if f.shape[0] != 2 or f.shape[1] != prev.height or f.shape[2] != prev.width:
@@ -184,42 +187,37 @@ def propagate_trajectories(prev, flow, config):
     t = config.token_size
     ht, wt = h // t, w // t
     centers = token_centers(ht, wt, t)
-    n = centers.shape[0]
+    x, y = centers[:, 0], centers[:, 1]
 
-    # Dense coordinate grids of the previous trajectory set, for bilinear
-    # sampling: prev coords are defined per token; expand to pixel grids.
-    depth = min(prev.depth(), config.temporal_window)  # history to carry
-    prev_grids = []
-    for m in range(depth):
-        grid = np.zeros((h, w, 2), dtype=np.float64)
-        per_token = prev.coords[m].reshape(ht, wt, 2)
-        for r in range(h):
-            for c in range(w):
-                grid[r, c] = per_token[min(r // t, ht - 1), min(c // t, wt - 1)]
-        prev_grids.append(grid)
+    # flow at the token centers; the float64 weights promote the samples
+    (x0, y0, x1, y1), (w00, w01, w10, w11) = _bilinear_taps(x, y, h, w)
+    dx = w00 * f[0, x0, y0] + w01 * f[0, x0, y1] + w10 * f[0, x1, y0] + w11 * f[0, x1, y1]
+    dy = w00 * f[1, x0, y0] + w01 * f[1, x0, y1] + w10 * f[1, x1, y0] + w11 * f[1, x1, y1]
 
-    coords = [centers.copy()]
-    for m in range(depth):
-        layer = np.zeros((n, 2), dtype=np.float64)
-        for i in range(n):
-            x, y = centers[i]
-            dx = float(_bilinear_sample(np.dstack([f[0], f[0]]), x, y)[0])
-            dy = float(_bilinear_sample(np.dstack([f[1], f[1]]), x, y)[0])
-            px, py = x + dx, y + dy       # position in frame t-1
-            sampled = _bilinear_sample(prev_grids[m], px, py)
-            layer[i, 0] = min(max(sampled[0], 1.0), h)
-            layer[i, 1] = min(max(sampled[1], 1.0), w)
-        coords.append(layer)
-    coords = coords[: config.temporal_window + 1]
+    # history at the frame-(t-1) positions, all carried layers at once
+    depth = min(prev.depth(), config.temporal_window)
+    hist = np.stack(prev.coords[:depth]).astype(np.float64, copy=False)   # [depth, N, 2]
+    row_token = np.minimum(np.arange(h) // t, ht - 1) * wt
+    col_token = np.minimum(np.arange(w) // t, wt - 1)
+    (x0, y0, x1, y1), taps = _bilinear_taps(x + dx, y + dy, h, w)
+    w00, w01, w10, w11 = (a[:, None] for a in taps)
+    sampled = (w00 * hist[:, row_token[x0] + col_token[y0]]
+               + w01 * hist[:, row_token[x0] + col_token[y1]]
+               + w10 * hist[:, row_token[x1] + col_token[y0]]
+               + w11 * hist[:, row_token[x1] + col_token[y1]])
+    sampled[..., 0] = np.minimum(np.maximum(sampled[..., 0], 1.0), h)
+    sampled[..., 1] = np.minimum(np.maximum(sampled[..., 1], 1.0), w)
     return TrajectorySet(frame_index=prev.frame_index + 1, height=h, width=w,
-                         coords=coords)
+                         coords=[centers, *sampled])
 
 
 def block_matching_flow(a, b, radius, patch=8):
     """Per-pixel SAD block matching from a to b over (2r+1)^2 displacements.
 
     Ties break by smaller displacement magnitude, then lexicographic (dy, dx)
-    where dy is the row offset.  radius 0 returns zero flow.
+    where dy is the row offset.  radius 0 returns zero flow.  The SAD of
+    every pixel's patch is computed for one displacement at a time over the
+    whole frame, as float64 box sums.
     """
     xa = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float32)
     xb = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float32)
@@ -232,31 +230,35 @@ def block_matching_flow(a, b, radius, patch=8):
     if radius == 0:
         return Tensor(flow)
     half = patch // 2
+    size = 2 * half               # pixel (r, c)'s patch spans r-half .. r+half-1
     pad = half + radius
     pa = np.pad(xa, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
     pb = np.pad(xb, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
-    # candidate order: sorted by (magnitude, dy, dx) so argmin tie-breaks fall
-    # out of a stable first-minimum scan
+    # candidate order: sorted by (magnitude, dy, dx) so the strict-improvement
+    # update below keeps the first minimum, which is the tie-break
     cands = sorted(
         ((dy, dx) for dy in range(-radius, radius + 1)
          for dx in range(-radius, radius + 1)),
         key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]),
     )
-    for r in range(h):
-        for cc in range(w):
-            r0, c0 = r + pad, cc + pad
-            ref = pa[:, r0 - half:r0 + half, c0 - half:c0 + half]
-            best = None
-            best_d = (0, 0)
-            for (dy, dx) in cands:
-                cand = pb[:, r0 + dy - half:r0 + dy + half,
-                          c0 + dx - half:c0 + dx + half]
-                sad = float(np.abs(ref - cand).sum(dtype=np.float64))
-                if best is None or sad < best - 1e-12:
-                    best = sad
-                    best_d = (dy, dx)
-            flow[0, r, cc] = best_d[0]
-            flow[1, r, cc] = best_d[1]
+    ext_h, ext_w = h + size - 1, w + size - 1   # rows/cols every patch touches
+    ref = pa[:, radius:radius + ext_h, radius:radius + ext_w]
+
+    def sad(dy, dx):
+        """[h, w] float64 SAD of every pixel's patch: summed over channels,
+        then over the patch's rows, then its columns."""
+        cand = pb[:, radius + dy:radius + dy + ext_h, radius + dx:radius + dx + ext_w]
+        diff = np.abs(ref - cand).sum(axis=0, dtype=np.float64)
+        diff = sliding_window_view(diff, size, axis=0).sum(axis=-1)
+        return sliding_window_view(diff, size, axis=1).sum(axis=-1)
+
+    best = sad(*cands[0])        # the zero displacement, which flow starts at
+    for (dy, dx) in cands[1:]:
+        cost = sad(dy, dx)
+        better = cost < best - 1e-12
+        best[better] = cost[better]
+        flow[0][better] = dy
+        flow[1][better] = dx
     return Tensor(flow)
 
 

@@ -1,6 +1,15 @@
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tsmamba
+from tsmamba import numerics
 from tsmamba.numerics import (
     ModelConfig,
     PSNR_CAP_DB,
@@ -68,6 +77,107 @@ def test_conv2d_matches_naive():
     assert np.allclose(y.data, ref, atol=1e-4)
 
 
+def _conv2d_loop(x, w, bias=None, stride=1, padding=0):
+    """Oracle: the tap-by-tap float32 conv2d, one (cin, kh, kw) tap at a time."""
+    x = np.asarray(x, dtype=np.float32)
+    w = np.asarray(w, dtype=np.float32)
+    cin, h, wdt = x.shape
+    cout, _, kh, kw = w.shape
+    if padding:
+        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    ho = (x.shape[1] - kh) // stride + 1
+    wo = (x.shape[2] - kw) // stride + 1
+    out = np.zeros((cout, ho, wo), dtype=np.float32)
+    for ci in range(cin):
+        for i in range(kh):
+            for j in range(kw):
+                patch = x[ci, i:i + stride * ho:stride, j:j + stride * wo:stride]
+                for co in range(cout):
+                    out[co] += w[co, ci, i, j] * patch
+    if bias is not None:
+        out += np.asarray(bias, dtype=np.float32).reshape(cout, 1, 1)
+    return out
+
+
+# (cin, cout, kernel, stride, padding, height, width)
+CONV_CASES = [
+    (3, 4, 3, 1, 1, 9, 11),
+    (3, 4, 3, 2, 1, 9, 11),
+    (3, 4, 3, 1, 0, 9, 11),
+    (3, 4, 3, 2, 0, 10, 9),
+    (3, 5, 1, 1, 0, 7, 6),
+    (3, 5, 1, 2, 1, 7, 6),
+    (192, 4, 3, 1, 1, 12, 10),     # deep reduction over several row blocks
+    (192, 3, 1, 1, 0, 8, 8),
+    (3, 2, 3, 1, 1, 200, 40),      # tall frame: several row blocks
+]
+
+
+@pytest.mark.parametrize("cin,cout,k,stride,padding,h,w", CONV_CASES)
+def test_conv2d_matches_loop_oracle(cin, cout, k, stride, padding, h, w):
+    rng = np.random.default_rng(cin * 1000 + h)
+    x = rng.random((cin, h, w), dtype=np.float32)
+    # weights scaled so outputs are O(1): float32 reordering then moves them
+    # by ~1e-6, which atol 1e-5 bounds
+    wts = rng.normal(0, 1 / math.sqrt(cin * k * k), (cout, cin, k, k)).astype(np.float32)
+    b = rng.normal(0, 1, cout).astype(np.float32)
+    got = conv2d(Tensor(x), wts, b, stride=stride, padding=padding).data
+    want = _conv2d_loop(x, wts, b, stride=stride, padding=padding)
+    assert got.shape == want.shape and got.dtype == np.float32
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+
+def test_conv2d_cases_cross_row_blocks():
+    for cin, _, k, stride, padding, h, w in (CONV_CASES[6], CONV_CASES[8]):
+        wo = (w + 2 * padding - k) // stride + 1
+        ho = (h + 2 * padding - k) // stride + 1
+        rows = max(1, numerics._CONV_CHUNK // (cin * k * k * wo))
+        assert ho > 2 * rows
+
+
+def test_conv2d_peak_memory_is_chunked():
+    """The column matrix is gathered in blocks, never whole: a full im2col of
+    this input would take 72 MiB."""
+    rng = np.random.default_rng(3)
+    x = rng.random((32, 256, 256), dtype=np.float32)
+    w = rng.normal(0, 0.05, (3, 32, 3, 3)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w, padding=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    padded = 32 * 258 * 258 * 4
+    assert peak < padded + out.data.nbytes + 4 * 2**20
+
+
+_CONV_DIGEST = """
+import hashlib
+import numpy as np
+from tsmamba.numerics import conv2d
+rng = np.random.default_rng(0)
+h = hashlib.sha256()
+for cin, cout, k, size in ((3, 32, 3, 64), (32, 32, 3, 64), (96, 32, 1, 64), (32, 48, 3, 32)):
+    x = rng.random((cin, size, size), dtype=np.float32)
+    w = rng.normal(0, 0.05, (cout, cin, k, k)).astype(np.float32)
+    h.update(conv2d(x, w, padding=k // 2).data.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_conv2d_bytes_independent_of_blas_threads():
+    src = str(Path(tsmamba.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _CONV_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
 def test_conv2d_shape_errors():
     x = Tensor(np.zeros((3, 4, 4)))
     with pytest.raises(ValueError):
@@ -107,6 +217,55 @@ def test_pixel_shuffle_rejects_bad_channels():
 
 
 # --- bicubic ----------------------------------------------------------------
+
+def _bicubic_upsample_loop(x, scale):
+    """Oracle: row by row, then column by column, adding taps in k order."""
+    c, h, w = x.shape
+    ridx, rwts = numerics._bicubic_axis_weights(h, scale)
+    cidx, cwts = numerics._bicubic_axis_weights(w, scale)
+    xd = x.astype(np.float64)
+    tmp = np.zeros((c, h * scale, w), dtype=np.float64)
+    for i_out in range(h * scale):
+        for j, wt in zip(ridx[i_out].tolist(), rwts[i_out].tolist()):
+            tmp[:, i_out, :] += wt * xd[:, j, :]
+    out = np.zeros((c, h * scale, w * scale), dtype=np.float64)
+    for j_out in range(w * scale):
+        for j, wt in zip(cidx[j_out].tolist(), cwts[j_out].tolist()):
+            out[:, :, j_out] += wt * tmp[:, :, j]
+    return out.astype(np.float32)
+
+
+def _cubic_taps_loop(n_in, scale):
+    """Oracle of the tap table: positions and normalised weights per output."""
+    idx, wts = [], []
+    for i_out in range(n_in * scale):
+        src = (i_out + 0.5) / scale - 0.5
+        base = math.floor(src)
+        frac = src - base
+        row_idx, row_w = [], []
+        for k in range(-1, 3):
+            row_idx.append(min(max(base + k, 0), n_in - 1))
+            row_w.append(numerics._cubic_kernel(frac - k))
+        s = sum(row_w)
+        idx.append(row_idx)
+        wts.append([v / s for v in row_w])
+    return idx, wts
+
+
+@pytest.mark.parametrize("scale", [2, 3, 4])
+def test_bicubic_matches_loop_oracle_bytes(scale):
+    rng = np.random.default_rng(scale)
+    x = rng.normal(0, 1, (3, 7, 9)).astype(np.float32)
+    x[0, :, :3] = -0.0          # signed zeros: the sum starts from +0.0, as in the loop
+    got = bicubic_upsample(Tensor(x), scale).data
+    want = _bicubic_upsample_loop(x, scale)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    for n in (7, 9):
+        idx, wts = numerics._bicubic_axis_weights(n, scale)
+        want_idx, want_wts = _cubic_taps_loop(n, scale)
+        assert idx.tolist() == want_idx and wts.tolist() == want_wts
+
 
 def test_bicubic_constant_preserved():
     x = Tensor(np.full((3, 6, 6), 0.37, dtype=np.float32))

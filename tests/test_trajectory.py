@@ -15,6 +15,100 @@ from tsmamba.trajectory import (
 )
 
 
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# --- loop oracles -------------------------------------------------------------
+
+def _token_centers_loop(ht, wt, token_size):
+    centers = np.zeros((ht * wt, 2), dtype=np.float64)
+    half = (token_size + 1) / 2.0
+    i = 0
+    for r in range(ht):
+        for c in range(wt):
+            centers[i, 0] = r * token_size + half
+            centers[i, 1] = c * token_size + half
+            i += 1
+    return centers
+
+
+def _bilinear_sample_loop(grid, x, y):
+    """Sample [H, W, 2] coordinate grid at 1-based (x, y) with clamping."""
+    h, w, _ = grid.shape
+    xf = min(max(x - 1.0, 0.0), h - 1.0)
+    yf = min(max(y - 1.0, 0.0), w - 1.0)
+    x0, y0 = int(np.floor(xf)), int(np.floor(yf))
+    x1, y1 = min(x0 + 1, h - 1), min(y0 + 1, w - 1)
+    ax, ay = xf - x0, yf - y0
+    return ((1 - ax) * (1 - ay) * grid[x0, y0] + (1 - ax) * ay * grid[x0, y1]
+            + ax * (1 - ay) * grid[x1, y0] + ax * ay * grid[x1, y1])
+
+
+def _propagate_trajectories_loop(prev, f, config):
+    """Oracle: dense per-pixel history grids, one bilinear sample per token."""
+    f = np.asarray(f, dtype=np.float32)
+    h, w = prev.height, prev.width
+    t = config.token_size
+    ht, wt = h // t, w // t
+    centers = _token_centers_loop(ht, wt, t)
+    depth = min(prev.depth(), config.temporal_window)
+    prev_grids = []
+    for m in range(depth):
+        grid = np.zeros((h, w, 2), dtype=np.float64)
+        per_token = prev.coords[m].reshape(ht, wt, 2)
+        for r in range(h):
+            for c in range(w):
+                grid[r, c] = per_token[min(r // t, ht - 1), min(c // t, wt - 1)]
+        prev_grids.append(grid)
+    coords = [centers.copy()]
+    for m in range(depth):
+        layer = np.zeros((centers.shape[0], 2), dtype=np.float64)
+        for i in range(centers.shape[0]):
+            x, y = centers[i]
+            dx = float(_bilinear_sample_loop(np.dstack([f[0], f[0]]), x, y)[0])
+            dy = float(_bilinear_sample_loop(np.dstack([f[1], f[1]]), x, y)[0])
+            sampled = _bilinear_sample_loop(prev_grids[m], x + dx, y + dy)
+            layer[i, 0] = min(max(sampled[0], 1.0), h)
+            layer[i, 1] = min(max(sampled[1], 1.0), w)
+        coords.append(layer)
+    return coords[: config.temporal_window + 1]
+
+
+def _block_matching_flow_loop(xa, xb, radius, patch=8):
+    """Oracle: per pixel, scan candidates in (magnitude, dy, dx) order and keep
+    the first strict SAD improvement."""
+    c, h, w = xa.shape
+    flow = np.zeros((2, h, w), dtype=np.float32)
+    if radius == 0:
+        return flow
+    half = patch // 2
+    pad = half + radius
+    pa = np.pad(xa, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
+    pb = np.pad(xb, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
+    cands = sorted(
+        ((dy, dx) for dy in range(-radius, radius + 1)
+         for dx in range(-radius, radius + 1)),
+        key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]),
+    )
+    for r in range(h):
+        for cc in range(w):
+            r0, c0 = r + pad, cc + pad
+            ref = pa[:, r0 - half:r0 + half, c0 - half:c0 + half]
+            best = None
+            best_d = (0, 0)
+            for (dy, dx) in cands:
+                cand = pb[:, r0 + dy - half:r0 + dy + half,
+                          c0 + dx - half:c0 + dx + half]
+                sad = float(np.abs(ref - cand).sum(dtype=np.float64))
+                if best is None or sad < best - 1e-12:
+                    best = sad
+                    best_d = (dy, dx)
+            flow[0, r, cc] = best_d[0]
+            flow[1, r, cc] = best_d[1]
+    return flow
+
+
 def _field(rng, n, c, ht=None, wt=None):
     ht = ht or int(np.sqrt(n))
     wt = wt or n // ht
@@ -27,6 +121,11 @@ def test_token_centers_1_based():
     assert centers[0].tolist() == [2.5, 2.5]
     assert centers[1].tolist() == [2.5, 6.5]
     assert centers[3].tolist() == [6.5, 6.5]
+
+
+@pytest.mark.parametrize("ht,wt,t", [(1, 1, 4), (3, 5, 4), (4, 2, 3), (2, 3, 1)])
+def test_token_centers_match_loop_oracle(ht, wt, t):
+    assert _same_bytes(token_centers(ht, wt, t), _token_centers_loop(ht, wt, t))
 
 
 def test_generate_tokens_shapes():
@@ -95,7 +194,59 @@ def test_propagate_rejects_bad_flow_dims():
         propagate_trajectories(traj, Tensor(np.zeros((2, 4, 4))), cfg)
 
 
+def _flow_chain(rng, h, w):
+    """Integer, fractional and out-of-frame flows, alternating."""
+    yield np.rint(rng.normal(0, 3, (2, h, w)))
+    yield rng.normal(0, 2.5, (2, h, w))
+    yield np.zeros((2, h, w))
+    yield np.full((2, h, w), -40.0)                      # every point clamps
+    yield rng.uniform(-h, h, (2, h, w))
+    yield np.rint(rng.uniform(-3, 3, (2, h, w))) + 0.5
+    yield np.full((2, h, w), 3.0)
+    yield rng.normal(0, 6, (2, h, w))
+    yield np.rint(rng.normal(0, 1, (2, h, w)))
+    yield rng.uniform(0, 50, (2, h, w))
+
+
+@pytest.mark.parametrize("h,w,window", [(16, 12, 4), (18, 14, 15), (8, 8, 1)])
+def test_propagate_matches_loop_oracle_bytes(h, w, window):
+    """A 10-step chain; (18, 14) leaves pixels beyond the token grid."""
+    cfg = ModelConfig(temporal_window=window)
+    rng = np.random.default_rng(h * w)
+    t = cfg.token_size
+    traj = initial_trajectories(cfg, h // t, w // t, h, w)
+    for step, flow in enumerate(_flow_chain(rng, h, w)):
+        flow = flow.astype(np.float32)
+        want = _propagate_trajectories_loop(traj, flow, cfg)
+        traj = propagate_trajectories(traj, Tensor(flow), cfg)
+        assert traj.frame_index == step + 1
+        assert len(traj.coords) == len(want)
+        for got_layer, want_layer in zip(traj.coords, want):
+            assert _same_bytes(got_layer, want_layer)
+
+
 # --- block matching ---------------------------------------------------------
+
+def _bm_frames(kind, rng, c=3, h=14, w=13):
+    a = rng.random((c, h, w))
+    if kind == "quantised":          # few levels: many tied SADs
+        a = np.round(a * 3) / 3
+    if kind == "constant_border":    # flat margin: ties along the border
+        a[:, :4] = 0.5
+        a[:, -3:] = 0.5
+        a[:, :, :3] = 0.5
+    b = np.roll(a, (1, -2), axis=(1, 2))
+    b[:, 5:8, 5:8] = np.roll(a, (-1, 1), axis=(1, 2))[:, 5:8, 5:8]
+    return a.astype(np.float32), b.astype(np.float32)
+
+
+@pytest.mark.parametrize("kind", ["random", "quantised", "constant_border"])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_block_matching_matches_loop_oracle_bytes(kind, radius):
+    a, b = _bm_frames(kind, np.random.default_rng(radius))
+    got = block_matching_flow(Tensor(a), Tensor(b), radius=radius).data
+    assert _same_bytes(got, _block_matching_flow_loop(a, b, radius))
+
 
 def test_block_matching_recovers_translation():
     rng = np.random.default_rng(1)
