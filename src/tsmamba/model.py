@@ -76,20 +76,15 @@ def _window_scan_cells(variant, shift_name, second, w):
 
 
 def window_scans_for_grid(ht, wt, config, variant, shift_name=None, second=None):
-    """List of per-window token-index scan sequences covering the grid."""
+    """Int array [W, w*w] of per-window token-index scan sequences covering
+    the grid, windows in row-major order."""
     w = _effective_window(config, ht, wt)
     if ht % w or wt % w:
         raise ValueError(f"token grid {ht}x{wt} not divisible by window {w}")
-    cell_order = _window_scan_cells(variant, shift_name, second, w)
-    scans = []
-    for wr in range(ht // w):
-        for wc in range(wt // w):
-            cells = [
-                (wr * w + r) * wt + (wc * w + c)
-                for (r, c) in cell_order
-            ]
-            scans.append(cells)
-    return scans
+    r, c = np.asarray(_window_scan_cells(variant, shift_name, second, w)).T
+    rows = np.arange(0, ht, w)[:, None, None] + r
+    cols = np.arange(0, wt, w)[None, :, None] + c
+    return (rows * wt + cols).reshape(-1, w * w)
 
 
 @dataclass
@@ -140,13 +135,12 @@ def tsma_forward(q_field, selection, weights, config):
         scans = window_scans_for_grid(q_field.ht, q_field.wt, config,
                                       variant, shift, second)
         params = weights.block_params[name]
-        L = len(scans[0]) * (s + 1)
+        L = scans.shape[1] * (s + 1)
         if params.dt.shape[0] != L:      # small toy grids shrink the window
             params = SelectiveScanParams(A=params.A, D=params.D,
                                          dt=params.dt[:L], B=params.B[:L],
                                          C=params.C[:L])
-        return ssm_block(tokens, scans, tokens, selection.selected, s,
-                         lambda widx: params,
+        return ssm_block(tokens, scans, selection.selected, s, params,
                          gamma=weights.ln_gamma, beta=weights.ln_beta)
 
     outs = []

@@ -26,7 +26,6 @@ __all__ = [
     "selective_scan_backward",
     "selective_scan_reference",
     "gradient_check",
-    "ScanSequence",
     "build_ss3d_sequence",
     "ssm_block",
 ]
@@ -181,9 +180,7 @@ def gradient_check(params, sequence, rng=None, step=1e-4):
     g = rng.normal(0.0, 1.0, (L, C))
 
     def loss(p, uu):
-        y, _ = selective_scan_forward(p, Tensor(uu.astype(np.float32)))
-        # recompute in f64 to avoid storage rounding
-        yy, cache = selective_scan_forward(p, uu, with_cache=True)
+        _, cache = selective_scan_forward(p, uu, with_cache=True)
         return float((cache["y"] * g).sum())
 
     analytic = selective_scan_backward(params, u, g)
@@ -211,87 +208,64 @@ def gradient_check(params, sequence, rng=None, step=1e-4):
 
 # --- SS3D sequence building -------------------------------------------------
 
-@dataclass
-class ScanSequence:
-    """Flattened (cell, temporal-slot) ordering with provenance.
+def build_ss3d_sequence(scan_cells, q, v, s):
+    """Gather the interleaved SS3D sequences of one or more windows.
 
-    ordering[k] = (token_index, slot) where slot in [0, s-1] addresses the
-    s selected tokens in ascending frame order and slot == s is the current
-    token.  L = window_cells * (s + 1).
-    """
-
-    ordering: list
-    s: int
-
-    def __len__(self):
-        return len(self.ordering)
-
-
-def build_ss3d_sequence(scan_cells, q_tokens, v_selected, s):
-    """Gather the interleaved SS3D sequence for one window.
-
-    scan_cells : iterable of token indices (into the token grid) in the
-                 window's scan order.
-    q_tokens   : Tensor[N, C] current-frame tokens.
-    v_selected : Tensor[N, s, C] selected tokens (ascending frame index).
+    scan_cells : int array [..., K] of token indices (into the token grid) in
+                 each window's scan order.
+    q          : Tensor[N, C] current-frame tokens.
+    v          : Tensor[N, s, C] selected tokens (ascending frame index);
+                 unused when s == 0.
     s          : number of selected tokens per site.
 
-    Returns (ScanSequence, Tensor[L, C]).
+    Returns Tensor[..., K*(s+1), C]: position k is slot k % (s+1) of cell
+    k // (s+1), where slots 0..s-1 are the selected tokens and slot s is the
+    current token.
     """
-    q = q_tokens.data if isinstance(q_tokens, Tensor) else np.asarray(q_tokens, dtype=np.float32)
+    q = q.data if isinstance(q, Tensor) else np.asarray(q, dtype=np.float32)
+    cells = np.asarray(scan_cells, dtype=np.intp)
+    bad = (cells < 0) | (cells >= q.shape[0])
+    if bad.any():
+        raise ValueError(f"token index {int(cells[bad][0])} outside grid")
+    rows = q[:, None]
     if s > 0:
-        v = v_selected.data if isinstance(v_selected, Tensor) else np.asarray(v_selected, dtype=np.float32)
+        v = v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float32)
         if v.ndim != 3 or v.shape[1] != s:
             raise ValueError(f"v_selected must be [N, {s}, C]")
-    ordering = []
-    rows = []
-    for idx in scan_cells:
-        idx = int(idx)
-        if idx < 0 or idx >= q.shape[0]:
-            raise ValueError(f"token index {idx} outside grid")
-        for j in range(s):
-            ordering.append((idx, j))
-            rows.append(v[idx, j])
-        ordering.append((idx, s))
-        rows.append(q[idx])
-    seq = ScanSequence(ordering=ordering, s=s)
-    return seq, Tensor(np.stack(rows))
+        rows = np.concatenate([v, rows], axis=1)
+    gathered = rows[cells]                          # [..., K, s+1, C]
+    return Tensor(gathered.reshape(*cells.shape[:-1], -1, q.shape[1]))
 
 
-def scatter_current(seq, outputs, n_tokens, channels):
-    """Scatter the current-token slots of [L, C] outputs back to [N, C]."""
+def scatter_current(scan_cells, outputs, s, n_tokens):
+    """Scatter the current-token slots of [..., K*(s+1), C] outputs back to
+    [N, C]; tokens in no window stay zero."""
     y = outputs.data if isinstance(outputs, Tensor) else np.asarray(outputs, dtype=np.float32)
-    out = np.zeros((n_tokens, channels), dtype=np.float32)
-    for k, (idx, slot) in enumerate(seq.ordering):
-        if slot == seq.s:
-            out[idx] = y[k]
+    out = np.zeros((n_tokens, y.shape[-1]), dtype=np.float32)
+    out[np.asarray(scan_cells, dtype=np.intp)] = y[..., s::s + 1, :]
     return Tensor(out)
 
 
-def ssm_block(tokens_in, window_scans, q_tokens, v_selected, s, params_for_window,
-              gamma=None, beta=None):
-    """LN -> per-window SS3D build -> selective scan -> scatter -> residual.
+def ssm_block(tokens_in, window_scans, v_selected, s, params, gamma=None, beta=None):
+    """LN -> SS3D gather -> one selective scan -> scatter -> residual.
 
-    window_scans     : list of per-window token-index sequences (scan order).
-    params_for_window: callable window_idx -> SelectiveScanParams sized for
-                       that window's sequence length.
-    Selected-token slots are context only; outputs come from current slots.
+    window_scans : int array [W, K] of per-window token indices in scan order.
+    params       : SelectiveScanParams for one window's sequence length
+                   L = K*(s+1), shared by all windows.
+    The windows run as one recurrence over [L, W*C]: they become extra
+    channels (A, D and dt tiled W times) that share B and C.  Selected-token
+    slots are context only; outputs come from current slots.
     """
     from .numerics import layer_norm
 
     x = tokens_in.data if isinstance(tokens_in, Tensor) else np.asarray(tokens_in, dtype=np.float32)
     n, c = x.shape
     normed = layer_norm(Tensor(x), gamma, beta)
-    normed_v = None
-    if s > 0 and v_selected is not None:
-        normed_v = layer_norm(v_selected, gamma, beta)
-    out = np.zeros_like(x)
-    for widx, cells in enumerate(window_scans):
-        seq, gathered = build_ss3d_sequence(cells, normed, normed_v, s)
-        params = params_for_window(widx)
-        y, _ = selective_scan_forward(params, gathered)
-        scat = scatter_current(seq, y, n, c)
-        mask = np.zeros(n, dtype=bool)
-        mask[[int(i) for i in cells]] = True
-        out[mask] = scat.data[mask]
-    return Tensor(x + out)
+    normed_v = layer_norm(v_selected, gamma, beta) if s > 0 else None
+    gathered = build_ss3d_sequence(window_scans, normed, normed_v, s).data   # [W, L, C]
+    w, length, _ = gathered.shape
+    tiled = SelectiveScanParams(A=np.tile(params.A, (w, 1)), D=np.tile(params.D, w),
+                                dt=np.tile(params.dt, (1, w)), B=params.B, C=params.C)
+    y, _ = selective_scan_forward(tiled, gathered.transpose(1, 0, 2).reshape(length, w * c))
+    y = y.data.reshape(length, w, c).transpose(1, 0, 2)
+    return Tensor(x + scatter_current(window_scans, y, s, n).data)

@@ -396,16 +396,19 @@ def test_criterion_11_ss3d_structure(capfd):
     n, s, c = 64, 3, 4
     q = Tensor(rng.normal(0, 1, (n, c)).astype(np.float32))
     v = Tensor(rng.normal(0, 1, (n, s, c)).astype(np.float32))
-    seq, gathered = build_ss3d_sequence(list(range(n)), q, v, s)
-    ok = len(seq) == 256
+    gathered = build_ss3d_sequence(np.arange(n), q, v, s)
+    ok = gathered.dims == (256, c)
+    ok &= all(np.array_equal(gathered.data[k * (s + 1) + j],
+                             v.data[k, j] if j < s else q.data[k])
+              for k in range(n) for j in range(s + 1))
     for _ in range(100):
         nn = int(rng.integers(4, 65))
         cc = int(rng.integers(1, 6))
         qq = Tensor(rng.normal(0, 1, (nn, cc)).astype(np.float32))
         vv = Tensor(rng.normal(0, 1, (nn, s, cc)).astype(np.float32))
-        cells = rng.permutation(nn).tolist()
-        sq, g = build_ss3d_sequence(cells, qq, vv, s)
-        ok &= np.array_equal(scatter_current(sq, g, nn, cc).data, qq.data)
+        cells = rng.permutation(nn)
+        g = build_ss3d_sequence(cells, qq, vv, s)
+        ok &= np.array_equal(scatter_current(cells, g, s, nn).data, qq.data)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0
     _report(capfd, 11, ok, f"L=256, 100 round-trips, {elapsed:.2f}s")

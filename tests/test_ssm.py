@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from tsmamba.numerics import Tensor
+from tsmamba.model import window_scans_for_grid
+from tsmamba.numerics import ModelConfig, Tensor, layer_norm
+from tsmamba.scanorder import ScanVariant
 from tsmamba.ssm import (
-    ScanSequence,
     SelectiveScanParams,
     build_ss3d_sequence,
     gradient_check,
@@ -78,19 +79,65 @@ def test_backward_rejects_bad_upstream():
 
 # --- SS3D -------------------------------------------------------------------
 
+def _ssm_block_loop(tokens_in, window_scans, v_selected, s, params, gamma, beta):
+    """Oracle: one window at a time, a (token, slot) ordering, stacked rows,
+    one scan per window, and a scatter of the current slots."""
+    x = tokens_in.data
+    n, c = x.shape
+    normed = layer_norm(tokens_in, gamma, beta).data
+    normed_v = layer_norm(v_selected, gamma, beta).data if s > 0 else None
+    out = np.zeros_like(x)
+    for cells in window_scans:
+        ordering = [(int(idx), j) for idx in cells for j in range(s + 1)]
+        rows = [normed[idx] if j == s else normed_v[idx, j] for idx, j in ordering]
+        y, _ = selective_scan_forward(params, Tensor(np.stack(rows)))
+        for k, (idx, slot) in enumerate(ordering):
+            if slot == s:
+                out[idx] = y.data[k]
+    return Tensor(x + out)
+
+
+@pytest.mark.parametrize("ht,wt", [(8, 8), (16, 16), (8, 16)])
+@pytest.mark.parametrize("s", [3, 0])
+@pytest.mark.parametrize("scan", [
+    (ScanVariant.Scan1, None, None),
+    (ScanVariant.Scan1, "U1", ScanVariant.Scan3),
+    (ScanVariant.Scan2, "UL3", ScanVariant.Scan4),
+])
+def test_ssm_block_matches_per_window_loop(ht, wt, s, scan):
+    rng = np.random.default_rng(ht * 100 + wt * 10 + s)
+    n, c = ht * wt, 4
+    scans = window_scans_for_grid(ht, wt, ModelConfig(), *scan)
+    assert scans.shape == ((ht // 8) * (wt // 8), 64)
+    tokens = Tensor(rng.normal(0, 1, (n, c)).astype(np.float32))
+    v = Tensor(rng.normal(0, 1, (n, s, c)).astype(np.float32))
+    params = SelectiveScanParams.init(c, 4, 64 * (s + 1), rng)
+    params.A = -rng.uniform(0.5, 4.0, params.A.shape)      # distinct per channel
+    params.D = rng.normal(1.0, 0.5, c)
+    gamma, beta = rng.normal(1, 0.1, c), rng.normal(0, 0.1, c)
+    out = ssm_block(tokens, scans, v, s, params, gamma, beta)
+    ref = _ssm_block_loop(tokens, scans, v, s, params, gamma, beta)
+    assert out.data.tobytes() == ref.data.tobytes()
+
+
 def test_ss3d_sequence_length_and_interleave():
     rng = np.random.default_rng(3)
     n, s, c = 64, 3, 4
     q = Tensor(rng.normal(0, 1, (n, c)).astype(np.float32))
     v = Tensor(rng.normal(0, 1, (n, s, c)).astype(np.float32))
-    cells = list(range(n))
-    seq, gathered = build_ss3d_sequence(cells, q, v, s)
-    assert len(seq) == 64 * (s + 1) == 256
-    assert gathered.dims == (256, c)
+    cells = np.arange(n)
+    gathered = build_ss3d_sequence(cells, q, v, s)
+    assert gathered.dims == (64 * (s + 1), c) == (256, c)
     # slot pattern per cell: v0, v1, v2, q
-    assert seq.ordering[:4] == [(0, 0), (0, 1), (0, 2), (0, 3)]
-    assert np.array_equal(gathered.data[3], q.data[0])
-    assert np.array_equal(gathered.data[1], v.data[0, 1])
+    for cell in (0, 17, 63):
+        k = cell * (s + 1)
+        for j in range(s):
+            assert np.array_equal(gathered.data[k + j], v.data[cell, j])
+        assert np.array_equal(gathered.data[k + s], q.data[cell])
+    # several windows gather along a leading axis
+    batched = build_ss3d_sequence(cells.reshape(4, 16), q, v, s)
+    assert batched.dims == (4, 64, c)
+    assert np.array_equal(batched.data.reshape(256, c), gathered.data)
 
 
 def test_ss3d_gather_scatter_round_trip_100_fields():
@@ -101,9 +148,9 @@ def test_ss3d_gather_scatter_round_trip_100_fields():
         c = int(rng.integers(1, 6))
         q = Tensor(rng.normal(0, 1, (n, c)).astype(np.float32))
         v = Tensor(rng.normal(0, 1, (n, s, c)).astype(np.float32))
-        cells = rng.permutation(n).tolist()
-        seq, gathered = build_ss3d_sequence(cells, q, v, s)
-        back = scatter_current(seq, gathered, n, c)
+        cells = rng.permutation(n)
+        gathered = build_ss3d_sequence(cells, q, v, s)
+        back = scatter_current(cells, gathered, s, n)
         assert np.array_equal(back.data, q.data)
 
 
@@ -112,6 +159,8 @@ def test_ss3d_rejects_out_of_range_cell():
     v = Tensor(np.zeros((4, 3, 2)))
     with pytest.raises(ValueError):
         build_ss3d_sequence([0, 1, 9], q, v, 3)
+    with pytest.raises(ValueError):      # fancy indexing would wrap -1 silently
+        build_ss3d_sequence([0, 1, -1], q, v, 3)
 
 
 def test_ssm_block_residual_structure():
@@ -121,7 +170,7 @@ def test_ssm_block_residual_structure():
     v = Tensor(rng.normal(0, 1, (n, s, c)).astype(np.float32))
     L = n * (s + 1)
     params = SelectiveScanParams.init(c, 4, L, rng)
-    out = ssm_block(tokens, [list(range(n))], tokens, v, s, lambda w: params)
+    out = ssm_block(tokens, np.arange(n)[None], v, s, params)
     assert out.dims == (n, c)
     # residual: output differs from input but stays finite
     assert np.all(np.isfinite(out.data))
