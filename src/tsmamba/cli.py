@@ -303,7 +303,11 @@ def cmd_loss_eval(args):
     hr = read_tstf(args.hr)
     spa = charbonnier_loss(sr, hr, epsilon=args.epsilon)
     payload = {"spatial": spa}
-    if args.lr_traj and args.hr_traj:
+    if bool(args.lr_traj) != bool(args.hr_traj):
+        raise CliError("--lr-traj and --hr-traj must be given together")
+    if args.lr_traj:
+        if args.lr_height < 1 or args.lr_width < 1:
+            raise CliError("--lr-traj/--hr-traj need positive --lr-height and --lr-width")
         lt = read_tstf(args.lr_traj)
         ht = read_tstf(args.hr_traj)
         # [depth, N, 2] stacks

@@ -14,6 +14,7 @@ this pointwise fusion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +58,6 @@ TSMA_PATHS = (
 )
 
 
-def _effective_window(config, ht, wt):
-    """Window edge in tokens, shrunk to fit small toy grids."""
-    return min(config.window_size, ht, wt)
-
-
 def _window_scan_cells(variant, shift_name, second, w):
     """One window's cell order for a (possibly shifted) scan: the variant
     curve, or the composed shifted order."""
@@ -78,7 +74,7 @@ def _window_scan_cells(variant, shift_name, second, w):
 def window_scans_for_grid(ht, wt, config, variant, shift_name=None, second=None):
     """Int array [W, w*w] of per-window token-index scan sequences covering
     the grid, windows in row-major order."""
-    w = _effective_window(config, ht, wt)
+    w = config.window_size
     if ht % w or wt % w:
         raise ValueError(f"token grid {ht}x{wt} not divisible by window {w}")
     r, c = np.asarray(_window_scan_cells(variant, shift_name, second, w)).T
@@ -93,7 +89,7 @@ class TsmaWeights:
 
     concat_proj_w: np.ndarray     # [(C, (s+1)*C)] merge Q with V_s
     concat_proj_b: np.ndarray
-    block_params: dict            # name -> SelectiveScanParams factory args
+    block_params: dict            # name -> SelectiveScanParams, L = window_size^2*(s+1)
     fusion_w: np.ndarray          # pointwise conv over concatenated branches
     fusion_b: np.ndarray
     ln_gamma: np.ndarray
@@ -121,39 +117,50 @@ class TsmaWeights:
 
 
 def tsma_forward(q_field, selection, weights, config):
-    """TSMA(Q, V_s) -> aggregated token field Tensor[N, C]."""
+    """TSMA(Q, V_s) -> aggregated token field Tensor[N, C].
+
+    The six SSM blocks run on the ht x wt token grid zero-padded on the
+    bottom and right to a multiple of config.window_size (as Swin and VMamba
+    pad); their outputs are cropped back to ht x wt before the pointwise
+    fusion conv, and the residual adds the unpadded merged tokens.
+    """
     q = q_field.tokens.data
     n, c = q.shape
     s = config.s_selected
+    ht, wt = q_field.ht, q_field.wt
     # concatenate Q with V_s along channels and project back to width C
     v = selection.selected.data.reshape(n, s * c)
     merged = np.concatenate([q, v], axis=1) @ weights.concat_proj_w.T.astype(np.float32)
     merged = merged + weights.concat_proj_b.astype(np.float32)
-    x = Tensor(merged)
+
+    ws = config.window_size
+    hp, wp = math.ceil(ht / ws) * ws, math.ceil(wt / ws) * ws
+
+    def pad(rows):
+        """[ht*wt, ...] token rows -> [hp*wp, ...], zeros bottom and right."""
+        grid = rows.reshape(ht, wt, *rows.shape[1:])
+        widths = [(0, hp - ht), (0, wp - wt)] + [(0, 0)] * (rows.ndim - 1)
+        return np.pad(grid, widths).reshape(hp * wp, *rows.shape[1:])
+
+    v_pad = Tensor(pad(selection.selected.data))
 
     def run_block(tokens, name, variant, shift=None, second=None):
-        scans = window_scans_for_grid(q_field.ht, q_field.wt, config,
-                                      variant, shift, second)
-        params = weights.block_params[name]
-        L = scans.shape[1] * (s + 1)
-        if params.dt.shape[0] != L:      # small toy grids shrink the window
-            params = SelectiveScanParams(A=params.A, D=params.D,
-                                         dt=params.dt[:L], B=params.B[:L],
-                                         C=params.C[:L])
-        return ssm_block(tokens, scans, selection.selected, s, params,
+        scans = window_scans_for_grid(hp, wp, config, variant, shift, second)
+        return ssm_block(tokens, scans, v_pad, s, weights.block_params[name],
                          gamma=weights.ln_gamma, beta=weights.ln_beta)
 
+    x = Tensor(pad(merged))
     outs = []
     for prefix, std_var, intra, inter in TSMA_PATHS:
         trunk = run_block(x, f"{prefix}_std", std_var)
         outs.append(trunk)
         outs.append(run_block(trunk, f"{prefix}_intra", *intra))
         outs.append(run_block(trunk, f"{prefix}_inter", *inter))
-    cat = np.concatenate([o.data for o in outs], axis=1)    # [N, 6C]
+    cat = np.concatenate([o.data for o in outs], axis=1)    # [hp*wp, 6C]
     # pointwise fusion conv (the DAB substitution) with a residual skip
-    fused_in = cat.reshape(q_field.ht, q_field.wt, 6 * c).transpose(2, 0, 1)
+    fused_in = cat.reshape(hp, wp, 6 * c)[:ht, :wt].transpose(2, 0, 1)
     fused = conv2d(Tensor(fused_in), weights.fusion_w, weights.fusion_b)
-    out = fused.data.transpose(1, 2, 0).reshape(n, c) + x.data   # residual
+    out = fused.data.transpose(1, 2, 0).reshape(n, c) + merged   # residual
     return Tensor(out)
 
 
@@ -373,10 +380,8 @@ def _grid_dims(traj):
         ht, wt = traj.height // ts, traj.width // ts
         if ht * wt == n:
             return ht, wt
-    side = int(round(np.sqrt(n)))
-    if side * side == n:
-        return side, side
-    raise ValueError("cannot infer token grid dims")
+    raise ValueError(f"cannot infer the token grid of {n} trajectories from "
+                     f"frame size {traj.height}x{traj.width}")
 
 
 def total_loss(spa, trj, lam=0.1):
@@ -401,7 +406,8 @@ def count_params_macs(config, lr_dims):
     ht, wt = h // t, w // t
     ntok = ht * wt
     L = config.window_size ** 2 * (s + 1)
-    n_windows = max(1, (ht // config.window_size) * (wt // config.window_size))
+    # TSMA pads the token grid to a window multiple
+    n_windows = math.ceil(ht / config.window_size) * math.ceil(wt / config.window_size)
 
     breakdown = {}
 

@@ -26,7 +26,6 @@ __all__ = [
     "Procedure",
     "generate_scan",
     "window_tiled_order",
-    "apply_shift",
     "compose_scan_shift_scan",
     "scan_to_json",
     "scan_from_json",
@@ -209,36 +208,16 @@ def window_tiled_order(variant, partition):
                      label=f"{curve.label}@tiled")
 
 
-def apply_shift(shift, size):
-    """Cell permutation rho(r, c) = ((r + dr) mod S, (c + dc) mod S).
-
-    Content at `cell` moves to rho(cell).
-    """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    return {
-        (r, c): ((r + shift.delta_row) % size, (c + shift.delta_col) % size)
-        for r in range(size) for c in range(size)
-    }
-
-
-def compose_scan_shift_scan(first, shift, second, partition=None):
+def compose_scan_shift_scan(first, shift, second, partition):
     """Compose: shift the grid, re-partition, scan shifted windows with
     `second`, then map visited positions back to original cells.
 
-    `first` and `second` are window-size variant names/ScanVariants when a
-    partition is given (the windowed setting), or same-size ScanOrders for the
-    direct whole-grid composition.
+    `first` and `second` are window-size variant names/ScanVariants; each is
+    tiled over the windows of `partition`.
     """
-    if partition is not None:
-        first_order = window_tiled_order(first, partition)
-        second_order = window_tiled_order(second, partition)
-        size = partition.grid_size
-    else:
-        first_order, second_order = first, second
-        if first_order.size != second_order.size:
-            raise ValueError("first and second scan sizes differ")
-        size = first_order.size
+    first_order = window_tiled_order(first, partition)
+    second_order = window_tiled_order(second, partition)
+    size = partition.grid_size
     dr, dc = shift.delta_row, shift.delta_col
     # The curve visits shifted position p; the original cell there is p - d.
     composed = tuple(

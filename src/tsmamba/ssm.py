@@ -175,29 +175,27 @@ def selective_scan_backward(params, sequence, upstream, cache=None):
 def gradient_check(params, sequence, rng=None, step=1e-4):
     """Central finite differences vs analytic backward; returns max rel error."""
     rng = rng or np.random.default_rng(0)
-    u = sequence.data.astype(np.float64) if isinstance(sequence, Tensor) else np.asarray(sequence, dtype=np.float64)
+    u = np.array(sequence.data if isinstance(sequence, Tensor) else sequence, dtype=np.float64)
     L, C = u.shape
     g = rng.normal(0.0, 1.0, (L, C))
+    # float64 copies that the loss reads, so an in-place step reaches it
+    p = SelectiveScanParams(**{k: np.array(a, dtype=np.float64)
+                               for k, a in vars(params).items()})
 
-    def loss(p, uu):
-        _, cache = selective_scan_forward(p, uu, with_cache=True)
+    def loss():
+        _, cache = selective_scan_forward(p, u, with_cache=True)
         return float((cache["y"] * g).sum())
 
-    analytic = selective_scan_backward(params, u, g)
+    analytic = selective_scan_backward(p, u, g)
     max_rel = 0.0
-    targets = {
-        "u": u, "A": params.A, "D": params.D,
-        "dt": params.dt, "B": params.B, "C": params.C,
-    }
+    targets = {"u": u, "A": p.A, "D": p.D, "dt": p.dt, "B": p.B, "C": p.C}
     for name, arr in targets.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        it = np.ndindex(arr.shape)
-        for idx in it:
+        for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + step
-            lp = loss(params, u)
+            lp = loss()
             arr[idx] = orig - step
-            lm = loss(params, u)
+            lm = loss()
             arr[idx] = orig
             fd = (lp - lm) / (2 * step)
             an = analytic[name][idx]

@@ -6,6 +6,7 @@ import pytest
 from tsmamba.cli import main
 from tsmamba.model import TsMambaWeights, set_weight, ts_mamba_forward, weight_map
 from tsmamba.numerics import ModelConfig, Tensor, read_pnm, read_tstf, write_pnm, write_tstf
+from tsmamba.trajectory import token_centers
 
 
 def test_unknown_subcommand_exit_2(capsys):
@@ -159,6 +160,24 @@ def test_model_forward_toy(tmp_path):
     assert read_tstf(out).dims == (3, 64, 64)
 
 
+def test_model_forward_frame_size_not_a_window_multiple(tmp_path):
+    # 36x52 frames give a 9x13 token grid, which TSMA pads to 16x16
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    rng = np.random.default_rng(3)
+    for k in range(2):
+        write_pnm(frames / f"frame_{k:03d}.ppm",
+                  Tensor(rng.random((3, 36, 52)).astype(np.float32)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"channels": 4, "state_dim": 2, "n2_res_blocks": 1}))
+    out = tmp_path / "sr.tstf"
+    assert main(["model", "forward", "--frames", str(frames),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    sr = read_tstf(out)
+    assert sr.dims == (3, 144, 208)
+    assert np.all(np.isfinite(sr.data))
+
+
 def test_model_forward_bad_config_key(tmp_path):
     frames = tmp_path / "frames"
     frames.mkdir()
@@ -234,3 +253,23 @@ def test_loss_eval_fixed_point(tmp_path, capsys):
     env = json.loads(capsys.readouterr().out)
     assert env["payload"]["spatial"] == pytest.approx(1e-4, abs=1e-12)
 
+
+
+def test_loss_eval_trajectories_need_lr_size(tmp_path, capsys):
+    sr = tmp_path / "sr.tstf"
+    write_tstf(sr, Tensor(np.zeros((3, 8, 8), dtype=np.float32)))
+    # LR 8x32 frame (2x8 tokens); HR 16x64 (4x16 tokens) at scale 2
+    hr_coords = np.stack([token_centers(4, 16, 4)] * 2)
+    lr_coords = hr_coords.reshape(2, 4, 16, 2)[:, ::2, ::2].reshape(2, 16, 2) / 2
+    lr, hr = tmp_path / "lr.tstf", tmp_path / "hr.tstf"
+    write_tstf(lr, Tensor(lr_coords))
+    write_tstf(hr, Tensor(hr_coords))
+    args = ["loss", "eval", "--sr", str(sr), "--hr", str(sr), "--scale", "2",
+            "--lr-traj", str(lr), "--hr-traj", str(hr)]
+    assert main(args + ["--lr-height", "8", "--lr-width", "32"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["trajectory"] == 0.0
+    assert main(args) == 2
+    assert "--lr-height" in capsys.readouterr().err
+    assert main(args + ["--lr-height", "8"]) == 2
+    assert main(args[:-2] + ["--lr-height", "8", "--lr-width", "32"]) == 2
+    assert "together" in capsys.readouterr().err

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from tsmamba import ssm
 from tsmamba.numerics import ModelConfig, Tensor, bicubic_upsample
 from tsmamba.model import (
     TsMambaWeights,
@@ -67,6 +71,47 @@ def test_window_scans_cover_token_grid():
     assert flat == list(range(64))
     with pytest.raises(ValueError):
         window_scans_for_grid(6, 8, cfg, ScanVariant.Scan1)
+
+
+# toy width for forward passes at large frame sizes
+_TOY = dict(channels=4, state_dim=2, n1_res_blocks=1, n2_res_blocks=1,
+            temporal_window=3, s_selected=2)
+
+
+def _clip(h, w, n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.random((3, h, w)).astype(np.float32)) for _ in range(n)]
+
+
+def test_forward_at_paper_lr_size():
+    # 180x320 gives a 45x80 token grid, which TSMA pads to 48x80
+    cfg = ModelConfig(**_TOY)
+    out = ts_mamba_forward(_clip(180, 320, 2), None,
+                           TsMambaWeights.random(cfg, seed=0), cfg)
+    assert out.dims == (3, 720, 1280)
+    assert np.all(np.isfinite(out.data))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(ht=st.integers(1, 20), wt=st.integers(1, 20))
+@example(ht=4, wt=4)
+@example(ht=9, wt=13)
+@example(ht=45, wt=80)
+def test_ssm_work_that_runs_is_counted(ht, wt):
+    cfg = ModelConfig(**_TOY)
+    t = cfg.token_size
+    weights = TsMambaWeights.random(cfg, seed=0)
+    with mock.patch.object(ssm, "selective_scan_forward",
+                           wraps=ssm.selective_scan_forward) as spy:
+        ts_mamba_forward(_clip(ht * t, wt * t, 2, seed=ht * 100 + wt), None,
+                         weights, cfg)
+    # a call on [L, W*C] with state_dim N steps L*W*C*N states; the count
+    # models 6 MACs per state step
+    ran = 6 * sum(call.args[0].dt.size * call.args[0].A.shape[1]
+                  for call in spy.call_args_list)
+    counted = count_params_macs(cfg, (ht * t, wt * t))["breakdown"]["tsma.ssm_blocks"]
+    assert spy.call_count == 6
+    assert ran == counted["macs"]
 
 
 def test_wcb_weights_change_output():
@@ -171,6 +216,15 @@ def test_trajectory_loss_rejects_bad_grids():
     hr = _traj(8, 8, 32, 32, 3, 4)
     with pytest.raises(ValueError):
         trajectory_loss(lr, hr, 4)
+
+
+def test_trajectory_loss_needs_frame_size():
+    # a 4x16 HR token grid with no frame size must not be read as 8x8
+    lr = _traj(2, 8, 8, 32, 2, 4)
+    hr = _traj(4, 16, 16, 64, 2, 4)
+    assert trajectory_loss(lr, hr, 2) > 0
+    with pytest.raises(ValueError):
+        trajectory_loss(lr, TrajectorySet(0, 0, 0, hr.coords), 2)
 
 
 # --- counting ---------------------------------------------------------------

@@ -4,7 +4,6 @@ from tsmamba.scanorder import (
     ScanVariant,
     ShiftSpec,
     WindowPartition,
-    apply_shift,
     compose_scan_shift_scan,
     generate_scan,
     scan_from_json,
@@ -41,12 +40,6 @@ def test_shift_parse():
         ShiftSpec.parse("Q1")
     with pytest.raises(ValueError):
         ShiftSpec.parse("U")
-
-
-def test_apply_shift_is_permutation():
-    rho = apply_shift(ShiftSpec.parse("UL3"), 8)
-    assert sorted(rho.values()) == sorted(rho.keys())
-    assert rho[(0, 0)] == (5, 5)
 
 
 def test_window_tiled_order_covers_grid():

@@ -71,6 +71,14 @@ def test_gradient_check_20_instances():
         assert gradient_check(params, u, rng=rng) < 1e-4
 
 
+def test_gradient_check_float32_params():
+    # weights read from TSTF are float32; the check must still step them
+    params = SelectiveScanParams.init(2, 3, 5)
+    f32 = SelectiveScanParams(**{k: a.astype(np.float32) for k, a in vars(params).items()})
+    u = np.random.default_rng(1).normal(0, 1, (5, 2))
+    assert gradient_check(f32, u) < 1e-5
+
+
 def test_backward_rejects_bad_upstream():
     params, u = _random_instance(np.random.default_rng(2), L=4, C=2, N=3)
     with pytest.raises(ValueError):
