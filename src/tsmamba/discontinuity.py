@@ -4,6 +4,10 @@ A region's degree under a scan order counts the gaps between the sorted scan
 indices of its four cells (0 = fully consecutive, 3 = maximal).  A
 scan-shift-scan procedure eliminates max(0, d_first - d_second) degrees per
 region; the intra/inter split follows the window partition.
+
+An order is scored in one array pass: its [S, S] rank grid holds each cell's
+scan index, and the degrees of all (S-1)^2 regions come from sorting the
+stacked four corners of every region and counting the gaps wider than 1.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+
+import numpy as np
 
 from .scanorder import (
     Procedure,
@@ -86,29 +93,61 @@ class DiscontinuityReport:
         return self
 
 
+def _rank_grid(order):
+    """[S, S] int array: rank[r, c] is the scan index of cell (r, c)."""
+    size = order.size
+    n = size * size
+    rank = np.full(n, -1, dtype=np.intp)
+    if len(order.order) == n:
+        cells = np.fromiter(chain.from_iterable(order.order), dtype=np.intp, count=2 * n)
+        # raises on a cell outside the grid, which a plain index would wrap
+        rank[np.ravel_multi_index((cells[0::2], cells[1::2]), (size, size))] = np.arange(n)
+    # an order that misses a cell leaves a -1 behind
+    if (rank < 0).any():
+        raise ValueError(f"scan order is not a bijection of the {size}x{size} grid")
+    return rank.reshape(size, size)
+
+
+def _degrees(corners):
+    """Gaps wider than 1 among the sorted scan indices along axis 0."""
+    corners = np.sort(corners, axis=0)
+    return np.count_nonzero(corners[1:] - corners[:-1] > 1, axis=0)
+
+
+def _degree_grid(order):
+    """[S-1, S-1] degrees of all 2x2 regions, indexed by anchor."""
+    rank = _rank_grid(order)
+    return _degrees(np.stack((rank[:-1, :-1], rank[:-1, 1:], rank[1:, :-1], rank[1:, 1:])))
+
+
+def _region_kinds(grid_size, partition):
+    """(anchor, kind) of every 2x2 region in row-major anchor order.
+
+    A region is intra-window when its two rows share a window row and its two
+    columns share a window column; on_edge[i] marks lines i, i + 1 that don't.
+    """
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
+    on_edge = [partition.window_id((i, i)) != partition.window_id((i + 1, i + 1))
+               for i in range(grid_size - 1)]
+    return [((r, c), RegionKind.InterWindow if on_edge[r] or on_edge[c]
+             else RegionKind.IntraWindow)
+            for r in range(grid_size - 1) for c in range(grid_size - 1)]
+
+
 def region_degree(order, region):
     """Number of gaps among the sorted scan indices of the region's cells."""
-    imap = order.index_map()
-    try:
-        idx = sorted(imap[cell] for cell in region.cells)
-    except KeyError as exc:
-        raise ValueError(f"region cell {exc.args[0]} outside grid") from exc
-    return sum(1 for a, b in zip(idx, idx[1:]) if b - a > 1)
+    for cell in region.cells:
+        if not all(0 <= x < order.size for x in cell):
+            raise ValueError(f"region cell {cell} outside grid")
+    rows, cols = zip(*region.cells)
+    return int(_degrees(_rank_grid(order)[rows, cols]))
 
 
 def enumerate_regions(grid_size, partition):
     """All (grid_size - 1)^2 overlapping 2x2 regions, kind-tagged."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    regions = []
-    for r in range(grid_size - 1):
-        for c in range(grid_size - 1):
-            anchor = (r, c)
-            wids = {partition.window_id(cell)
-                    for cell in ((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1))}
-            kind = RegionKind.IntraWindow if len(wids) == 1 else RegionKind.InterWindow
-            regions.append(Region(anchor=anchor, kind=kind))
-    return regions
+    return [Region(anchor=anchor, kind=kind)
+            for anchor, kind in _region_kinds(grid_size, partition)]
 
 
 def elimination(procedure, partition):
@@ -117,23 +156,20 @@ def elimination(procedure, partition):
     second = procedure.shifted_second_order
     if first.size != partition.grid_size or second.size != partition.grid_size:
         raise ValueError("procedure grid size does not match partition")
-    records = []
-    delta_intra = delta_inter = 0
-    for region in enumerate_regions(partition.grid_size, partition):
-        d1 = region_degree(first, region)
-        d2 = region_degree(second, region)
-        elim = max(0, d1 - d2)
-        records.append(RegionRecord(anchor=region.anchor, kind=region.kind,
-                                    d_first=d1, d_second=d2, eliminated=elim))
-        if region.kind is RegionKind.IntraWindow:
-            delta_intra += elim
-        else:
-            delta_inter += elim
+    d_first = _degree_grid(first).ravel()
+    d_second = _degree_grid(second).ravel()
+    eliminated = np.maximum(d_first - d_second, 0)
+    regions = _region_kinds(partition.grid_size, partition)
+    intra = np.array([kind is RegionKind.IntraWindow for _, kind in regions])
+    records = tuple(
+        RegionRecord(anchor=anchor, kind=kind, d_first=d1, d_second=d2, eliminated=e)
+        for (anchor, kind), d1, d2, e in zip(regions, d_first.tolist(),
+                                             d_second.tolist(), eliminated.tolist()))
     return DiscontinuityReport(
         procedure=procedure.label(),
-        records=tuple(records),
-        delta_intra=delta_intra,
-        delta_inter=delta_inter,
+        records=records,
+        delta_intra=int(eliminated[intra].sum()),
+        delta_inter=int(eliminated[~intra].sum()),
     ).verify()
 
 

@@ -194,14 +194,6 @@ class RWeights:
             tail_w=rng.normal(0, std, (3, c, 3, 3)), tail_b=np.zeros(3),
         )
 
-    def zeroed_tail(self):
-        """Copy with the final conv zeroed: isolates the bicubic skip."""
-        import copy
-        w = copy.deepcopy(self)
-        w.tail_w = np.zeros_like(w.tail_w)
-        w.tail_b = np.zeros_like(w.tail_b)
-        return w
-
 
 def untokenize(tokens, ht, wt, config, proj_w):
     """Inverse of the patch projection: transpose map back to [C, H, W]."""
@@ -331,15 +323,6 @@ def charbonnier_loss(sr, hr, epsilon=1e-4):
         raise ValueError(f"dim mismatch {x.shape} vs {y.shape}")
     d = x.astype(np.float64) - y.astype(np.float64)
     return float(np.sqrt(d * d + epsilon * epsilon).mean())
-
-
-def charbonnier_grad(sr, hr, epsilon=1e-4):
-    """d loss / d sr, for the gradient-check harness."""
-    x = (sr.data if isinstance(sr, Tensor) else np.asarray(sr)).astype(np.float64)
-    y = (hr.data if isinstance(hr, Tensor) else np.asarray(hr)).astype(np.float64)
-    d = x - y
-    n = d.size
-    return d / (np.sqrt(d * d + epsilon * epsilon) * n)
 
 
 def trajectory_loss(lr_traj, hr_traj, scale):

@@ -126,6 +126,10 @@ class WindowPartition:
     window_size: int
 
     def __post_init__(self):
+        if self.grid_size < 1:
+            raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
+        if self.window_size < 1:
+            raise ValueError(f"window_size must be >= 1, got {self.window_size}")
         if self.grid_size % self.window_size:
             raise ValueError(
                 f"window_size {self.window_size} does not divide grid {self.grid_size}")

@@ -24,7 +24,6 @@ __all__ = [
     "SelectiveScanParams",
     "selective_scan_forward",
     "selective_scan_backward",
-    "selective_scan_reference",
     "gradient_check",
     "build_ss3d_sequence",
     "ssm_block",
@@ -109,25 +108,6 @@ def selective_scan_forward(params, sequence, with_cache=False):
     if with_cache:
         return out, {"u": u, "delta": delta, "abar": abar, "hs": hs, "y": y}
     return out, None
-
-
-def selective_scan_reference(params, sequence):
-    """Naive per-channel scalar-loop recurrence; the oracle for the kernel."""
-    u = sequence.data.astype(np.float64) if isinstance(sequence, Tensor) else np.asarray(sequence, dtype=np.float64)
-    L, C = u.shape
-    N = params.A.shape[1]
-    delta = softplus(params.dt)
-    y = np.zeros((L, C), dtype=np.float64)
-    for c in range(C):
-        h = [0.0] * N
-        for l in range(L):
-            d = delta[l, c]
-            acc = 0.0
-            for n in range(N):
-                h[n] = np.exp(d * params.A[c, n]) * h[n] + d * params.B[l, n] * u[l, c]
-                acc += params.C[l, n] * h[n]
-            y[l, c] = acc + params.D[c] * u[l, c]
-    return Tensor(y.astype(np.float32))
 
 
 def selective_scan_backward(params, sequence, upstream, cache=None):

@@ -69,6 +69,17 @@ def test_disc_search_csv(tmp_path):
     assert len(lines) == 1 + 4 * 24 * 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["disc", "search", "--window", "0"],
+    ["disc", "analyze", "--first", "scan1", "--shift", "U1", "--second", "scan3",
+     "--window", "0"],
+    ["disc", "search", "--grid", "0"],
+])
+def test_disc_bad_partition_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def _write_frames(directory, n=3, size=16, seed=0):
     rng = np.random.default_rng(seed)
     for k in range(n):

@@ -1,10 +1,15 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsmamba.discontinuity import (
+    DEFAULT_SHIFTS,
+    DiscontinuityReport,
     Region,
     RegionKind,
+    RegionRecord,
     analyze,
     elimination,
     enumerate_regions,
@@ -15,6 +20,7 @@ from tsmamba.discontinuity import (
     search_to_csv,
 )
 from tsmamba.scanorder import (
+    Procedure,
     ScanOrder,
     ScanVariant,
     ShiftSpec,
@@ -31,6 +37,75 @@ def _order_from_indices(indices, size=8):
 
 def _region_at(anchor):
     return Region(anchor=anchor, kind=RegionKind.IntraWindow)
+
+
+# --- oracle: the contracted degree from one index_map dict per region -----
+
+def _oracle_degree(order, region):
+    imap = order.index_map()
+    try:
+        idx = sorted(imap[cell] for cell in region.cells)
+    except KeyError as exc:
+        raise ValueError(f"region cell {exc.args[0]} outside grid") from exc
+    return sum(1 for a, b in zip(idx, idx[1:]) if b - a > 1)
+
+
+def _oracle_elimination(procedure, partition):
+    first = procedure.first
+    second = procedure.shifted_second_order
+    records = []
+    delta_intra = delta_inter = 0
+    for r in range(partition.grid_size - 1):
+        for c in range(partition.grid_size - 1):
+            region = _region_at((r, c))
+            wids = {partition.window_id(cell) for cell in region.cells}
+            kind = RegionKind.IntraWindow if len(wids) == 1 else RegionKind.InterWindow
+            d1 = _oracle_degree(first, region)
+            d2 = _oracle_degree(second, region)
+            elim = max(0, d1 - d2)
+            records.append(RegionRecord(anchor=(r, c), kind=kind,
+                                        d_first=d1, d_second=d2, eliminated=elim))
+            if kind is RegionKind.IntraWindow:
+                delta_intra += elim
+            else:
+                delta_inter += elim
+    return DiscontinuityReport(procedure=procedure.label(), records=tuple(records),
+                               delta_intra=delta_intra, delta_inter=delta_inter)
+
+
+@st.composite
+def _random_procedures(draw):
+    """Two random bijective orders on one grid of size 2-16, and a partition."""
+    size = draw(st.integers(2, 16))
+    first, second = (_order_from_indices(draw(st.permutations(range(size * size))), size)
+                     for _ in range(2))
+    window = draw(st.sampled_from([w for w in range(1, size + 1) if size % w == 0]))
+    proc = Procedure(first=first, shift=ShiftSpec(0, 0, "Z0"), second=second,
+                     shifted_second_order=second)
+    return proc, WindowPartition(size, window)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(_random_procedures())
+def test_degrees_match_dict_oracle(case):
+    proc, part = case
+    assert elimination(proc, part) == _oracle_elimination(proc, part)
+    for r in range(part.grid_size - 1):
+        for c in range(part.grid_size - 1):
+            region = _region_at((r, c))
+            assert region_degree(proc.first, region) == _oracle_degree(proc.first, region)
+
+
+def test_elimination_matches_dict_oracle_all_procedures():
+    part = WindowPartition(8, 4)
+    n = 0
+    for first in ScanVariant:
+        for shift in DEFAULT_SHIFTS:
+            for second in ScanVariant:
+                proc = compose_scan_shift_scan(first, ShiftSpec.parse(shift), second, part)
+                assert elimination(proc, part) == _oracle_elimination(proc, part)
+                n += 1
+    assert n == 384
 
 
 def test_degree_examples_from_contract():
@@ -59,6 +134,8 @@ def test_degree_out_of_bounds():
     scan = generate_scan(ScanVariant.Scan1, 8)
     with pytest.raises(ValueError):
         region_degree(scan, _region_at((7, 7)))
+    with pytest.raises(ValueError):
+        region_degree(scan, _region_at((-1, 0)))
 
 
 def test_enumerate_regions_counts():
@@ -138,6 +215,17 @@ def test_search_zero_shift_rows_zero():
     results = search_procedures(8, 4, shifts=[ShiftSpec(0, 0, "Z0")])
     same = [r for r in results if r[0] is r[2]]
     assert all(r[3].delta == 0 for r in same)
+
+
+# SHA-256 of the search CSV, recorded before degrees were scored from rank grids
+@pytest.mark.parametrize("grid,window,sha256", [
+    (8, 4, "fbfdd0ea810b851e50a3ac529fd2921d3a694cdd7a947267d6c76a81232d440f"),
+    (16, 4, "515ab8e9cabbbf36ec59850b02a0c1b397c8ec9b11b0d5c8539d4c4142686dd3"),
+    (16, 8, "fda5c7b71a56d7369df39934fe4c67db7d8fecdcb58131f8a541c8e6d7659699"),
+])
+def test_search_csv_pinned(grid, window, sha256):
+    csv_text = search_to_csv(search_procedures(grid, window))
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == sha256
 
 
 def test_search_deterministic():

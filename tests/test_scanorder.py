@@ -84,3 +84,7 @@ def test_svg_deterministic():
 def test_window_partition_validates():
     with pytest.raises(ValueError):
         WindowPartition(grid_size=8, window_size=3)
+    with pytest.raises(ValueError, match="window_size must be >= 1, got 0"):
+        WindowPartition(grid_size=8, window_size=0)
+    with pytest.raises(ValueError, match="grid_size must be >= 1, got 0"):
+        WindowPartition(grid_size=0, window_size=4)

@@ -11,9 +11,27 @@ from tsmamba.ssm import (
     scatter_current,
     selective_scan_backward,
     selective_scan_forward,
-    selective_scan_reference,
     ssm_block,
 )
+
+
+def selective_scan_reference(params, u):
+    """Naive per-channel scalar-loop recurrence; the oracle for the kernel."""
+    u = np.asarray(u, dtype=np.float64)
+    L, C = u.shape
+    N = params.A.shape[1]
+    delta = np.logaddexp(0.0, params.dt)          # softplus
+    y = np.zeros((L, C), dtype=np.float64)
+    for c in range(C):
+        h = [0.0] * N
+        for l in range(L):
+            d = delta[l, c]
+            acc = 0.0
+            for n in range(N):
+                h[n] = np.exp(d * params.A[c, n]) * h[n] + d * params.B[l, n] * u[l, c]
+                acc += params.C[l, n] * h[n]
+            y[l, c] = acc + params.D[c] * u[l, c]
+    return Tensor(y.astype(np.float32))
 
 
 def _random_instance(rng, L=None, C=None, N=None):
