@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -56,7 +57,7 @@ from .ssm import (
     gradient_check,
     selective_scan_forward,
 )
-from .trajectory import GWeights, block_matching_flow, select_along_trajectories
+from .trajectory import GWeights, TrajectorySet, block_matching_flow, select_along_trajectories
 
 
 class CliError(Exception):
@@ -306,17 +307,20 @@ def cmd_loss_eval(args):
     if bool(args.lr_traj) != bool(args.hr_traj):
         raise CliError("--lr-traj and --hr-traj must be given together")
     if args.lr_traj:
-        if args.lr_height < 1 or args.lr_width < 1:
-            raise CliError("--lr-traj/--hr-traj need positive --lr-height and --lr-width")
-        lt = read_tstf(args.lr_traj)
-        ht = read_tstf(args.hr_traj)
-        # [depth, N, 2] stacks
-        from .trajectory import TrajectorySet
-        lr_set = TrajectorySet(0, args.lr_height, args.lr_width,
-                               [lt.data[m].astype(np.float64) for m in range(lt.dims[0])])
-        hr_set = TrajectorySet(0, args.lr_height * args.scale,
-                               args.lr_width * args.scale,
-                               [ht.data[m].astype(np.float64) for m in range(ht.dims[0])])
+        h, w = args.lr_height, args.lr_width
+        if h < 1 or w < 1 or args.scale < 1:
+            raise CliError("--lr-traj/--hr-traj need positive --lr-height, --lr-width and --scale")
+        lt, ht = (read_tstf(p).data.astype(np.float64) for p in (args.lr_traj, args.hr_traj))
+        if any(a.ndim != 3 or 0 in a.shape or a.shape[2] != 2 for a in (lt, ht)):
+            raise CliError(f"trajectory stacks must be [depth >= 1, N >= 1, 2], got "
+                           f"{list(lt.shape)} and {list(ht.shape)}")
+        # the LR stack holds one trajectory per t x t token of the LR frame
+        n = lt.shape[1]
+        t = math.isqrt(h * w // n)
+        if t * t * n != h * w or h % t or w % t:
+            raise CliError(f"{n} LR trajectories do not tile a {h}x{w} frame with square tokens")
+        lr_set = TrajectorySet(t, h, w, list(lt))
+        hr_set = TrajectorySet(t, h * args.scale, w * args.scale, list(ht))
         trj = trajectory_loss(lr_set, hr_set, args.scale)
         payload["trajectory"] = trj
         payload["total"] = total_loss(spa, trj, lam=args.lam)

@@ -329,21 +329,22 @@ def trajectory_loss(lr_traj, hr_traj, scale):
     """Mean L1 distance between LR trajectories and (HR down-sampled)/scale.
 
     HR trajectories are sub-sampled by keeping every scale-th token
-    trajectory per grid axis; coordinates divide by scale.
+    trajectory per axis of the HR set's grid; coordinates divide by scale.
     """
     lr = lr_traj
     hr = hr_traj
     if len(lr.coords) != len(hr.coords):
         raise ValueError("temporal ranges differ")
-    # token grids
     lr_n = lr.coords[0].shape[0]
     hr_n = hr.coords[0].shape[0]
     if hr_n % (scale * scale) or hr_n // (scale * scale) != lr_n:
         raise ValueError(
             f"HR token count {hr_n} does not subsample to LR count {lr_n} at scale {scale}")
+    hr_ht, hr_wt = hr.grid
+    if hr_ht * hr_wt != hr_n:
+        raise ValueError(f"{hr_n} HR trajectories do not fit the {hr_ht}x{hr_wt} token grid")
     total = 0.0
     count = 0
-    hr_ht, hr_wt = _grid_dims(hr)
     keep = [r * hr_wt + c
             for r in range(0, hr_ht, scale)
             for c in range(0, hr_wt, scale)]
@@ -353,18 +354,6 @@ def trajectory_loss(lr_traj, hr_traj, scale):
         total += float(diff.sum())
         count += diff.size
     return total / count
-
-
-def _grid_dims(traj):
-    """Recover (ht, wt) of a trajectory set's token grid from its extents."""
-    n = traj.coords[0].shape[0]
-    # token grid dims: height/width in tokens follow from stored frame dims
-    for ts in (1, 2, 4, 8, 16, 32):
-        ht, wt = traj.height // ts, traj.width // ts
-        if ht * wt == n:
-            return ht, wt
-    raise ValueError(f"cannot infer the token grid of {n} trajectories from "
-                     f"frame size {traj.height}x{traj.width}")
 
 
 def total_loss(spa, trj, lam=0.1):
@@ -410,11 +399,11 @@ def count_params_macs(config, lr_dims):
 
     # TSMA
     add("tsma.concat_proj", c * ((s + 1) * c + 1), ntok * c * (s + 1) * c)
-    # six SSM blocks: params A[C,N], D[C], dt/B/C projections modeled as the
-    # per-step tensors produced from the input (counted as linear maps C->N)
-    ssm_params_per_block = c * n + c + (c * n * 2 + c) + 2 * (c * n)
+    # six SSM blocks, each with A[C,N], D[C], dt[L,C], B[L,N], C[L,N], and
+    # the layer-norm gamma/beta they share
+    ssm_params_per_block = c * n + c + L * c + 2 * L * n
     ssm_macs_per_block = n_windows * L * (c * n * 6)
-    add("tsma.ssm_blocks", 6 * ssm_params_per_block, 6 * ssm_macs_per_block)
+    add("tsma.ssm_blocks", 6 * ssm_params_per_block + 2 * c, 6 * ssm_macs_per_block)
     p, m = _conv_cost(6 * c, c, 1, ht, wt)
     add("tsma.fusion", p, m)
 

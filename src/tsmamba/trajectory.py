@@ -32,14 +32,9 @@ __all__ = [
 class TokenField:
     """Tokens for one frame: grid (ht, wt), tokens Tensor[N, C]."""
 
-    frame_index: int
     ht: int
     wt: int
     tokens: Tensor
-
-    @property
-    def n(self):
-        return self.ht * self.wt
 
 
 @dataclass
@@ -47,20 +42,20 @@ class TrajectorySet:
     """coords[m] is the [N, 2] (x=row, y=col) array for frame t-m.
 
     m = 0 is the current frame (endpoint); m grows into the past.  The
-    history is truncated to the temporal window length.
+    history is truncated to the temporal window length.  The N trajectories
+    belong to the row-major grid of token_size x token_size tokens over a
+    height x width frame.
     """
 
-    frame_index: int
+    token_size: int
     height: int
     width: int
     coords: list     # list of np.ndarray [N, 2], float64, 1-based
 
     @property
-    def n(self):
-        return self.coords[0].shape[0]
-
-    def depth(self):
-        return len(self.coords)
+    def grid(self):
+        """(ht, wt): the token grid the trajectories are anchored on."""
+        return self.height // self.token_size, self.width // self.token_size
 
 
 @dataclass
@@ -135,16 +130,17 @@ def generate_tokens(frame, config, weights):
         .reshape(ht * wt, c * t * t)
     )
     tokens = patches @ weights.proj_w.astype(np.float32).T + weights.proj_b.astype(np.float32)
-    field = TokenField(frame_index=0, ht=ht, wt=wt, tokens=Tensor(tokens))
+    field = TokenField(ht=ht, wt=wt, tokens=Tensor(tokens))
     return feat, field
 
 
-def initial_trajectories(config, ht, wt, height, width, frame_index=0):
+def initial_trajectories(config, height, width):
     """Cold start: history frames are treated as copies of the first frame."""
-    centers = token_centers(ht, wt, config.token_size)
+    t = config.token_size
+    centers = token_centers(height // t, width // t, t)
     depth = config.temporal_window + 1
     return TrajectorySet(
-        frame_index=frame_index,
+        token_size=t,
         height=height,
         width=width,
         coords=[centers.copy() for _ in range(depth)],
@@ -184,8 +180,8 @@ def propagate_trajectories(prev, flow, config):
     if f.shape[0] != 2 or f.shape[1] != prev.height or f.shape[2] != prev.width:
         raise ValueError(f"flow dims {f.shape} do not match {prev.height}x{prev.width}")
     h, w = prev.height, prev.width
-    t = config.token_size
-    ht, wt = h // t, w // t
+    t = prev.token_size
+    ht, wt = prev.grid
     centers = token_centers(ht, wt, t)
     x, y = centers[:, 0], centers[:, 1]
 
@@ -195,7 +191,7 @@ def propagate_trajectories(prev, flow, config):
     dy = w00 * f[1, x0, y0] + w01 * f[1, x0, y1] + w10 * f[1, x1, y0] + w11 * f[1, x1, y1]
 
     # history at the frame-(t-1) positions, all carried layers at once
-    depth = min(prev.depth(), config.temporal_window)
+    depth = min(len(prev.coords), config.temporal_window)
     hist = np.stack(prev.coords[:depth]).astype(np.float64, copy=False)   # [depth, N, 2]
     row_token = np.minimum(np.arange(h) // t, ht - 1) * wt
     col_token = np.minimum(np.arange(w) // t, wt - 1)
@@ -207,8 +203,7 @@ def propagate_trajectories(prev, flow, config):
                + w11 * hist[:, row_token[x1] + col_token[y1]])
     sampled[..., 0] = np.minimum(np.maximum(sampled[..., 0], 1.0), h)
     sampled[..., 1] = np.minimum(np.maximum(sampled[..., 1], 1.0), w)
-    return TrajectorySet(frame_index=prev.frame_index + 1, height=h, width=w,
-                         coords=[centers, *sampled])
+    return TrajectorySet(token_size=t, height=h, width=w, coords=[centers, *sampled])
 
 
 def block_matching_flow(a, b, radius, patch=8):
@@ -269,11 +264,11 @@ def _nearest_token_index(x, y, ht, wt, token_size):
     return r * wt + c
 
 
-def select_tokens(q_field, v_fields, traj, s, token_size):
+def select_tokens(q_field, v_fields, traj, s):
     """Top-s most similar previous-frame tokens along each trajectory (Eq. 7).
 
     v_fields[0] is the most recent previous frame (offset 1); scores are
-    cosine similarities.
+    cosine similarities; a trajectory point picks the token nearest to it.
     Ties break toward the more recent frame.  Returned selected tokens are
     ordered by ascending frame index (oldest first).
     """
@@ -291,8 +286,8 @@ def select_tokens(q_field, v_fields, traj, s, token_size):
         cand = []
         for off in range(1, pool + 1):
             vf = v_fields[off - 1]
-            coord = traj.coords[off][i] if off < traj.depth() else traj.coords[-1][i]
-            j = _nearest_token_index(coord[0], coord[1], vf.ht, vf.wt, token_size)
+            coord = traj.coords[min(off, len(traj.coords) - 1)][i]
+            j = _nearest_token_index(coord[0], coord[1], vf.ht, vf.wt, traj.token_size)
             vv = vf.tokens.data[j].astype(np.float64)
             vn = np.linalg.norm(vv)
             if qn == 0.0 or vn == 0.0:
@@ -319,7 +314,8 @@ def select_along_trajectories(frames, flows, g_weights, config, s):
 
     frames : list of Tensor[C, H, W], oldest first, last entry is frame t.
     flows  : list of Tensor[2, H, W] flow from frame k to k-1 (len(frames)-1
-             entries) or None for a static scene.
+             entries) or None for a static scene, whose trajectories stay
+             the cold-start set (zero flow propagates it unchanged).
     Returns (TokenField of frame t, SelectionResult).
     """
     if not frames:
@@ -327,23 +323,19 @@ def select_along_trajectories(frames, flows, g_weights, config, s):
     dims = frames[0].dims
     if any(f.dims != dims for f in frames):
         raise ValueError("all frames must share dims [C,H,W]")
-    _, h, w = dims
-    t = config.token_size
+    fields = [generate_tokens(frame, config, g_weights)[1] for frame in frames]
 
-    fields = []
-    for k, frame in enumerate(frames):
-        _, field = generate_tokens(frame, config, g_weights)
-        field.frame_index = k
-        fields.append(field)
-
-    traj = initial_trajectories(config, h // t, w // t, h, w)
-    for k in range(1, len(frames)):
-        flow = flows[k - 1] if flows else Tensor(np.zeros((2, h, w), dtype=np.float32))
-        traj = propagate_trajectories(traj, flow, config)
+    traj = initial_trajectories(config, dims[1], dims[2])
+    if flows:
+        if len(flows) != len(frames) - 1:
+            raise ValueError(f"{len(frames)} frames need {len(frames) - 1} flows, "
+                             f"got {len(flows)}")
+        for flow in flows:
+            traj = propagate_trajectories(traj, flow, config)
 
     # candidate pool: previous frames, most recent first; pad by repeating the
     # oldest frame for the cold start
     pool = list(reversed(fields[:-1])) or [fields[0]]
     while len(pool) < max(s, 1):
         pool.append(pool[-1])
-    return fields[-1], select_tokens(fields[-1], pool, traj, s, t)
+    return fields[-1], select_tokens(fields[-1], pool, traj, s)

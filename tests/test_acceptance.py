@@ -352,15 +352,15 @@ def test_criterion_8_token_selection_oracle(capfd):
         c = int(rng.integers(2, 9))
         pool = int(rng.integers(3, 9))
         s = 3
-        q = TokenField(0, ht, wt,
+        q = TokenField(ht, wt,
                        Tensor(rng.normal(0, 1, (n, c)).astype(np.float32)))
-        vs = [TokenField(0, ht, wt,
+        vs = [TokenField(ht, wt,
                          Tensor(rng.normal(0, 1, (n, c)).astype(np.float32)))
               for _ in range(pool)]
         centers = token_centers(ht, wt, 4)
-        traj = TrajectorySet(0, ht * 4, wt * 4,
+        traj = TrajectorySet(4, ht * 4, wt * 4,
                              [centers.copy() for _ in range(pool + 1)])
-        sel = select_tokens(q, vs, traj, s, 4)
+        sel = select_tokens(q, vs, traj, s)
         # exhaustive oracle with the documented (-score, recency) tie-break
         for i in range(n):
             qv = q.tokens.data[i].astype(np.float64)
@@ -373,8 +373,8 @@ def test_criterion_8_token_selection_oracle(capfd):
                 cand.append((score, off))
             cand.sort(key=lambda tpl: (-tpl[0], tpl[1]))
             ok &= sel.indices[i].tolist() == [off for _, off in cand[:s]]
-        scaled = TokenField(0, ht, wt, Tensor(q.tokens.data * 3.25))
-        ok &= np.array_equal(select_tokens(scaled, vs, traj, s, 4).indices,
+        scaled = TokenField(ht, wt, Tensor(q.tokens.data * 3.25))
+        ok &= np.array_equal(select_tokens(scaled, vs, traj, s).indices,
                              sel.indices)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0
@@ -386,9 +386,9 @@ def test_criterion_9_loss_fixed_points(capfd):
     x = Tensor(np.random.default_rng(3).random((3, 8, 8)).astype(np.float32))
     spa = charbonnier_loss(x, x, epsilon=1e-4)
     centers = token_centers(4, 4, 4)
-    lr = TrajectorySet(0, 16, 16, [centers.copy() for _ in range(3)])
+    lr = TrajectorySet(4, 16, 16, [centers.copy() for _ in range(3)])
     hr_centers = np.zeros((16 * 16, 2))
-    hr = TrajectorySet(0, 64, 64, [hr_centers.copy() for _ in range(3)])
+    hr = TrajectorySet(4, 64, 64, [hr_centers.copy() for _ in range(3)])
     for m in range(3):
         grid = hr.coords[m].reshape(16, 16, 2)
         for r in range(16):

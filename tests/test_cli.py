@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tsmamba import ssm
 from tsmamba.cli import main
 from tsmamba.model import TsMambaWeights, set_weight, ts_mamba_forward, weight_map
 from tsmamba.numerics import ModelConfig, Tensor, read_pnm, read_tstf, write_pnm, write_tstf
@@ -138,6 +139,35 @@ def test_ssm_run_round_trip(tmp_path, capsys):
     y = read_tstf(out)
     assert y.dims == (12, 4)
     assert np.all(np.isfinite(y.data))
+
+
+def test_ssm_run_params_file(tmp_path, capsys):
+    """--params holds A [C,N], D [C], dt [L,C], B [L,N], C [L,N] flattened in
+    that order as float32."""
+    L, C, N = 10, 3, 4
+    rng = np.random.default_rng(3)
+    seq = rng.normal(0, 1, (L, C)).astype(np.float32)
+    params = ssm.SelectiveScanParams.init(C, N, L, rng)
+    packed = np.concatenate([getattr(params, k).ravel() for k in ("A", "D", "dt", "B", "C")])
+    inp, pfile, out = tmp_path / "seq.tstf", tmp_path / "p.tstf", tmp_path / "out.tstf"
+    write_tstf(inp, Tensor(seq))
+    write_tstf(pfile, Tensor(packed.astype(np.float32)))
+    args = ["ssm", "run", "--input", str(inp), "--state-dim", str(N), "--out", str(out)]
+    assert main(args + ["--params", str(pfile)]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["state_dim"] == N
+    rounded = ssm.SelectiveScanParams(**{
+        k: getattr(params, k).astype(np.float32).astype(np.float64)
+        for k in ("A", "D", "dt", "B", "C")})
+    want, _ = ssm.selective_scan_forward(rounded, Tensor(seq))
+    assert np.array_equal(read_tstf(out).data, want.data.astype(np.float32))
+
+    write_tstf(pfile, Tensor(packed[:-1].astype(np.float32)))
+    assert main(args + ["--params", str(pfile)]) == 2
+    assert "values" in capsys.readouterr().err
+    packed[C * N + 1] = np.nan
+    write_tstf(pfile, Tensor(packed.astype(np.float32)))
+    assert main(args + ["--params", str(pfile)]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_ssm_run_rejects_bad_rank(tmp_path):
@@ -282,5 +312,21 @@ def test_loss_eval_trajectories_need_lr_size(tmp_path, capsys):
     assert main(args) == 2
     assert "--lr-height" in capsys.readouterr().err
     assert main(args + ["--lr-height", "8"]) == 2
+    assert main(args + ["--lr-height", "8", "--lr-width", "32", "--scale", "0"]) == 2
     assert main(args[:-2] + ["--lr-height", "8", "--lr-width", "32"]) == 2
     assert "together" in capsys.readouterr().err
+    # 16 LR trajectories tile 8x32 with 4x4 tokens, but not 8x24
+    assert main(args + ["--lr-height", "8", "--lr-width", "24"]) == 2
+    assert "tile" in capsys.readouterr().err
+    # malformed stacks: depth 0, three coordinates per point, no depth axis,
+    # no trajectories, depths that differ
+    third = [(0, 0), (0, 0), (0, 1)]
+    for lr_bad, hr_bad in ((lr_coords[:0], hr_coords[:0]),
+                           (np.pad(lr_coords, third), np.pad(hr_coords, third)),
+                           (lr_coords[0], hr_coords[0]),
+                           (lr_coords[:, :0], hr_coords[:, :0]),
+                           (lr_coords, hr_coords[:1])):
+        write_tstf(lr, Tensor(lr_bad))
+        write_tstf(hr, Tensor(hr_bad))
+        assert main(args + ["--lr-height", "8", "--lr-width", "32"]) == 2
+        assert "error:" in capsys.readouterr().err

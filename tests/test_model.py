@@ -196,7 +196,7 @@ def _traj(ht, wt, h, w, depth, token_size, jitter=0.0, seed=0):
         if jitter:
             c += rng.normal(0, jitter, c.shape)
         coords.append(c)
-    return TrajectorySet(0, h, w, coords)
+    return TrajectorySet(token_size, h, w, coords)
 
 
 def test_trajectory_loss_zero_for_matched():
@@ -238,7 +238,7 @@ def test_trajectory_loss_needs_frame_size():
     hr = _traj(4, 16, 16, 64, 2, 4)
     assert trajectory_loss(lr, hr, 2) > 0
     with pytest.raises(ValueError):
-        trajectory_loss(lr, TrajectorySet(0, 0, 0, hr.coords), 2)
+        trajectory_loss(lr, TrajectorySet(4, 0, 0, hr.coords), 2)
 
 
 # --- counting ---------------------------------------------------------------
@@ -248,6 +248,17 @@ def test_count_params_consistent_with_breakdown():
     assert counts["params"] == sum(v["params"] for v in counts["breakdown"].values())
     assert counts["macs"] == sum(v["macs"] for v in counts["breakdown"].values())
     assert counts["params"] > 0 and counts["macs"] > 0
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(),
+    ModelConfig(channels=8, state_dim=4),
+    ModelConfig(channels=5, token_size=2, s_selected=1, temporal_window=3,
+                n1_res_blocks=1, n2_res_blocks=2),
+])
+def test_count_params_matches_weights(cfg):
+    weights = weight_map(TsMambaWeights.random(cfg))
+    assert count_params_macs(cfg, (64, 64))["params"] == sum(a.size for a in weights.values())
 
 
 def test_count_scales_with_channels():
@@ -260,4 +271,4 @@ def test_count_scales_with_channels():
 def test_calibration_targets_3m():
     best = calibrate_channels(lr_dims=(180, 320), target_params=3_000_000)
     assert abs(best["params"] - 3_000_000) < 100_000
-    assert best["channels"] == 89
+    assert best["channels"] == 87

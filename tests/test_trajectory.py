@@ -10,6 +10,7 @@ from tsmamba.trajectory import (
     generate_tokens,
     initial_trajectories,
     propagate_trajectories,
+    select_along_trajectories,
     select_tokens,
     token_centers,
 )
@@ -49,10 +50,10 @@ def _propagate_trajectories_loop(prev, f, config):
     """Oracle: dense per-pixel history grids, one bilinear sample per token."""
     f = np.asarray(f, dtype=np.float32)
     h, w = prev.height, prev.width
-    t = config.token_size
+    t = prev.token_size
     ht, wt = h // t, w // t
     centers = _token_centers_loop(ht, wt, t)
-    depth = min(prev.depth(), config.temporal_window)
+    depth = min(len(prev.coords), config.temporal_window)
     prev_grids = []
     for m in range(depth):
         grid = np.zeros((h, w, 2), dtype=np.float64)
@@ -112,7 +113,7 @@ def _block_matching_flow_loop(xa, xb, radius, patch=8):
 def _field(rng, n, c, ht=None, wt=None):
     ht = ht or int(np.sqrt(n))
     wt = wt or n // ht
-    return TokenField(frame_index=0, ht=ht, wt=wt,
+    return TokenField(ht=ht, wt=wt,
                       tokens=Tensor(rng.normal(0, 1, (n, c)).astype(np.float32)))
 
 
@@ -148,26 +149,52 @@ def test_generate_tokens_rejects_bad_dims():
 
 def test_initial_trajectories_cold_start():
     cfg = ModelConfig()
-    traj = initial_trajectories(cfg, 4, 4, 16, 16)
-    assert traj.depth() == cfg.temporal_window + 1
+    traj = initial_trajectories(cfg, 16, 24)
+    assert (traj.token_size, traj.grid) == (cfg.token_size, (4, 6))
+    assert len(traj.coords) == cfg.temporal_window + 1
+    assert _same_bytes(traj.coords[0], token_centers(4, 6, cfg.token_size))
     for layer in traj.coords[1:]:
         assert np.array_equal(layer, traj.coords[0])
 
 
-def test_propagate_zero_flow_keeps_centers():
-    cfg = ModelConfig()
-    traj = initial_trajectories(cfg, 4, 4, 16, 16)
-    flow = Tensor(np.zeros((2, 16, 16), dtype=np.float32))
-    nxt = propagate_trajectories(traj, flow, cfg)
-    centers = token_centers(4, 4, cfg.token_size)
-    assert np.allclose(nxt.coords[0], centers)
-    assert np.allclose(nxt.coords[1], centers)
-    assert nxt.frame_index == traj.frame_index + 1
+@pytest.mark.parametrize("window", [1, 3, 7])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_propagate_zero_flow_keeps_centers(t, window):
+    """Zero flow keeps the cold-start set byte for byte, for more steps than
+    the history holds; a static scene needs no propagation."""
+    cfg = ModelConfig(token_size=t, temporal_window=window)
+    h, w = 3 * t, 5 * t
+    start = initial_trajectories(cfg, h, w)
+    flow = Tensor(np.zeros((2, h, w), dtype=np.float32))
+    traj = start
+    for _ in range(window + 3):
+        traj = propagate_trajectories(traj, flow, cfg)
+        assert (traj.token_size, traj.height, traj.width) == (t, h, w)
+        assert len(traj.coords) == len(start.coords)
+        for got, want in zip(traj.coords, start.coords):
+            assert _same_bytes(got, want)
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 5])
+def test_select_without_flows_equals_zero_flows(n_frames):
+    cfg = ModelConfig(channels=4, temporal_window=3, s_selected=2)
+    rng = np.random.default_rng(n_frames)
+    g = GWeights.random(cfg, rng)
+    frames = [Tensor(rng.random((3, 16, 12)).astype(np.float32)) for _ in range(n_frames)]
+    zeros = [Tensor(np.zeros((2, 16, 12), dtype=np.float32))] * n_frames
+    field, sel = select_along_trajectories(frames, None, g, cfg, 2)
+    zfield, zsel = select_along_trajectories(frames, zeros[1:], g, cfg, 2)
+    assert _same_bytes(field.tokens.data, zfield.tokens.data)
+    for name in ("indices", "scores"):
+        assert _same_bytes(getattr(sel, name), getattr(zsel, name))
+    assert _same_bytes(sel.selected.data, zsel.selected.data)
+    with pytest.raises(ValueError):      # one flow too many
+        select_along_trajectories(frames, zeros, g, cfg, 2)
 
 
 def test_propagate_constant_flow_shifts_history():
     cfg = ModelConfig()
-    traj = initial_trajectories(cfg, 8, 8, 32, 32)
+    traj = initial_trajectories(cfg, 32, 32)
     flow = np.zeros((2, 32, 32), dtype=np.float32)
     flow[0] = 4.0       # content came from one token-height down in t-1
     nxt = propagate_trajectories(traj, Tensor(flow), cfg)
@@ -180,7 +207,7 @@ def test_propagate_constant_flow_shifts_history():
 
 def test_propagate_clamps_to_bounds():
     cfg = ModelConfig()
-    traj = initial_trajectories(cfg, 2, 2, 8, 8)
+    traj = initial_trajectories(cfg, 8, 8)
     flow = np.full((2, 8, 8), 100.0, dtype=np.float32)
     nxt = propagate_trajectories(traj, Tensor(flow), cfg)
     assert np.all(nxt.coords[1][:, 0] >= 1.0)
@@ -189,7 +216,7 @@ def test_propagate_clamps_to_bounds():
 
 def test_propagate_rejects_bad_flow_dims():
     cfg = ModelConfig()
-    traj = initial_trajectories(cfg, 2, 2, 8, 8)
+    traj = initial_trajectories(cfg, 8, 8)
     with pytest.raises(ValueError):
         propagate_trajectories(traj, Tensor(np.zeros((2, 4, 4))), cfg)
 
@@ -213,13 +240,11 @@ def test_propagate_matches_loop_oracle_bytes(h, w, window):
     """A 10-step chain; (18, 14) leaves pixels beyond the token grid."""
     cfg = ModelConfig(temporal_window=window)
     rng = np.random.default_rng(h * w)
-    t = cfg.token_size
-    traj = initial_trajectories(cfg, h // t, w // t, h, w)
-    for step, flow in enumerate(_flow_chain(rng, h, w)):
+    traj = initial_trajectories(cfg, h, w)
+    for flow in _flow_chain(rng, h, w):
         flow = flow.astype(np.float32)
         want = _propagate_trajectories_loop(traj, flow, cfg)
         traj = propagate_trajectories(traj, Tensor(flow), cfg)
-        assert traj.frame_index == step + 1
         assert len(traj.coords) == len(want)
         for got_layer, want_layer in zip(traj.coords, want):
             assert _same_bytes(got_layer, want_layer)
@@ -280,7 +305,7 @@ def test_block_matching_rejects_mismatch():
 
 def _stationary_traj(ht, wt, h, w, depth, token_size=4):
     centers = token_centers(ht, wt, token_size)
-    return TrajectorySet(frame_index=depth, height=h, width=w,
+    return TrajectorySet(token_size=token_size, height=h, width=w,
                          coords=[centers.copy() for _ in range(depth)])
 
 
@@ -312,7 +337,7 @@ def test_selection_matches_exhaustive_50_instances():
         q = _field(rng, n, c, ht, wt)
         vs = [_field(rng, n, c, ht, wt) for _ in range(pool)]
         traj = _stationary_traj(ht, wt, ht * 4, wt * 4, pool + 1)
-        sel = select_tokens(q, vs, traj, s, 4)
+        sel = select_tokens(q, vs, traj, s)
         want = _brute_force_topk(q.tokens.data,
                                  [v.tokens.data for v in vs], s)
         assert sel.indices.tolist() == want
@@ -327,9 +352,9 @@ def test_selection_positive_scaling_invariance():
     q = _field(rng, n, c, ht, wt)
     vs = [_field(rng, n, c, ht, wt) for _ in range(pool)]
     traj = _stationary_traj(ht, wt, 16, 16, pool + 1)
-    base = select_tokens(q, vs, traj, s, 4)
-    scaled_q = TokenField(0, ht, wt, Tensor(q.tokens.data * 7.5))
-    scaled = select_tokens(scaled_q, vs, traj, s, 4)
+    base = select_tokens(q, vs, traj, s)
+    scaled_q = TokenField(ht, wt, Tensor(q.tokens.data * 7.5))
+    scaled = select_tokens(scaled_q, vs, traj, s)
     assert np.array_equal(base.indices, scaled.indices)
 
 
@@ -339,11 +364,11 @@ def test_selection_recency_tie_break():
     n, c = 4, 4
     q = _field(rng, n, c, ht, wt)
     dup = _field(rng, n, c, ht, wt)
-    vs = [dup, TokenField(0, ht, wt, dup.tokens.copy()),
-          TokenField(0, ht, wt, dup.tokens.copy()),
-          TokenField(0, ht, wt, dup.tokens.copy())]
+    vs = [dup, TokenField(ht, wt, dup.tokens.copy()),
+          TokenField(ht, wt, dup.tokens.copy()),
+          TokenField(ht, wt, dup.tokens.copy())]
     traj = _stationary_traj(ht, wt, 8, 8, 5)
-    sel = select_tokens(q, vs, traj, 3, 4)
+    sel = select_tokens(q, vs, traj, 3)
     # identical candidates: most recent offsets win
     assert sel.indices.tolist() == [[1, 2, 3]] * n
 
@@ -351,10 +376,10 @@ def test_selection_recency_tie_break():
 def test_selection_zero_query_scores_zero():
     rng = np.random.default_rng(6)
     ht = wt = 2
-    q = TokenField(0, ht, wt, Tensor(np.zeros((4, 4), dtype=np.float32)))
+    q = TokenField(ht, wt, Tensor(np.zeros((4, 4), dtype=np.float32)))
     vs = [_field(rng, 4, 4, ht, wt) for _ in range(4)]
     traj = _stationary_traj(ht, wt, 8, 8, 5)
-    sel = select_tokens(q, vs, traj, 3, 4)
+    sel = select_tokens(q, vs, traj, 3)
     assert np.all(sel.scores == 0.0)
     assert sel.indices.tolist() == [[1, 2, 3]] * 4
 
@@ -365,7 +390,7 @@ def test_selection_selected_tokens_oldest_first():
     q = _field(rng, 4, 3, ht, wt)
     vs = [_field(rng, 4, 3, ht, wt) for _ in range(5)]
     traj = _stationary_traj(ht, wt, 8, 8, 6)
-    sel = select_tokens(q, vs, traj, 3, 4)
+    sel = select_tokens(q, vs, traj, 3)
     for i in range(4):
         offs = sorted(sel.indices[i].tolist(), reverse=True)   # oldest first
         for j, off in enumerate(offs):
@@ -379,4 +404,4 @@ def test_selection_rejects_oversized_s():
     vs = [_field(rng, 4, 3, 2, 2)]
     traj = _stationary_traj(2, 2, 8, 8, 2)
     with pytest.raises(ValueError):
-        select_tokens(q, vs, traj, 3, 4)
+        select_tokens(q, vs, traj, 3)
