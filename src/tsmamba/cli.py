@@ -170,7 +170,7 @@ def _load_frames(directory):
 
 def cmd_traj_select(args):
     paths, frames = _load_frames(args.frames)
-    config = ModelConfig()
+    config = ModelConfig(s_selected=args.s).validate()
     rng = np.random.default_rng(args.seed)
     weights = GWeights.random(config, rng, c_in=frames[0].dims[0])
     flow_paths = []
@@ -181,7 +181,7 @@ def cmd_traj_select(args):
     else:
         flows = [block_matching_flow(frames[k], frames[k - 1], args.radius)
                  for k in range(1, len(frames))]
-    _, sel = select_along_trajectories(frames, flows, weights, config, args.s)
+    _, sel = select_along_trajectories(frames, flows, weights, config)
     payload = {
         "indices": sel.indices.tolist(),
         "scores": [[round(v, 8) for v in row] for row in sel.scores.tolist()],
@@ -291,7 +291,9 @@ def _load_weight_bundle(directory, config):
 
 
 def cmd_model_count(args):
-    config = ModelConfig(channels=args.channels)
+    config = ModelConfig(channels=args.channels).validate()
+    if args.height < 1 or args.width < 1:
+        raise CliError(f"--height and --width must be positive, got {args.height}x{args.width}")
     counts = count_params_macs(config, (args.height, args.width))
     _emit(_envelope("model count", [], counts), args.out)
     return 0

@@ -303,8 +303,7 @@ def ts_mamba_forward(frames, flows, weights, config):
     config.validate()
     if any(f.dims[0] != 3 for f in frames):
         raise ValueError("frames must have 3 channels")
-    q_field, selection = select_along_trajectories(frames, flows, weights.g,
-                                                   config, config.s_selected)
+    q_field, selection = select_along_trajectories(frames, flows, weights.g, config)
     agg = tsma_forward(q_field, selection, weights.tsma, config)
     feature = untokenize(agg, q_field.ht, q_field.wt, config, weights.g.proj_w)
     residual = reconstruct(feature, weights.r, config)

@@ -52,14 +52,6 @@ class Tensor:
     def dims(self):
         return tuple(self.data.shape)
 
-    @classmethod
-    def zeros(cls, *dims):
-        return cls(np.zeros(dims, dtype=np.float32))
-
-    @classmethod
-    def full(cls, dims, value):
-        return cls(np.full(dims, value, dtype=np.float32))
-
     def copy(self):
         return Tensor(self.data.copy())
 
@@ -82,6 +74,8 @@ class ModelConfig:
     state_dim: int = 8
 
     def validate(self):
+        if self.s_selected < 0:
+            raise ValueError(f"s_selected must not be negative (got s={self.s_selected})")
         if self.s_selected > self.temporal_window - 1:
             raise ValueError(
                 "s_selected must not exceed temporal_window - 1 "

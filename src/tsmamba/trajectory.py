@@ -257,60 +257,58 @@ def block_matching_flow(a, b, radius, patch=8):
     return Tensor(flow)
 
 
-def _nearest_token_index(x, y, ht, wt, token_size):
-    """Map a 1-based feature-pixel coordinate to its nearest token index."""
-    r = int(min(max(round((x - (token_size + 1) / 2.0) / token_size), 0), ht - 1))
-    c = int(min(max(round((y - (token_size + 1) / 2.0) / token_size), 0), wt - 1))
-    return r * wt + c
+def _dots(a, b):
+    """Dot products over the last axis as BLAS vector dots: matmul of
+    [..., 1, C] by [..., C, 1] gives the bits of np.dot on each pair."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def select_tokens(q_field, v_fields, traj, s):
     """Top-s most similar previous-frame tokens along each trajectory (Eq. 7).
 
-    v_fields[0] is the most recent previous frame (offset 1); scores are
-    cosine similarities; a trajectory point picks the token nearest to it.
+    v_fields[0] is the most recent previous frame (offset 1); every field
+    must lie on q_field's token grid.  Offset h reads trajectory layer
+    min(h, depth - 1) and picks the token nearest to that point (the
+    rounding goes half to even).  Scores are float64 cosine similarities,
+    0.0 when either token is zero; the dots and squared norms are BLAS
+    vector dots through matmul, the same bits as np.dot and np.linalg.norm.
     Ties break toward the more recent frame.  Returned selected tokens are
     ordered by ascending frame index (oldest first).
     """
     pool = len(v_fields)
-    if s > pool:
-        raise ValueError(f"s={s} exceeds candidate pool {pool}")
+    if not 0 <= s <= pool:
+        raise ValueError(f"s={s} must lie in [0, {pool}], the candidate pool")
+    ht, wt = q_field.ht, q_field.wt
+    if any((vf.ht, vf.wt) != (ht, wt) for vf in v_fields):
+        raise ValueError(f"candidate fields must lie on the query grid {ht}x{wt}")
     q = q_field.tokens.data
     n, c = q.shape
-    indices = np.zeros((n, s), dtype=np.int64)
-    scores = np.zeros((n, s), dtype=np.float64)
-    selected = np.zeros((n, s, c), dtype=np.float32)
-    for i in range(n):
-        qv = q[i].astype(np.float64)
-        qn = np.linalg.norm(qv)
-        cand = []
-        for off in range(1, pool + 1):
-            vf = v_fields[off - 1]
-            coord = traj.coords[min(off, len(traj.coords) - 1)][i]
-            j = _nearest_token_index(coord[0], coord[1], vf.ht, vf.wt, traj.token_size)
-            vv = vf.tokens.data[j].astype(np.float64)
-            vn = np.linalg.norm(vv)
-            if qn == 0.0 or vn == 0.0:
-                score = 0.0
-            else:
-                score = float(qv @ vv) / (qn * vn)
-            cand.append((score, off, j, vv))
-        # sort by score descending, recency (smaller offset) first on ties
-        cand.sort(key=lambda t: (-t[0], t[1]))
-        chosen = cand[:s]
-        for j, (score, off, tok_idx, vv) in enumerate(chosen):
-            indices[i, j] = off
-            scores[i, j] = score
-        # ascending frame index = descending offset (oldest first)
-        for j, (score, off, tok_idx, vv) in enumerate(
-                sorted(chosen, key=lambda t: -t[1])):
-            selected[i, j] = vv.astype(np.float32)
-    return SelectionResult(indices=indices, scores=scores, selected=Tensor(selected))
+    t = traj.token_size
+    # [N, P] candidate token index of every (token, offset) pair
+    depth = np.minimum(np.arange(1, pool + 1), len(traj.coords) - 1)
+    rc = np.rint((np.stack(traj.coords, axis=1)[:, depth] - (t + 1) / 2.0) / t)
+    cand = (np.clip(rc[..., 0], 0, ht - 1).astype(np.intp) * wt
+            + np.clip(rc[..., 1], 0, wt - 1).astype(np.intp))
+    v = np.array([vf.tokens.data for vf in v_fields], dtype=np.float32)
+    v = v.reshape(pool, ht * wt, c)[np.arange(pool), cand]            # [N, P, C]
+    qv, vv = q.astype(np.float64)[:, None], v.astype(np.float64)
+    qn, vn = np.sqrt(_dots(qv, qv)), np.sqrt(_dots(vv, vv))           # [N, 1], [N, P]
+    dots = _dots(qv, vv)
+    score = np.divide(dots, qn * vn, out=np.zeros_like(dots), where=(qn != 0) & (vn != 0))
+    # score descending, then recency (smaller offset) first
+    order = np.lexsort((np.broadcast_to(np.arange(pool), score.shape), -score))[:, :s]
+    oldest_first = np.sort(order, axis=1)[:, ::-1]
+    return SelectionResult(
+        indices=(order + 1).astype(np.int64),
+        scores=np.take_along_axis(score, order, axis=1),
+        selected=Tensor(np.take_along_axis(v, oldest_first[..., None], axis=1)),
+    )
 
 
-def select_along_trajectories(frames, flows, g_weights, config, s):
+def select_along_trajectories(frames, flows, g_weights, config):
     """Front end of the forward pass: G(.) on every frame, trajectory
-    propagation, and top-s selection over the previous frames' tokens.
+    propagation, and top-s selection (s = config.s_selected) over the
+    previous frames' tokens.
 
     frames : list of Tensor[C, H, W], oldest first, last entry is frame t.
     flows  : list of Tensor[2, H, W] flow from frame k to k-1 (len(frames)-1
@@ -335,6 +333,7 @@ def select_along_trajectories(frames, flows, g_weights, config, s):
 
     # candidate pool: previous frames, most recent first; pad by repeating the
     # oldest frame for the cold start
+    s = config.s_selected
     pool = list(reversed(fields[:-1])) or [fields[0]]
     while len(pool) < max(s, 1):
         pool.append(pool[-1])

@@ -123,6 +123,22 @@ def test_traj_select_zero_flows_match_radius_0(tmp_path):
                  "--out", str(b)]) == 2
 
 
+@pytest.mark.parametrize("s,code", [("-1", 2), ("0", 0), ("14", 0), ("15", 2)])
+def test_traj_select_s_must_fit_config(tmp_path, capsys, s, code):
+    """--s runs through ModelConfig.validate: 0 <= s <= T - 1 (T = 15)."""
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    _write_frames(frames, n=2, size=8)
+    out = tmp_path / "sel.json"
+    assert main(["traj", "select", "--frames", str(frames), "--radius", "0",
+                 "--s", s, "--out", str(out)]) == code
+    if code == 0:
+        idx = np.array(json.loads(out.read_text())["payload"]["indices"])
+        assert idx.shape == (4, int(s))
+    else:
+        assert "s_selected" in capsys.readouterr().err
+
+
 def test_traj_select_empty_dir(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -187,6 +203,16 @@ def test_model_count(capsys):
     assert main(["model", "count", "--channels", "32"]) == 0
     env = json.loads(capsys.readouterr().out)
     assert env["payload"]["params"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--channels", "0"], ["--channels", "-3"],
+    ["--height", "0"], ["--height", "-8"], ["--width", "0"],
+])
+def test_model_count_rejects_bad_sizes(argv, capsys):
+    assert main(["model", "count", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
 
 
 def test_model_forward_toy(tmp_path):

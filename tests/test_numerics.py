@@ -44,6 +44,9 @@ def test_model_config_validation():
         ModelConfig(s_selected=15, temporal_window=15).validate()
     with pytest.raises(ValueError):
         ModelConfig(channels=0).validate()
+    ModelConfig(s_selected=0).validate()
+    with pytest.raises(ValueError, match="negative"):
+        ModelConfig(s_selected=-1).validate()
 
 
 # --- conv2d -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsmamba.numerics import ModelConfig, Tensor
 from tsmamba.trajectory import (
@@ -110,6 +111,47 @@ def _block_matching_flow_loop(xa, xb, radius, patch=8):
     return flow
 
 
+def _nearest_token_index(x, y, ht, wt, token_size):
+    """Map a 1-based feature-pixel coordinate to its nearest token index."""
+    r = int(min(max(round((x - (token_size + 1) / 2.0) / token_size), 0), ht - 1))
+    c = int(min(max(round((y - (token_size + 1) / 2.0) / token_size), 0), wt - 1))
+    return r * wt + c
+
+
+def _select_tokens_loop(q_field, v_fields, traj, s):
+    """Oracle: per token, score every offset's nearest token, sort the
+    candidate list by (-score, offset), keep s, gather them oldest first."""
+    pool = len(v_fields)
+    q = q_field.tokens.data
+    n, c = q.shape
+    indices = np.zeros((n, s), dtype=np.int64)
+    scores = np.zeros((n, s), dtype=np.float64)
+    selected = np.zeros((n, s, c), dtype=np.float32)
+    for i in range(n):
+        qv = q[i].astype(np.float64)
+        qn = np.linalg.norm(qv)
+        cand = []
+        for off in range(1, pool + 1):
+            vf = v_fields[off - 1]
+            coord = traj.coords[min(off, len(traj.coords) - 1)][i]
+            j = _nearest_token_index(coord[0], coord[1], vf.ht, vf.wt, traj.token_size)
+            vv = vf.tokens.data[j].astype(np.float64)
+            vn = np.linalg.norm(vv)
+            if qn == 0.0 or vn == 0.0:
+                score = 0.0
+            else:
+                score = float(qv @ vv) / (qn * vn)
+            cand.append((score, off, vv))
+        cand.sort(key=lambda t: (-t[0], t[1]))
+        chosen = cand[:s]
+        for j, (score, off, _) in enumerate(chosen):
+            indices[i, j] = off
+            scores[i, j] = score
+        for j, (_, _, vv) in enumerate(sorted(chosen, key=lambda t: -t[1])):
+            selected[i, j] = vv.astype(np.float32)
+    return indices, scores, selected
+
+
 def _field(rng, n, c, ht=None, wt=None):
     ht = ht or int(np.sqrt(n))
     wt = wt or n // ht
@@ -182,14 +224,14 @@ def test_select_without_flows_equals_zero_flows(n_frames):
     g = GWeights.random(cfg, rng)
     frames = [Tensor(rng.random((3, 16, 12)).astype(np.float32)) for _ in range(n_frames)]
     zeros = [Tensor(np.zeros((2, 16, 12), dtype=np.float32))] * n_frames
-    field, sel = select_along_trajectories(frames, None, g, cfg, 2)
-    zfield, zsel = select_along_trajectories(frames, zeros[1:], g, cfg, 2)
+    field, sel = select_along_trajectories(frames, None, g, cfg)
+    zfield, zsel = select_along_trajectories(frames, zeros[1:], g, cfg)
     assert _same_bytes(field.tokens.data, zfield.tokens.data)
     for name in ("indices", "scores"):
         assert _same_bytes(getattr(sel, name), getattr(zsel, name))
     assert _same_bytes(sel.selected.data, zsel.selected.data)
     with pytest.raises(ValueError):      # one flow too many
-        select_along_trajectories(frames, zeros, g, cfg, 2)
+        select_along_trajectories(frames, zeros, g, cfg)
 
 
 def test_propagate_constant_flow_shifts_history():
@@ -405,3 +447,101 @@ def test_selection_rejects_oversized_s():
     traj = _stationary_traj(2, 2, 8, 8, 2)
     with pytest.raises(ValueError):
         select_tokens(q, vs, traj, 3)
+
+
+def _assert_matches_loop(q, vs, traj, s):
+    sel = select_tokens(q, vs, traj, s)
+    indices, scores, selected = _select_tokens_loop(q, vs, traj, s)
+    assert _same_bytes(sel.indices, indices)
+    assert _same_bytes(sel.scores, scores)
+    assert _same_bytes(sel.selected.data, selected)
+    return sel
+
+
+@st.composite
+def _selection_case(draw):
+    """Random grids, token sizes, pools, s, trajectory depths (some shorter
+    than the pool), coordinates on the half-integer lattice and beyond the
+    frame, and candidate fields that repeat so scores tie."""
+    ht, wt = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    t = draw(st.sampled_from([1, 2, 4]))
+    pool = draw(st.integers(0, 8))
+    s = draw(st.integers(0, pool))
+    depth = draw(st.integers(1, pool + 2))
+    c = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, h, w = ht * wt, ht * t, wt * t
+    q = rng.normal(0, 1, (n, c)).astype(np.float32)
+    q[rng.random(n) < 0.1] = 0.0                    # zero queries score 0
+    q_field = TokenField(ht, wt, Tensor(q))
+    v_fields = []
+    for _ in range(pool):
+        if v_fields and rng.random() < 0.4:         # a duplicated field: ties
+            v_fields.append(v_fields[int(rng.integers(len(v_fields)))])
+        else:
+            v = rng.normal(0, 1, (n, c)).astype(np.float32)
+            v[rng.random(n) < 0.1] = 0.0
+            v_fields.append(TokenField(ht, wt, Tensor(v)))
+    # half-integer points round half to even; the rest fall anywhere,
+    # including off the frame, where the nearest token clamps
+    lo, hi = -t, max(h, w) + 2 * t
+    coords = [np.where(rng.random((n, 2)) < 0.5,
+                       rng.integers(2 * lo, 2 * hi, (n, 2)) / 2.0,
+                       rng.uniform(lo, hi, (n, 2)))
+              for _ in range(depth)]
+    return q_field, v_fields, TrajectorySet(t, h, w, coords), s
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(case=_selection_case())
+def test_select_tokens_matches_loop_oracle_bytes(case):
+    _assert_matches_loop(*case)
+
+
+def test_select_tokens_empty_pool():
+    rng = np.random.default_rng(9)
+    q = _field(rng, 6, 3, 2, 3)
+    traj = _stationary_traj(2, 3, 8, 12, 1)
+    sel = _assert_matches_loop(q, [], traj, 0)
+    assert sel.indices.shape == sel.scores.shape == (6, 0)
+    assert sel.selected.dims == (6, 0, 3)
+
+
+def test_select_tokens_short_trajectory_clamps_depth():
+    """Offsets beyond the trajectory's depth read its oldest layer."""
+    rng = np.random.default_rng(10)
+    ht, wt, pool = 3, 4, 6
+    q = _field(rng, ht * wt, 5, ht, wt)
+    vs = [_field(rng, ht * wt, 5, ht, wt) for _ in range(pool)]
+    centers = token_centers(ht, wt, 2)
+    oldest = centers[::-1].copy()                 # token i points at token N-1-i
+    traj = TrajectorySet(2, 2 * ht, 2 * wt, [centers, centers, oldest])
+    sel = _assert_matches_loop(q, vs, traj, pool)
+    for i in range(ht * wt):
+        for off, token in zip(sorted(sel.indices[i], reverse=True), sel.selected.data[i]):
+            src = ht * wt - 1 - i if off >= 2 else i
+            assert np.array_equal(token, vs[off - 1].tokens.data[src])
+
+
+def test_select_tokens_zero_candidates_score_zero():
+    rng = np.random.default_rng(11)
+    q = _field(rng, 4, 3, 2, 2)
+    vs = [TokenField(2, 2, Tensor(np.zeros((4, 3), dtype=np.float32))) for _ in range(3)]
+    sel = _assert_matches_loop(q, vs, _stationary_traj(2, 2, 8, 8, 4), 2)
+    assert _same_bytes(sel.scores, np.zeros((4, 2)))
+    assert sel.indices.tolist() == [[1, 2]] * 4
+
+
+def test_select_tokens_rejects_other_grid():
+    rng = np.random.default_rng(12)
+    q = _field(rng, 4, 3, 2, 2)
+    vs = [_field(rng, 4, 3, 2, 2), _field(rng, 4, 3, 1, 4)]
+    with pytest.raises(ValueError, match="grid"):
+        select_tokens(q, vs, _stationary_traj(2, 2, 8, 8, 3), 1)
+
+
+def test_select_tokens_rejects_negative_s():
+    rng = np.random.default_rng(13)
+    q = _field(rng, 4, 3, 2, 2)
+    with pytest.raises(ValueError, match="must lie in"):
+        select_tokens(q, [q], _stationary_traj(2, 2, 8, 8, 2), -1)
