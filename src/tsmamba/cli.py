@@ -217,8 +217,8 @@ def _params_from_file(path, length, channels, state_dim, seed):
 
 def cmd_ssm_run(args):
     seq = read_tstf(args.input)
-    if len(seq.dims) != 2:
-        raise CliError("ssm input must be a [L, C] TSTF tensor")
+    if len(seq.dims) != 2 or 0 in seq.dims:
+        raise CliError(f"ssm input must be a [L >= 1, C >= 1] TSTF tensor, got {list(seq.dims)}")
     L, C = seq.dims
     params = _params_from_file(args.params, L, C, args.state_dim, args.seed)
     out, _ = selective_scan_forward(params, seq)
@@ -292,8 +292,6 @@ def _load_weight_bundle(directory, config):
 
 def cmd_model_count(args):
     config = ModelConfig(channels=args.channels).validate()
-    if args.height < 1 or args.width < 1:
-        raise CliError(f"--height and --width must be positive, got {args.height}x{args.width}")
     counts = count_params_macs(config, (args.height, args.width))
     _emit(_envelope("model count", [], counts), args.out)
     return 0
@@ -321,8 +319,8 @@ def cmd_loss_eval(args):
         t = math.isqrt(h * w // n)
         if t * t * n != h * w or h % t or w % t:
             raise CliError(f"{n} LR trajectories do not tile a {h}x{w} frame with square tokens")
-        lr_set = TrajectorySet(t, h, w, list(lt))
-        hr_set = TrajectorySet(t, h * args.scale, w * args.scale, list(ht))
+        lr_set = TrajectorySet(t, h, w, lt)
+        hr_set = TrajectorySet(t, h * args.scale, w * args.scale, ht)
         trj = trajectory_loss(lr_set, hr_set, args.scale)
         payload["trajectory"] = trj
         payload["total"] = total_loss(spa, trj, lam=args.lam)
@@ -332,6 +330,13 @@ def cmd_loss_eval(args):
 
 
 # --- parser -----------------------------------------------------------------
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
 
 def build_parser():
     p = argparse.ArgumentParser(prog="tsm", description=__doc__)
@@ -379,16 +384,16 @@ def build_parser():
     r = ssm.add_parser("run")
     r.add_argument("--input", required=True)
     r.add_argument("--params")
-    r.add_argument("--state-dim", type=int, default=8)
+    r.add_argument("--state-dim", type=positive_int, default=8)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_ssm_run)
 
     grad = sub.add_parser("grad").add_subparsers(dest="cmd", required=True)
     gc = grad.add_parser("check")
-    gc.add_argument("--length", type=int, default=12)
-    gc.add_argument("--channels", type=int, default=3)
-    gc.add_argument("--state-dim", type=int, default=4)
+    gc.add_argument("--length", type=positive_int, default=12)
+    gc.add_argument("--channels", type=positive_int, default=3)
+    gc.add_argument("--state-dim", type=positive_int, default=4)
     gc.add_argument("--tol", type=float, default=1e-5)
     gc.add_argument("--seed", type=int, default=0)
     gc.set_defaults(func=cmd_grad_check)

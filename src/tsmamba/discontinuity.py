@@ -5,9 +5,9 @@ indices of its four cells (0 = fully consecutive, 3 = maximal).  A
 scan-shift-scan procedure eliminates max(0, d_first - d_second) degrees per
 region; the intra/inter split follows the window partition.
 
-An order is scored in one array pass: its [S, S] rank grid holds each cell's
-scan index, and the degrees of all (S-1)^2 regions come from sorting the
-stacked four corners of every region and counting the gaps wider than 1.
+An order is scored in one array pass: its rank grid `ScanOrder.rank` holds each
+cell's scan index, and the degrees of all (S-1)^2 regions come from sorting
+the stacked four corners of every region and counting the gaps wider than 1.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -93,21 +92,6 @@ class DiscontinuityReport:
         return self
 
 
-def _rank_grid(order):
-    """[S, S] int array: rank[r, c] is the scan index of cell (r, c)."""
-    size = order.size
-    n = size * size
-    rank = np.full(n, -1, dtype=np.intp)
-    if len(order.order) == n:
-        cells = np.fromiter(chain.from_iterable(order.order), dtype=np.intp, count=2 * n)
-        # raises on a cell outside the grid, which a plain index would wrap
-        rank[np.ravel_multi_index((cells[0::2], cells[1::2]), (size, size))] = np.arange(n)
-    # an order that misses a cell leaves a -1 behind
-    if (rank < 0).any():
-        raise ValueError(f"scan order is not a bijection of the {size}x{size} grid")
-    return rank.reshape(size, size)
-
-
 def _degrees(corners):
     """Gaps wider than 1 among the sorted scan indices along axis 0."""
     corners = np.sort(corners, axis=0)
@@ -116,7 +100,7 @@ def _degrees(corners):
 
 def _degree_grid(order):
     """[S-1, S-1] degrees of all 2x2 regions, indexed by anchor."""
-    rank = _rank_grid(order)
+    rank = order.rank
     return _degrees(np.stack((rank[:-1, :-1], rank[:-1, 1:], rank[1:, :-1], rank[1:, 1:])))
 
 
@@ -141,7 +125,7 @@ def region_degree(order, region):
         if not all(0 <= x < order.size for x in cell):
             raise ValueError(f"region cell {cell} outside grid")
     rows, cols = zip(*region.cells)
-    return int(_degrees(_rank_grid(order)[rows, cols]))
+    return int(_degrees(order.rank[rows, cols]))
 
 
 def enumerate_regions(grid_size, partition):
@@ -231,8 +215,9 @@ def report_to_json(report):
 _ELIM_COLORS = {1: "#2ca02c", 2: "#d62728", 3: "#7f7f7f"}   # green/red/gray
 
 
-def report_to_svg(report, grid_size, cell_px=24):
+def report_to_svg(report, grid_size):
     """Grid with eliminated regions marked by degree-colored circles."""
+    cell_px = 24
     s = grid_size * cell_px
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{s}" height="{s}" '

@@ -116,18 +116,18 @@ class TsmaWeights:
         )
 
 
-def tsma_forward(q_field, selection, weights, config):
-    """TSMA(Q, V_s) -> aggregated token field Tensor[N, C].
+def tsma_forward(q_grid, selection, weights, config):
+    """TSMA(Q, V_s): [ht, wt, C] token grid -> aggregated [ht, wt, C] grid.
 
     The six SSM blocks run on the ht x wt token grid zero-padded on the
     bottom and right to a multiple of config.window_size (as Swin and VMamba
     pad); their outputs are cropped back to ht x wt before the pointwise
     fusion conv, and the residual adds the unpadded merged tokens.
     """
-    q = q_field.tokens.data
-    n, c = q.shape
+    ht, wt, c = q_grid.shape
+    n = ht * wt
+    q = q_grid.reshape(n, c)
     s = config.s_selected
-    ht, wt = q_field.ht, q_field.wt
     # concatenate Q with V_s along channels and project back to width C
     v = selection.selected.data.reshape(n, s * c)
     merged = np.concatenate([q, v], axis=1) @ weights.concat_proj_w.T.astype(np.float32)
@@ -161,7 +161,7 @@ def tsma_forward(q_field, selection, weights, config):
     fused_in = cat.reshape(hp, wp, 6 * c)[:ht, :wt].transpose(2, 0, 1)
     fused = conv2d(Tensor(fused_in), weights.fusion_w, weights.fusion_b)
     out = fused.data.transpose(1, 2, 0).reshape(n, c) + merged   # residual
-    return Tensor(out)
+    return out.reshape(ht, wt, c)
 
 
 @dataclass
@@ -195,17 +195,18 @@ class RWeights:
         )
 
 
-def untokenize(tokens, ht, wt, config, proj_w):
-    """Inverse of the patch projection: transpose map back to [C, H, W]."""
+def untokenize(grid, config, proj_w):
+    """Inverse of the patch projection: [ht, wt, C] tokens -> [C, H, W]."""
     t = config.token_size
-    x = tokens.data @ proj_w.astype(np.float32)       # [N, C*t*t]
+    ht, wt, c_token = grid.shape
+    x = grid.reshape(ht * wt, c_token) @ proj_w.astype(np.float32)   # [N, C*t*t]
     c = proj_w.shape[1] // (t * t)
-    grid = (
+    feature = (
         x.reshape(ht, wt, c, t, t)
         .transpose(2, 0, 3, 1, 4)
         .reshape(c, ht * t, wt * t)
     )
-    return Tensor(np.ascontiguousarray(grid))
+    return Tensor(np.ascontiguousarray(feature))
 
 
 def reconstruct(feature, rw, config):
@@ -303,9 +304,9 @@ def ts_mamba_forward(frames, flows, weights, config):
     config.validate()
     if any(f.dims[0] != 3 for f in frames):
         raise ValueError("frames must have 3 channels")
-    q_field, selection = select_along_trajectories(frames, flows, weights.g, config)
-    agg = tsma_forward(q_field, selection, weights.tsma, config)
-    feature = untokenize(agg, q_field.ht, q_field.wt, config, weights.g.proj_w)
+    q_grid, selection = select_along_trajectories(frames, flows, weights.g, config)
+    agg = tsma_forward(q_grid, selection, weights.tsma, config)
+    feature = untokenize(agg, config, weights.g.proj_w)
     residual = reconstruct(feature, weights.r, config)
     skip = bicubic_upsample(frames[-1], config.scale)
     return Tensor(residual.data + skip.data)
@@ -324,14 +325,13 @@ def charbonnier_loss(sr, hr, epsilon=1e-4):
     return float(np.sqrt(d * d + epsilon * epsilon).mean())
 
 
-def trajectory_loss(lr_traj, hr_traj, scale):
+def trajectory_loss(lr, hr, scale):
     """Mean L1 distance between LR trajectories and (HR down-sampled)/scale.
 
     HR trajectories are sub-sampled by keeping every scale-th token
     trajectory per axis of the HR set's grid; coordinates divide by scale.
+    The absolute differences are summed one history layer at a time.
     """
-    lr = lr_traj
-    hr = hr_traj
     if len(lr.coords) != len(hr.coords):
         raise ValueError("temporal ranges differ")
     lr_n = lr.coords[0].shape[0]
@@ -342,17 +342,10 @@ def trajectory_loss(lr_traj, hr_traj, scale):
     hr_ht, hr_wt = hr.grid
     if hr_ht * hr_wt != hr_n:
         raise ValueError(f"{hr_n} HR trajectories do not fit the {hr_ht}x{hr_wt} token grid")
-    total = 0.0
-    count = 0
-    keep = [r * hr_wt + c
-            for r in range(0, hr_ht, scale)
-            for c in range(0, hr_wt, scale)]
-    for m in range(len(lr.coords)):
-        target = hr.coords[m][keep] / float(scale)
-        diff = np.abs(lr.coords[m] - target)
-        total += float(diff.sum())
-        count += diff.size
-    return total / count
+    keep = np.arange(hr_n).reshape(hr_ht, hr_wt)[::scale, ::scale].ravel()
+    targets = hr.coords[:, keep] / float(scale)
+    total = sum(float(np.abs(layer - target).sum()) for layer, target in zip(lr.coords, targets))
+    return total / lr.coords.size
 
 
 def total_loss(spa, trj, lam=0.1):
@@ -372,6 +365,8 @@ def count_params_macs(config, lr_dims):
     h, w = lr_dims
     c = config.channels
     t = config.token_size
+    if h < t or w < t or h % t or w % t:
+        raise ValueError(f"frame {h}x{w} is not a positive multiple of token_size {t}")
     s = config.s_selected
     n = config.state_dim
     ht, wt = h // t, w // t
@@ -388,12 +383,9 @@ def count_params_macs(config, lr_dims):
     # G(.)
     p, m = _conv_cost(3, c, 3, h, w)
     add("g.conv", p, m)
-    p = m = 0
-    for _ in range(config.n1_res_blocks):
-        for _ in range(2):
-            pp, mm = _conv_cost(c, c, 3, h, w)
-            p, m = p + pp, m + mm
-    add("g.res_blocks", p, m)
+    # a residual block is two C -> C 3x3 convs at the LR size
+    res_p, res_m = _conv_cost(c, c, 3, h, w)
+    add("g.res_blocks", 2 * config.n1_res_blocks * res_p, 2 * config.n1_res_blocks * res_m)
     add("g.proj", c * (t * t * c + 1), ntok * c * t * t * c)
 
     # TSMA
@@ -409,12 +401,7 @@ def count_params_macs(config, lr_dims):
     # R(.)
     p, m = _conv_cost(c, c, 3, h, w)
     add("r.head", p, m)
-    p = m = 0
-    for _ in range(config.n2_res_blocks):
-        for _ in range(2):
-            pp, mm = _conv_cost(c, c, 3, h, w)
-            p, m = p + pp, m + mm
-    add("r.res_blocks", p, m)
+    add("r.res_blocks", 2 * config.n2_res_blocks * res_p, 2 * config.n2_res_blocks * res_m)
     p1, m1 = _conv_cost(c, 4 * c, 3, h, w)
     p2, m2 = _conv_cost(c, 4 * c, 3, 2 * h, 2 * w)
     add("r.upsample", p1 + p2, m1 + m2)
@@ -426,15 +413,13 @@ def count_params_macs(config, lr_dims):
     return {"params": params, "macs": macs, "breakdown": breakdown}
 
 
-def calibrate_channels(lr_dims=(180, 320), target_params=3_000_000,
-                       c_range=range(16, 129)):
-    """Sweep C and report the channel width whose params are closest to the
-    reference design's 3.0M, with the MACs that width implies at the given LR size."""
+def calibrate_channels():
+    """Sweep C = 16..128 for the width whose params are closest to the reference
+    design's 3.0M; report its counts at the paper's 180x320 LR size."""
     best = None
-    for c in c_range:
-        cfg = ModelConfig(channels=c)
-        counts = count_params_macs(cfg, lr_dims)
-        gap = abs(counts["params"] - target_params)
+    for c in range(16, 129):
+        counts = count_params_macs(ModelConfig(channels=c), (180, 320))
+        gap = abs(counts["params"] - 3_000_000)
         if best is None or gap < best["gap"]:
             best = {"channels": c, "gap": gap, **counts}
     best.pop("breakdown", None)

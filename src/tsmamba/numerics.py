@@ -209,12 +209,12 @@ def bicubic_upsample(inp, scale):
     return Tensor(out.astype(np.float32))
 
 
-def layer_norm(inp, gamma=None, beta=None, eps=1e-5):
+def layer_norm(inp, gamma=None, beta=None):
     """Normalize over the trailing channel axis per site, then affine."""
     x = _as_array(inp)
     mean = x.mean(axis=-1, keepdims=True, dtype=np.float64)
     var = ((x.astype(np.float64) - mean) ** 2).mean(axis=-1, keepdims=True)
-    y = (x - mean) / np.sqrt(var + eps)
+    y = (x - mean) / np.sqrt(var + 1e-5)
     y = y.astype(np.float32)
     if gamma is not None:
         y = y * _as_array(gamma)
@@ -301,21 +301,31 @@ def write_tstf(path, tensor):
 
 
 def read_tstf(path):
+    """Any malformed file raises ValueError; the payload must hold exactly the
+    bytes the dims declare, counted in Python ints before numpy sees them."""
     with open(path, "rb") as f:
+
+        def take(fmt):
+            raw = f.read(struct.calcsize(fmt))
+            if len(raw) != struct.calcsize(fmt):
+                raise ValueError(f"{path}: truncated header")
+            return struct.unpack(fmt, raw)
+
         magic = f.read(4)
         if magic != TSTF_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
+        version, dtype, ndim = take("<IBB")
         if version != TSTF_VERSION:
             raise ValueError(f"{path}: unsupported TSTF version {version}")
-        dtype, ndim = struct.unpack("<BB", f.read(2))
         if dtype != 0:
             raise ValueError(f"{path}: unsupported dtype {dtype}")
-        dims = [struct.unpack("<Q", f.read(8))[0] for _ in range(ndim)]
-        count = int(np.prod(dims)) if dims else 1
-        payload = f.read(4 * count)
-        if len(payload) != 4 * count:
-            raise ValueError(f"{path}: truncated payload")
+        dims = take(f"<{ndim}Q")
+        need = 4 * math.prod(dims)
+        payload = f.read()
+        if len(payload) != need:
+            raise ValueError(f"{path}: dims {list(dims)} need {need} payload bytes, "
+                             f"the file holds {len(payload)}")
+        # numpy rejects dims it cannot represent with ValueError
         arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
     return Tensor(arr.copy())
 

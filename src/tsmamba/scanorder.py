@@ -14,9 +14,13 @@ window-size curve over windows in raster window order; see
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+
+import numpy as np
 
 __all__ = [
     "ScanVariant",
@@ -77,9 +81,30 @@ class ScanOrder:
         """dict cell -> scan index."""
         return {cell: i for i, cell in enumerate(self.order)}
 
+    @functools.cached_property
+    def rank(self):
+        """Read-only [S, S] int array: rank[r, c] is the scan index of cell
+        (r, c), built once per order.  Raises ValueError when the order is
+        not a bijection of the grid."""
+        size = self.size
+        n = size * size
+        rank = np.full(n, -1, dtype=np.intp)
+        if len(self.order) == n:
+            cells = np.fromiter(chain.from_iterable(self.order), dtype=np.intp, count=2 * n)
+            # raises on a cell outside the grid, which a plain index would wrap
+            rank[np.ravel_multi_index((cells[0::2], cells[1::2]), (size, size))] = np.arange(n)
+        # an order that misses a cell leaves a -1 behind
+        if (rank < 0).any():
+            raise ValueError(f"scan order is not a bijection of the {size}x{size} grid")
+        rank = rank.reshape(size, size)
+        rank.flags.writeable = False
+        return rank
+
     def is_bijective(self):
-        s = self.size
-        return sorted(self.order) == [(r, c) for r in range(s) for c in range(s)]
+        try:
+            return self.rank is not None
+        except ValueError:
+            return False
 
     def is_continuous(self):
         return all(
@@ -245,13 +270,15 @@ def scan_to_json(scan):
 
 def scan_from_json(text):
     obj = json.loads(text)
-    return ScanOrder(size=obj["size"],
-                     order=tuple((r, c) for r, c in obj["order"]),
-                     label=obj.get("variant", ""))
+    order = tuple((r, c) for r, c in obj["order"])
+    if not all(type(x) is int for x in (obj["size"], *chain.from_iterable(order))):
+        raise ValueError("scan size and cells must be integers")
+    return ScanOrder(size=obj["size"], order=order, label=obj.get("variant", ""))
 
 
-def scan_to_svg(scan, cell_px=24):
+def scan_to_svg(scan):
     """Deterministic SVG polyline through cell centers."""
+    cell_px = 24
     s = scan.size * cell_px
     pts = " ".join(
         f"{c * cell_px + cell_px // 2},{r * cell_px + cell_px // 2}"

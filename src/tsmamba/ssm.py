@@ -110,13 +110,12 @@ def selective_scan_forward(params, sequence, with_cache=False):
     return out, None
 
 
-def selective_scan_backward(params, sequence, upstream, cache=None):
-    """Exact reverse-mode gradients of the recurrence.
+def selective_scan_backward(params, sequence, upstream):
+    """Exact reverse-mode gradients of the recurrence (reruns the forward pass).
 
     Returns a dict with gradients for 'u', 'A', 'D', 'dt', 'B', 'C'.
     """
-    if cache is None:
-        _, cache = selective_scan_forward(params, sequence, with_cache=True)
+    _, cache = selective_scan_forward(params, sequence, with_cache=True)
     u, delta, abar, hs = cache["u"], cache["delta"], cache["abar"], cache["hs"]
     g = upstream.data.astype(np.float64) if isinstance(upstream, Tensor) else np.asarray(upstream, dtype=np.float64)
     L, C = u.shape
@@ -152,8 +151,9 @@ def selective_scan_backward(params, sequence, upstream, cache=None):
     return {"u": gu, "A": gA, "D": gD, "dt": gdt, "B": gB, "C": gC}
 
 
-def gradient_check(params, sequence, rng=None, step=1e-4):
+def gradient_check(params, sequence, rng=None):
     """Central finite differences vs analytic backward; returns max rel error."""
+    step = 1e-4
     rng = rng or np.random.default_rng(0)
     u = np.array(sequence.data if isinstance(sequence, Tensor) else sequence, dtype=np.float64)
     L, C = u.shape

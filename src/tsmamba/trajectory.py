@@ -1,8 +1,9 @@
-"""Token fields, trajectories, block-matching flow, and top-s token selection.
+"""Token grids, trajectories, block-matching flow, and top-s token selection.
 
-Trajectory coordinates follow a 1-based feature-pixel convention:
-x is the row coordinate in [1, H], y the column coordinate in [1, W].  A
-trajectory's endpoint is anchored at its token's center in the current frame.
+A token grid is one float32 [ht, wt, C] array.  Trajectory coordinates
+follow a 1-based feature-pixel convention: x is the row coordinate in [1, H],
+y the column coordinate in [1, W].  A trajectory's endpoint is anchored at its
+token's center in the current frame.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .numerics import Tensor, conv2d, residual_block
 
 __all__ = [
-    "TokenField",
     "TrajectorySet",
     "SelectionResult",
     "generate_tokens",
@@ -29,17 +29,8 @@ __all__ = [
 
 
 @dataclass
-class TokenField:
-    """Tokens for one frame: grid (ht, wt), tokens Tensor[N, C]."""
-
-    ht: int
-    wt: int
-    tokens: Tensor
-
-
-@dataclass
 class TrajectorySet:
-    """coords[m] is the [N, 2] (x=row, y=col) array for frame t-m.
+    """coords[m] is the [N, 2] (x=row, y=col) layer for frame t-m.
 
     m = 0 is the current frame (endpoint); m grows into the past.  The
     history is truncated to the temporal window length.  The N trajectories
@@ -50,7 +41,7 @@ class TrajectorySet:
     token_size: int
     height: int
     width: int
-    coords: list     # list of np.ndarray [N, 2], float64, 1-based
+    coords: np.ndarray     # [depth, N, 2], float64, 1-based
 
     @property
     def grid(self):
@@ -110,7 +101,7 @@ def token_centers(ht, wt, token_size):
 def generate_tokens(frame, config, weights):
     """G(.): conv + N1 residual blocks, then patchify + linear projection.
 
-    Returns (feature Tensor[C,H,W], TokenField).  Patches are flattened
+    Returns the float32 token grid [ht, wt, C].  Patches are flattened
     channel-major before projection.
     """
     x = frame if isinstance(frame, Tensor) else Tensor(frame)
@@ -130,8 +121,7 @@ def generate_tokens(frame, config, weights):
         .reshape(ht * wt, c * t * t)
     )
     tokens = patches @ weights.proj_w.astype(np.float32).T + weights.proj_b.astype(np.float32)
-    field = TokenField(ht=ht, wt=wt, tokens=Tensor(tokens))
-    return feat, field
+    return tokens.reshape(ht, wt, c)
 
 
 def initial_trajectories(config, height, width):
@@ -143,7 +133,7 @@ def initial_trajectories(config, height, width):
         token_size=t,
         height=height,
         width=width,
-        coords=[centers.copy() for _ in range(depth)],
+        coords=np.repeat(centers[None], depth, axis=0),
     )
 
 
@@ -192,7 +182,7 @@ def propagate_trajectories(prev, flow, config):
 
     # history at the frame-(t-1) positions, all carried layers at once
     depth = min(len(prev.coords), config.temporal_window)
-    hist = np.stack(prev.coords[:depth]).astype(np.float64, copy=False)   # [depth, N, 2]
+    hist = prev.coords[:depth]
     row_token = np.minimum(np.arange(h) // t, ht - 1) * wt
     col_token = np.minimum(np.arange(w) // t, wt - 1)
     (x0, y0, x1, y1), taps = _bilinear_taps(x + dx, y + dy, h, w)
@@ -203,11 +193,12 @@ def propagate_trajectories(prev, flow, config):
                + w11 * hist[:, row_token[x1] + col_token[y1]])
     sampled[..., 0] = np.minimum(np.maximum(sampled[..., 0], 1.0), h)
     sampled[..., 1] = np.minimum(np.maximum(sampled[..., 1], 1.0), w)
-    return TrajectorySet(token_size=t, height=h, width=w, coords=[centers, *sampled])
+    return TrajectorySet(t, h, w, np.concatenate([centers[None], sampled]))
 
 
-def block_matching_flow(a, b, radius, patch=8):
-    """Per-pixel SAD block matching from a to b over (2r+1)^2 displacements.
+def block_matching_flow(a, b, radius):
+    """Per-pixel SAD block matching from a to b over (2r+1)^2 displacements
+    of 8x8 patches.
 
     Ties break by smaller displacement magnitude, then lexicographic (dy, dx)
     where dy is the row offset.  radius 0 returns zero flow.  The SAD of
@@ -224,7 +215,7 @@ def block_matching_flow(a, b, radius, patch=8):
     flow = np.zeros((2, h, w), dtype=np.float32)
     if radius == 0:
         return Tensor(flow)
-    half = patch // 2
+    half = 4
     size = 2 * half               # pixel (r, c)'s patch spans r-half .. r+half-1
     pad = half + radius
     pa = np.pad(xa, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
@@ -263,40 +254,38 @@ def _dots(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def select_tokens(q_field, v_fields, traj, s):
+def select_tokens(q_grid, pool, traj, s):
     """Top-s most similar previous-frame tokens along each trajectory (Eq. 7).
 
-    v_fields[0] is the most recent previous frame (offset 1); every field
-    must lie on q_field's token grid.  Offset h reads trajectory layer
-    min(h, depth - 1) and picks the token nearest to that point (the
-    rounding goes half to even).  Scores are float64 cosine similarities,
-    0.0 when either token is zero; the dots and squared norms are BLAS
-    vector dots through matmul, the same bits as np.dot and np.linalg.norm.
-    Ties break toward the more recent frame.  Returned selected tokens are
-    ordered by ascending frame index (oldest first).
+    q_grid is the [ht, wt, C] token grid of frame t and pool the [P, ht, wt, C]
+    grids of the candidate frames, pool[0] the most recent previous frame
+    (offset 1).  Offset h reads trajectory layer min(h, depth - 1) and picks
+    the token nearest to that point (the rounding goes half to even).
+    Scores are float64 cosine similarities, 0.0 when either token is zero;
+    the dots and squared norms are BLAS vector dots through matmul, the same
+    bits as np.dot and np.linalg.norm.  Ties break toward the more recent
+    frame.  Returned selected tokens are ordered by ascending frame index
+    (oldest first).
     """
-    pool = len(v_fields)
-    if not 0 <= s <= pool:
-        raise ValueError(f"s={s} must lie in [0, {pool}], the candidate pool")
-    ht, wt = q_field.ht, q_field.wt
-    if any((vf.ht, vf.wt) != (ht, wt) for vf in v_fields):
-        raise ValueError(f"candidate fields must lie on the query grid {ht}x{wt}")
-    q = q_field.tokens.data
-    n, c = q.shape
+    p = len(pool)
+    if not 0 <= s <= p:
+        raise ValueError(f"s={s} must lie in [0, {p}], the candidate pool")
+    if pool.shape[1:] != q_grid.shape:
+        raise ValueError(f"candidate pool {pool.shape} must lie on the query grid {q_grid.shape}")
+    ht, wt, c = q_grid.shape
     t = traj.token_size
     # [N, P] candidate token index of every (token, offset) pair
-    depth = np.minimum(np.arange(1, pool + 1), len(traj.coords) - 1)
-    rc = np.rint((np.stack(traj.coords, axis=1)[:, depth] - (t + 1) / 2.0) / t)
+    depth = np.minimum(np.arange(1, p + 1), len(traj.coords) - 1)
+    rc = np.rint((traj.coords[depth].swapaxes(0, 1) - (t + 1) / 2.0) / t)
     cand = (np.clip(rc[..., 0], 0, ht - 1).astype(np.intp) * wt
             + np.clip(rc[..., 1], 0, wt - 1).astype(np.intp))
-    v = np.array([vf.tokens.data for vf in v_fields], dtype=np.float32)
-    v = v.reshape(pool, ht * wt, c)[np.arange(pool), cand]            # [N, P, C]
-    qv, vv = q.astype(np.float64)[:, None], v.astype(np.float64)
+    v = pool.reshape(p, ht * wt, c)[np.arange(p), cand]              # [N, P, C]
+    qv, vv = q_grid.reshape(ht * wt, c).astype(np.float64)[:, None], v.astype(np.float64)
     qn, vn = np.sqrt(_dots(qv, qv)), np.sqrt(_dots(vv, vv))           # [N, 1], [N, P]
     dots = _dots(qv, vv)
     score = np.divide(dots, qn * vn, out=np.zeros_like(dots), where=(qn != 0) & (vn != 0))
     # score descending, then recency (smaller offset) first
-    order = np.lexsort((np.broadcast_to(np.arange(pool), score.shape), -score))[:, :s]
+    order = np.lexsort((np.broadcast_to(np.arange(p), score.shape), -score))[:, :s]
     oldest_first = np.sort(order, axis=1)[:, ::-1]
     return SelectionResult(
         indices=(order + 1).astype(np.int64),
@@ -314,14 +303,14 @@ def select_along_trajectories(frames, flows, g_weights, config):
     flows  : list of Tensor[2, H, W] flow from frame k to k-1 (len(frames)-1
              entries) or None for a static scene, whose trajectories stay
              the cold-start set (zero flow propagates it unchanged).
-    Returns (TokenField of frame t, SelectionResult).
+    Returns (the [ht, wt, C] token grid of frame t, SelectionResult).
     """
     if not frames:
         raise ValueError("need at least one frame")
     dims = frames[0].dims
     if any(f.dims != dims for f in frames):
         raise ValueError("all frames must share dims [C,H,W]")
-    fields = [generate_tokens(frame, config, g_weights)[1] for frame in frames]
+    grids = np.stack([generate_tokens(frame, config, g_weights) for frame in frames])
 
     traj = initial_trajectories(config, dims[1], dims[2])
     if flows:
@@ -331,10 +320,9 @@ def select_along_trajectories(frames, flows, g_weights, config):
         for flow in flows:
             traj = propagate_trajectories(traj, flow, config)
 
-    # candidate pool: previous frames, most recent first; pad by repeating the
-    # oldest frame for the cold start
+    # candidate pool: offset h = 1, 2, ... reads frame F-1-h; offsets past the
+    # oldest frame repeat it, which pads the cold start to s candidates
     s = config.s_selected
-    pool = list(reversed(fields[:-1])) or [fields[0]]
-    while len(pool) < max(s, 1):
-        pool.append(pool[-1])
-    return fields[-1], select_tokens(fields[-1], pool, traj, s)
+    last = len(frames) - 1
+    offsets = np.arange(1, max(last, s, 1) + 1)
+    return grids[-1], select_tokens(grids[-1], grids[np.maximum(last - offsets, 0)], traj, s)

@@ -42,7 +42,7 @@ from tsmamba.ssm import (
     scatter_current,
     selective_scan_forward,
 )
-from tsmamba.trajectory import TokenField, TrajectorySet, select_tokens, token_centers
+from tsmamba.trajectory import TrajectorySet, select_tokens, token_centers
 
 
 def selective_scan_reference(params, u):
@@ -352,29 +352,28 @@ def test_criterion_8_token_selection_oracle(capfd):
         c = int(rng.integers(2, 9))
         pool = int(rng.integers(3, 9))
         s = 3
-        q = TokenField(ht, wt,
-                       Tensor(rng.normal(0, 1, (n, c)).astype(np.float32)))
-        vs = [TokenField(ht, wt,
-                         Tensor(rng.normal(0, 1, (n, c)).astype(np.float32)))
-              for _ in range(pool)]
+        q = rng.normal(0, 1, (n, c)).astype(np.float32)
+        vs = [rng.normal(0, 1, (n, c)).astype(np.float32) for _ in range(pool)]
         centers = token_centers(ht, wt, 4)
         traj = TrajectorySet(4, ht * 4, wt * 4,
-                             [centers.copy() for _ in range(pool + 1)])
-        sel = select_tokens(q, vs, traj, s)
+                             np.repeat(centers[None], pool + 1, axis=0))
+        sel = select_tokens(q.reshape(ht, wt, c), np.array(vs).reshape(pool, ht, wt, c),
+                            traj, s)
         # exhaustive oracle with the documented (-score, recency) tie-break
         for i in range(n):
-            qv = q.tokens.data[i].astype(np.float64)
+            qv = q[i].astype(np.float64)
             qn = np.linalg.norm(qv)
             cand = []
             for off, v in enumerate(vs, start=1):
-                vv = v.tokens.data[i].astype(np.float64)
+                vv = v[i].astype(np.float64)
                 vn = np.linalg.norm(vv)
                 score = 0.0 if qn == 0 or vn == 0 else float(qv @ vv / (qn * vn))
                 cand.append((score, off))
             cand.sort(key=lambda tpl: (-tpl[0], tpl[1]))
             ok &= sel.indices[i].tolist() == [off for _, off in cand[:s]]
-        scaled = TokenField(ht, wt, Tensor(q.tokens.data * 3.25))
-        ok &= np.array_equal(select_tokens(scaled, vs, traj, s).indices,
+        scaled = (q * 3.25).reshape(ht, wt, c)
+        ok &= np.array_equal(select_tokens(scaled, np.array(vs).reshape(pool, ht, wt, c),
+                                           traj, s).indices,
                              sel.indices)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0
@@ -386,9 +385,8 @@ def test_criterion_9_loss_fixed_points(capfd):
     x = Tensor(np.random.default_rng(3).random((3, 8, 8)).astype(np.float32))
     spa = charbonnier_loss(x, x, epsilon=1e-4)
     centers = token_centers(4, 4, 4)
-    lr = TrajectorySet(4, 16, 16, [centers.copy() for _ in range(3)])
-    hr_centers = np.zeros((16 * 16, 2))
-    hr = TrajectorySet(4, 64, 64, [hr_centers.copy() for _ in range(3)])
+    lr = TrajectorySet(4, 16, 16, np.repeat(centers[None], 3, axis=0))
+    hr = TrajectorySet(4, 64, 64, np.zeros((3, 16 * 16, 2)))
     for m in range(3):
         grid = hr.coords[m].reshape(16, 16, 2)
         for r in range(16):
@@ -450,7 +448,7 @@ def test_criterion_12_non_reproducibility_statement(capfd):
     # Table 1 PSNR/SSIM (e.g., 30.73 dB on REDS4), runtime/FPS, and the
     # ablation deltas require full training on REDS/Vimeo-90K and are NOT
     # reproduced here; criteria 1-11 substitute property-based acceptance.
-    best = calibrate_channels(lr_dims=(180, 320), target_params=3_000_000)
+    best = calibrate_channels()
     counts = count_params_macs(ModelConfig(channels=best["channels"]), (180, 320))
     ok = counts["params"] == best["params"] and abs(best["params"] - 3_000_000) < 100_000
     _report(capfd, 12, ok,

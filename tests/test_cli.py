@@ -39,6 +39,13 @@ def test_scan_check_rejects_broken_order(tmp_path, capsys):
     assert main(["scan", "check", str(p)]) == 1
 
 
+def test_scan_check_rejects_non_integer_cells(tmp_path, capsys):
+    p = tmp_path / "float.json"
+    p.write_text(json.dumps({"variant": "x", "size": 2,
+                             "order": [[0, 0], [0, 1], [1, 0], [1.5, 1]]}))
+    assert main(["scan", "check", str(p)]) == 2
+
+
 def test_disc_analyze_payload(tmp_path, capsys):
     svg = tmp_path / "disc.svg"
     assert main(["disc", "analyze", "--first", "scan1", "--shift", "U1",
@@ -188,9 +195,33 @@ def test_ssm_run_params_file(tmp_path, capsys):
 
 def test_ssm_run_rejects_bad_rank(tmp_path):
     inp = tmp_path / "bad.tstf"
-    write_tstf(inp, Tensor(np.zeros((2, 3, 4), dtype=np.float32)))
-    assert main(["ssm", "run", "--input", str(inp),
-                 "--out", str(inp) + ".o"]) == 2
+    for dims in ((2, 3, 4), (4, 0), (0, 3)):     # wrong rank, or an empty axis
+        write_tstf(inp, Tensor(np.zeros(dims, dtype=np.float32)))
+        assert main(["ssm", "run", "--input", str(inp),
+                     "--out", str(inp) + ".o"]) == 2
+
+
+def test_ssm_run_truncated_tstf_header_exits_2(tmp_path, capsys):
+    inp = tmp_path / "short.tstf"
+    write_tstf(inp, Tensor(np.zeros((4, 2), dtype=np.float32)))
+    inp.write_bytes(inp.read_bytes()[:10])        # magic, version, dtype, ndim
+    assert main(["ssm", "run", "--input", str(inp), "--out", str(inp) + ".o"]) == 2
+    assert "truncated header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ssm", "run", "--state-dim", "0"], ["ssm", "run", "--state-dim", "-1"],
+    ["grad", "check", "--channels", "0"], ["grad", "check", "--state-dim", "0"],
+    ["grad", "check", "--length", "0"],
+])
+def test_ssm_commands_reject_empty_sizes(argv, tmp_path, capsys):
+    if argv[0] == "ssm":
+        inp = tmp_path / "seq.tstf"
+        write_tstf(inp, Tensor(np.zeros((4, 2), dtype=np.float32)))
+        argv = argv + ["--input", str(inp), "--out", str(tmp_path / "out.tstf")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be positive" in captured.err
 
 
 def test_grad_check_passes(capsys):
@@ -208,6 +239,8 @@ def test_model_count(capsys):
 @pytest.mark.parametrize("argv", [
     ["--channels", "0"], ["--channels", "-3"],
     ["--height", "0"], ["--height", "-8"], ["--width", "0"],
+    ["--height", "10", "--width", "13"], ["--height", "1", "--width", "1"],
+    ["--height", "10"],
 ])
 def test_model_count_rejects_bad_sizes(argv, capsys):
     assert main(["model", "count", *argv]) == 2

@@ -85,7 +85,7 @@ def _random_procedures(draw):
     return proc, WindowPartition(size, window)
 
 
-@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@settings(max_examples=60)
 @given(_random_procedures())
 def test_degrees_match_dict_oracle(case):
     proc, part = case

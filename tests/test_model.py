@@ -106,7 +106,7 @@ def test_forward_at_paper_lr_size():
     assert np.all(np.isfinite(out.data))
 
 
-@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@settings(max_examples=25)
 @given(ht=st.integers(1, 20), wt=st.integers(1, 20))
 @example(ht=4, wt=4)
 @example(ht=9, wt=13)
@@ -196,7 +196,7 @@ def _traj(ht, wt, h, w, depth, token_size, jitter=0.0, seed=0):
         if jitter:
             c += rng.normal(0, jitter, c.shape)
         coords.append(c)
-    return TrajectorySet(token_size, h, w, coords)
+    return TrajectorySet(token_size, h, w, np.array(coords))
 
 
 def test_trajectory_loss_zero_for_matched():
@@ -261,6 +261,13 @@ def test_count_params_matches_weights(cfg):
     assert count_params_macs(cfg, (64, 64))["params"] == sum(a.size for a in weights.values())
 
 
+@pytest.mark.parametrize("dims", [(10, 13), (1, 1), (0, 8), (8, 0), (-8, 8), (18, 16)])
+def test_count_rejects_frames_the_model_cannot_run(dims):
+    # the forward pass raises on these sizes, so the count must too
+    with pytest.raises(ValueError, match="token_size"):
+        count_params_macs(ModelConfig(), dims)
+
+
 def test_count_scales_with_channels():
     a = count_params_macs(ModelConfig(channels=16), (64, 64))
     b = count_params_macs(ModelConfig(channels=32), (64, 64))
@@ -269,6 +276,6 @@ def test_count_scales_with_channels():
 
 
 def test_calibration_targets_3m():
-    best = calibrate_channels(lr_dims=(180, 320), target_params=3_000_000)
+    best = calibrate_channels()
     assert abs(best["params"] - 3_000_000) < 100_000
     assert best["channels"] == 87

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tsmamba
 from tsmamba import numerics
@@ -353,6 +354,51 @@ def test_tstf_rejects_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
         read_tstf(p)
+
+
+def test_tstf_rejects_short_header_and_wrong_payload_size(tmp_path):
+    p = tmp_path / "t.tstf"
+    write_tstf(p, Tensor(np.zeros((2, 3), dtype=np.float32)))
+    raw = p.read_bytes()
+    for blob in (raw[:6], raw[:10], raw[:21],
+                 raw[:10] + b"\xff" * 8 + raw[18:],         # dims[0] = 2^64 - 1
+                 raw[:10] + (2 ** 40).to_bytes(8, "little") + raw[18:],
+                 raw + b"\0"):                              # a trailing byte
+        p.write_bytes(blob)
+        with pytest.raises(ValueError):
+            read_tstf(p)
+
+
+def _valid_file(fmt, path):
+    rng = np.random.default_rng(10)
+    if fmt == "tstf":
+        write_tstf(path, Tensor(rng.normal(0, 1, (2, 3)).astype(np.float32)))
+    else:
+        write_pnm(path, Tensor(rng.random((3, 2, 2)).astype(np.float32)))
+    return path.read_bytes()
+
+
+@settings(max_examples=400)
+@given(fmt=st.sampled_from(["tstf", "ppm"]), cut=st.integers(0, 64),
+       flips=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)), max_size=3),
+       tail=st.binary(max_size=16))
+@example(fmt="tstf", cut=10, flips=[], tail=b"")
+@example(fmt="tstf", cut=64, flips=[(17, 127)], tail=b"")
+@example(fmt="tstf", cut=64, flips=[(9, 200)], tail=b"")
+@example(fmt="ppm", cut=64, flips=[(3, ord("9"))], tail=b"")
+def test_malformed_files_read_or_raise_value_error(tmp_path_factory, fmt, cut, flips, tail):
+    """A truncated, byte-flipped or extended TSTF/PPM file either reads or
+    raises ValueError, never another exception."""
+    path = tmp_path_factory.getbasetemp() / f"fuzz.{fmt}"
+    blob = bytearray(_valid_file(fmt, path))
+    for at, value in flips:
+        blob[at % len(blob)] = value
+    path.write_bytes(bytes(blob[:cut]) + tail)
+    read = read_tstf if fmt == "tstf" else read_pnm
+    try:
+        assert isinstance(read(path), Tensor)
+    except ValueError:
+        pass
 
 
 def test_pnm_round_trip(tmp_path):

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from tsmamba.scanorder import (
+    ScanOrder,
     ScanVariant,
     ShiftSpec,
     WindowPartition,
@@ -24,6 +26,30 @@ def test_bijective_and_continuous(variant, size):
 def test_variants_distinct():
     orders = {generate_scan(v, 8).order for v in ScanVariant}
     assert len(orders) == 4
+
+
+def test_rank_matches_index_map_and_is_shared_read_only():
+    scan = generate_scan(ScanVariant.Scan2, 8)
+    rank = scan.rank
+    assert rank is scan.rank                     # built once per order
+    assert rank.shape == (8, 8)
+    assert all(rank[cell] == i for cell, i in scan.index_map().items())
+    with pytest.raises(ValueError):
+        rank[0, 0] = 1
+    assert np.array_equal(np.sort(rank, axis=None), np.arange(64))
+
+
+@pytest.mark.parametrize("order", [
+    ((0, 0), (0, 1), (1, 0)),                    # a cell missing
+    ((0, 0), (0, 0), (1, 0), (1, 1)),            # a cell twice
+    ((0, 0), (0, 1), (1, 0), (1, 2)),            # a cell outside the grid
+    ((0, 0), (0, 1), (1, 0), (-1, 1)),           # a negative cell
+])
+def test_rank_rejects_non_bijection(order):
+    scan = ScanOrder(size=2, order=order)
+    with pytest.raises(ValueError):
+        scan.rank
+    assert not scan.is_bijective()
 
 
 @pytest.mark.parametrize("size", [0, 3, 6, 12, -4])

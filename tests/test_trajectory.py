@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from tsmamba.numerics import ModelConfig, Tensor
 from tsmamba.trajectory import (
     GWeights,
-    TokenField,
     TrajectorySet,
     block_matching_flow,
     generate_tokens,
@@ -118,12 +117,13 @@ def _nearest_token_index(x, y, ht, wt, token_size):
     return r * wt + c
 
 
-def _select_tokens_loop(q_field, v_fields, traj, s):
+def _select_tokens_loop(q_grid, pool_grids, traj, s):
     """Oracle: per token, score every offset's nearest token, sort the
     candidate list by (-score, offset), keep s, gather them oldest first."""
-    pool = len(v_fields)
-    q = q_field.tokens.data
-    n, c = q.shape
+    pool = len(pool_grids)
+    ht, wt, c = q_grid.shape
+    q = q_grid.reshape(ht * wt, c)
+    n = ht * wt
     indices = np.zeros((n, s), dtype=np.int64)
     scores = np.zeros((n, s), dtype=np.float64)
     selected = np.zeros((n, s, c), dtype=np.float32)
@@ -132,10 +132,9 @@ def _select_tokens_loop(q_field, v_fields, traj, s):
         qn = np.linalg.norm(qv)
         cand = []
         for off in range(1, pool + 1):
-            vf = v_fields[off - 1]
             coord = traj.coords[min(off, len(traj.coords) - 1)][i]
-            j = _nearest_token_index(coord[0], coord[1], vf.ht, vf.wt, traj.token_size)
-            vv = vf.tokens.data[j].astype(np.float64)
+            j = _nearest_token_index(coord[0], coord[1], ht, wt, traj.token_size)
+            vv = pool_grids[off - 1].reshape(n, c)[j].astype(np.float64)
             vn = np.linalg.norm(vv)
             if qn == 0.0 or vn == 0.0:
                 score = 0.0
@@ -152,11 +151,13 @@ def _select_tokens_loop(q_field, v_fields, traj, s):
     return indices, scores, selected
 
 
-def _field(rng, n, c, ht=None, wt=None):
-    ht = ht or int(np.sqrt(n))
-    wt = wt or n // ht
-    return TokenField(ht=ht, wt=wt,
-                      tokens=Tensor(rng.normal(0, 1, (n, c)).astype(np.float32)))
+def _grid(rng, n, c, ht, wt):
+    return rng.normal(0, 1, (n, c)).astype(np.float32).reshape(ht, wt, c)
+
+
+def _pool(grids, ht, wt, c):
+    """[P, ht, wt, C] candidate pool from a list of grids (P may be 0)."""
+    return np.array(grids, dtype=np.float32).reshape(len(grids), ht, wt, c)
 
 
 def test_token_centers_1_based():
@@ -176,10 +177,9 @@ def test_generate_tokens_shapes():
     rng = np.random.default_rng(0)
     w = GWeights.random(cfg, rng)
     frame = Tensor(rng.normal(0, 0.3, (3, 16, 16)).astype(np.float32))
-    feat, field = generate_tokens(frame, cfg, w)
-    assert feat.dims == (8, 16, 16)
-    assert (field.ht, field.wt) == (4, 4)
-    assert field.tokens.dims == (16, 8)
+    grid = generate_tokens(frame, cfg, w)
+    assert grid.shape == (4, 4, 8)
+    assert grid.dtype == np.float32
 
 
 def test_generate_tokens_rejects_bad_dims():
@@ -224,9 +224,9 @@ def test_select_without_flows_equals_zero_flows(n_frames):
     g = GWeights.random(cfg, rng)
     frames = [Tensor(rng.random((3, 16, 12)).astype(np.float32)) for _ in range(n_frames)]
     zeros = [Tensor(np.zeros((2, 16, 12), dtype=np.float32))] * n_frames
-    field, sel = select_along_trajectories(frames, None, g, cfg)
-    zfield, zsel = select_along_trajectories(frames, zeros[1:], g, cfg)
-    assert _same_bytes(field.tokens.data, zfield.tokens.data)
+    grid, sel = select_along_trajectories(frames, None, g, cfg)
+    zgrid, zsel = select_along_trajectories(frames, zeros[1:], g, cfg)
+    assert _same_bytes(grid, zgrid)
     for name in ("indices", "scores"):
         assert _same_bytes(getattr(sel, name), getattr(zsel, name))
     assert _same_bytes(sel.selected.data, zsel.selected.data)
@@ -348,7 +348,7 @@ def test_block_matching_rejects_mismatch():
 def _stationary_traj(ht, wt, h, w, depth, token_size=4):
     centers = token_centers(ht, wt, token_size)
     return TrajectorySet(token_size=token_size, height=h, width=w,
-                         coords=[centers.copy() for _ in range(depth)])
+                         coords=np.repeat(centers[None], depth, axis=0))
 
 
 def _brute_force_topk(q, vs, s):
@@ -376,12 +376,11 @@ def test_selection_matches_exhaustive_50_instances():
         c = int(rng.integers(2, 9))
         pool = int(rng.integers(3, 9))
         s = 3
-        q = _field(rng, n, c, ht, wt)
-        vs = [_field(rng, n, c, ht, wt) for _ in range(pool)]
+        q = _grid(rng, n, c, ht, wt)
+        vs = _pool([_grid(rng, n, c, ht, wt) for _ in range(pool)], ht, wt, c)
         traj = _stationary_traj(ht, wt, ht * 4, wt * 4, pool + 1)
         sel = select_tokens(q, vs, traj, s)
-        want = _brute_force_topk(q.tokens.data,
-                                 [v.tokens.data for v in vs], s)
+        want = _brute_force_topk(q.reshape(n, c), vs.reshape(pool, n, c), s)
         assert sel.indices.tolist() == want
         # scores sorted non-increasing
         assert np.all(np.diff(sel.scores, axis=1) <= 1e-12)
@@ -391,12 +390,11 @@ def test_selection_positive_scaling_invariance():
     rng = np.random.default_rng(4)
     ht = wt = 4
     n, c, pool, s = 16, 6, 6, 3
-    q = _field(rng, n, c, ht, wt)
-    vs = [_field(rng, n, c, ht, wt) for _ in range(pool)]
+    q = _grid(rng, n, c, ht, wt)
+    vs = _pool([_grid(rng, n, c, ht, wt) for _ in range(pool)], ht, wt, c)
     traj = _stationary_traj(ht, wt, 16, 16, pool + 1)
     base = select_tokens(q, vs, traj, s)
-    scaled_q = TokenField(ht, wt, Tensor(q.tokens.data * 7.5))
-    scaled = select_tokens(scaled_q, vs, traj, s)
+    scaled = select_tokens(q * 7.5, vs, traj, s)
     assert np.array_equal(base.indices, scaled.indices)
 
 
@@ -404,11 +402,9 @@ def test_selection_recency_tie_break():
     rng = np.random.default_rng(5)
     ht = wt = 2
     n, c = 4, 4
-    q = _field(rng, n, c, ht, wt)
-    dup = _field(rng, n, c, ht, wt)
-    vs = [dup, TokenField(ht, wt, dup.tokens.copy()),
-          TokenField(ht, wt, dup.tokens.copy()),
-          TokenField(ht, wt, dup.tokens.copy())]
+    q = _grid(rng, n, c, ht, wt)
+    dup = _grid(rng, n, c, ht, wt)
+    vs = _pool([dup] * 4, ht, wt, c)
     traj = _stationary_traj(ht, wt, 8, 8, 5)
     sel = select_tokens(q, vs, traj, 3)
     # identical candidates: most recent offsets win
@@ -418,8 +414,8 @@ def test_selection_recency_tie_break():
 def test_selection_zero_query_scores_zero():
     rng = np.random.default_rng(6)
     ht = wt = 2
-    q = TokenField(ht, wt, Tensor(np.zeros((4, 4), dtype=np.float32)))
-    vs = [_field(rng, 4, 4, ht, wt) for _ in range(4)]
+    q = np.zeros((ht, wt, 4), dtype=np.float32)
+    vs = _pool([_grid(rng, 4, 4, ht, wt) for _ in range(4)], ht, wt, 4)
     traj = _stationary_traj(ht, wt, 8, 8, 5)
     sel = select_tokens(q, vs, traj, 3)
     assert np.all(sel.scores == 0.0)
@@ -429,21 +425,21 @@ def test_selection_zero_query_scores_zero():
 def test_selection_selected_tokens_oldest_first():
     rng = np.random.default_rng(7)
     ht = wt = 2
-    q = _field(rng, 4, 3, ht, wt)
-    vs = [_field(rng, 4, 3, ht, wt) for _ in range(5)]
+    q = _grid(rng, 4, 3, ht, wt)
+    vs = _pool([_grid(rng, 4, 3, ht, wt) for _ in range(5)], ht, wt, 3)
     traj = _stationary_traj(ht, wt, 8, 8, 6)
     sel = select_tokens(q, vs, traj, 3)
     for i in range(4):
         offs = sorted(sel.indices[i].tolist(), reverse=True)   # oldest first
         for j, off in enumerate(offs):
             assert np.array_equal(sel.selected.data[i, j],
-                                  vs[off - 1].tokens.data[i])
+                                  vs[off - 1].reshape(4, 3)[i])
 
 
 def test_selection_rejects_oversized_s():
     rng = np.random.default_rng(8)
-    q = _field(rng, 4, 3, 2, 2)
-    vs = [_field(rng, 4, 3, 2, 2)]
+    q = _grid(rng, 4, 3, 2, 2)
+    vs = _pool([_grid(rng, 4, 3, 2, 2)], 2, 2, 3)
     traj = _stationary_traj(2, 2, 8, 8, 2)
     with pytest.raises(ValueError):
         select_tokens(q, vs, traj, 3)
@@ -473,26 +469,26 @@ def _selection_case(draw):
     n, h, w = ht * wt, ht * t, wt * t
     q = rng.normal(0, 1, (n, c)).astype(np.float32)
     q[rng.random(n) < 0.1] = 0.0                    # zero queries score 0
-    q_field = TokenField(ht, wt, Tensor(q))
-    v_fields = []
+    grids = []
     for _ in range(pool):
-        if v_fields and rng.random() < 0.4:         # a duplicated field: ties
-            v_fields.append(v_fields[int(rng.integers(len(v_fields)))])
+        if grids and rng.random() < 0.4:            # a duplicated grid: ties
+            grids.append(grids[int(rng.integers(len(grids)))])
         else:
             v = rng.normal(0, 1, (n, c)).astype(np.float32)
             v[rng.random(n) < 0.1] = 0.0
-            v_fields.append(TokenField(ht, wt, Tensor(v)))
+            grids.append(v)
     # half-integer points round half to even; the rest fall anywhere,
     # including off the frame, where the nearest token clamps
     lo, hi = -t, max(h, w) + 2 * t
-    coords = [np.where(rng.random((n, 2)) < 0.5,
-                       rng.integers(2 * lo, 2 * hi, (n, 2)) / 2.0,
-                       rng.uniform(lo, hi, (n, 2)))
-              for _ in range(depth)]
-    return q_field, v_fields, TrajectorySet(t, h, w, coords), s
+    coords = np.array([np.where(rng.random((n, 2)) < 0.5,
+                                rng.integers(2 * lo, 2 * hi, (n, 2)) / 2.0,
+                                rng.uniform(lo, hi, (n, 2)))
+                       for _ in range(depth)])
+    return (q.reshape(ht, wt, c), _pool(grids, ht, wt, c),
+            TrajectorySet(t, h, w, coords), s)
 
 
-@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@settings(max_examples=300)
 @given(case=_selection_case())
 def test_select_tokens_matches_loop_oracle_bytes(case):
     _assert_matches_loop(*case)
@@ -500,9 +496,9 @@ def test_select_tokens_matches_loop_oracle_bytes(case):
 
 def test_select_tokens_empty_pool():
     rng = np.random.default_rng(9)
-    q = _field(rng, 6, 3, 2, 3)
+    q = _grid(rng, 6, 3, 2, 3)
     traj = _stationary_traj(2, 3, 8, 12, 1)
-    sel = _assert_matches_loop(q, [], traj, 0)
+    sel = _assert_matches_loop(q, _pool([], 2, 3, 3), traj, 0)
     assert sel.indices.shape == sel.scores.shape == (6, 0)
     assert sel.selected.dims == (6, 0, 3)
 
@@ -511,22 +507,22 @@ def test_select_tokens_short_trajectory_clamps_depth():
     """Offsets beyond the trajectory's depth read its oldest layer."""
     rng = np.random.default_rng(10)
     ht, wt, pool = 3, 4, 6
-    q = _field(rng, ht * wt, 5, ht, wt)
-    vs = [_field(rng, ht * wt, 5, ht, wt) for _ in range(pool)]
+    q = _grid(rng, ht * wt, 5, ht, wt)
+    vs = _pool([_grid(rng, ht * wt, 5, ht, wt) for _ in range(pool)], ht, wt, 5)
     centers = token_centers(ht, wt, 2)
-    oldest = centers[::-1].copy()                 # token i points at token N-1-i
-    traj = TrajectorySet(2, 2 * ht, 2 * wt, [centers, centers, oldest])
+    oldest = centers[::-1]                        # token i points at token N-1-i
+    traj = TrajectorySet(2, 2 * ht, 2 * wt, np.array([centers, centers, oldest]))
     sel = _assert_matches_loop(q, vs, traj, pool)
     for i in range(ht * wt):
         for off, token in zip(sorted(sel.indices[i], reverse=True), sel.selected.data[i]):
             src = ht * wt - 1 - i if off >= 2 else i
-            assert np.array_equal(token, vs[off - 1].tokens.data[src])
+            assert np.array_equal(token, vs[off - 1].reshape(ht * wt, 5)[src])
 
 
 def test_select_tokens_zero_candidates_score_zero():
     rng = np.random.default_rng(11)
-    q = _field(rng, 4, 3, 2, 2)
-    vs = [TokenField(2, 2, Tensor(np.zeros((4, 3), dtype=np.float32))) for _ in range(3)]
+    q = _grid(rng, 4, 3, 2, 2)
+    vs = np.zeros((3, 2, 2, 3), dtype=np.float32)
     sel = _assert_matches_loop(q, vs, _stationary_traj(2, 2, 8, 8, 4), 2)
     assert _same_bytes(sel.scores, np.zeros((4, 2)))
     assert sel.indices.tolist() == [[1, 2]] * 4
@@ -534,14 +530,14 @@ def test_select_tokens_zero_candidates_score_zero():
 
 def test_select_tokens_rejects_other_grid():
     rng = np.random.default_rng(12)
-    q = _field(rng, 4, 3, 2, 2)
-    vs = [_field(rng, 4, 3, 2, 2), _field(rng, 4, 3, 1, 4)]
+    q = _grid(rng, 4, 3, 2, 2)
+    vs = _pool([_grid(rng, 4, 3, 1, 4)] * 2, 1, 4, 3)
     with pytest.raises(ValueError, match="grid"):
         select_tokens(q, vs, _stationary_traj(2, 2, 8, 8, 3), 1)
 
 
 def test_select_tokens_rejects_negative_s():
     rng = np.random.default_rng(13)
-    q = _field(rng, 4, 3, 2, 2)
+    q = _grid(rng, 4, 3, 2, 2)
     with pytest.raises(ValueError, match="must lie in"):
-        select_tokens(q, [q], _stationary_traj(2, 2, 8, 8, 2), -1)
+        select_tokens(q, q[None], _stationary_traj(2, 2, 8, 8, 2), -1)
