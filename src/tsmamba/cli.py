@@ -172,7 +172,7 @@ def cmd_traj_select(args):
     paths, frames = _load_frames(args.frames)
     config = ModelConfig(s_selected=args.s).validate()
     rng = np.random.default_rng(args.seed)
-    weights = GWeights.random(config, rng, c_in=frames[0].dims[0])
+    weights = GWeights.random(config, rng, c_in=frames[0].shape[0])
     flow_paths = []
     if args.flows:
         flow_paths = [os.path.join(args.flows, f"flow_{k:04d}.tstf")
@@ -197,7 +197,7 @@ def cmd_traj_select(args):
 def _params_from_file(path, length, channels, state_dim, seed):
     if path:
         blob = read_tstf(path)
-        flat = blob.data.reshape(-1).astype(np.float64)
+        flat = blob.reshape(-1).astype(np.float64)
         c, n, L = channels, state_dim, length
         need = c * n + c + L * c + L * n + L * n
         if flat.size != need:
@@ -217,11 +217,11 @@ def _params_from_file(path, length, channels, state_dim, seed):
 
 def cmd_ssm_run(args):
     seq = read_tstf(args.input)
-    if len(seq.dims) != 2 or 0 in seq.dims:
-        raise CliError(f"ssm input must be a [L >= 1, C >= 1] TSTF tensor, got {list(seq.dims)}")
-    L, C = seq.dims
+    if seq.ndim != 2 or 0 in seq.shape:
+        raise CliError(f"ssm input must be a [L >= 1, C >= 1] TSTF tensor, got {list(seq.shape)}")
+    L, C = seq.shape
     params = _params_from_file(args.params, L, C, args.state_dim, args.seed)
-    out, _ = selective_scan_forward(params, seq)
+    out = selective_scan_forward(params, seq)
     write_tstf(args.out, out)
     payload = {"length": L, "channels": C, "state_dim": int(params.A.shape[1])}
     _emit(_envelope("ssm run", [args.input] + ([args.params] if args.params else []),
@@ -286,7 +286,7 @@ def _load_weight_bundle(directory, config):
         if not isinstance(manifest[name], str):
             raise CliError(f"manifest entry for {name} must be a file name")
         t = read_tstf(os.path.join(directory, manifest[name]))
-        set_weight(weights, name, t.data.astype(np.float64))
+        set_weight(weights, name, t.astype(np.float64))
     return weights
 
 
@@ -310,7 +310,7 @@ def cmd_loss_eval(args):
         h, w = args.lr_height, args.lr_width
         if h < 1 or w < 1 or args.scale < 1:
             raise CliError("--lr-traj/--hr-traj need positive --lr-height, --lr-width and --scale")
-        lt, ht = (read_tstf(p).data.astype(np.float64) for p in (args.lr_traj, args.hr_traj))
+        lt, ht = (read_tstf(p).astype(np.float64) for p in (args.lr_traj, args.hr_traj))
         if any(a.ndim != 3 or 0 in a.shape or a.shape[2] != 2 for a in (lt, ht)):
             raise CliError(f"trajectory stacks must be [depth >= 1, N >= 1, 2], got "
                            f"{list(lt.shape)} and {list(ht.shape)}")

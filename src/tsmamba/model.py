@@ -129,7 +129,7 @@ def tsma_forward(q_grid, selection, weights, config):
     q = q_grid.reshape(n, c)
     s = config.s_selected
     # concatenate Q with V_s along channels and project back to width C
-    v = selection.selected.data.reshape(n, s * c)
+    v = selection.selected.reshape(n, s * c)
     merged = np.concatenate([q, v], axis=1) @ weights.concat_proj_w.T.astype(np.float32)
     merged = merged + weights.concat_proj_b.astype(np.float32)
 
@@ -142,25 +142,25 @@ def tsma_forward(q_grid, selection, weights, config):
         widths = [(0, hp - ht), (0, wp - wt)] + [(0, 0)] * (rows.ndim - 1)
         return np.pad(grid, widths).reshape(hp * wp, *rows.shape[1:])
 
-    v_pad = Tensor(pad(selection.selected.data))
+    v_pad = pad(selection.selected)
 
     def run_block(tokens, name, variant, shift=None, second=None):
         scans = window_scans_for_grid(hp, wp, config, variant, shift, second)
         return ssm_block(tokens, scans, v_pad, s, weights.block_params[name],
                          gamma=weights.ln_gamma, beta=weights.ln_beta)
 
-    x = Tensor(pad(merged))
+    x = pad(merged)
     outs = []
     for prefix, std_var, intra, inter in TSMA_PATHS:
         trunk = run_block(x, f"{prefix}_std", std_var)
         outs.append(trunk)
         outs.append(run_block(trunk, f"{prefix}_intra", *intra))
         outs.append(run_block(trunk, f"{prefix}_inter", *inter))
-    cat = np.concatenate([o.data for o in outs], axis=1)    # [hp*wp, 6C]
+    cat = np.concatenate(outs, axis=1)    # [hp*wp, 6C]
     # pointwise fusion conv (the DAB substitution) with a residual skip
     fused_in = cat.reshape(hp, wp, 6 * c)[:ht, :wt].transpose(2, 0, 1)
-    fused = conv2d(Tensor(fused_in), weights.fusion_w, weights.fusion_b)
-    out = fused.data.transpose(1, 2, 0).reshape(n, c) + merged   # residual
+    fused = conv2d(fused_in, weights.fusion_w, weights.fusion_b)
+    out = fused.transpose(1, 2, 0).reshape(n, c) + merged   # residual
     return out.reshape(ht, wt, c)
 
 
@@ -206,7 +206,7 @@ def untokenize(grid, config, proj_w):
         .transpose(2, 0, 3, 1, 4)
         .reshape(c, ht * t, wt * t)
     )
-    return Tensor(np.ascontiguousarray(feature))
+    return np.ascontiguousarray(feature)
 
 
 def reconstruct(feature, rw, config):
@@ -297,31 +297,31 @@ def set_weight(weights, name, array):
 def ts_mamba_forward(frames, flows, weights, config):
     """Online forward over a frame list; returns the SR of the last frame.
 
-    frames : list of Tensor[3, H, W], oldest first, last entry is frame t.
-    flows  : list of Tensor[2, H, W] flow from frame k to k-1 (len(frames)-1
+    frames : list of [3, H, W] arrays, oldest first, last entry is frame t.
+    flows  : list of [2, H, W] flows from frame k to k-1 (len(frames)-1
              entries) or None for a static scene.
+    Returns a Tensor, whose callers read the [3, sH, sW] SR array at .data.
     """
     config.validate()
-    if any(f.dims[0] != 3 for f in frames):
+    if any(np.shape(f)[0] != 3 for f in frames):
         raise ValueError("frames must have 3 channels")
     q_grid, selection = select_along_trajectories(frames, flows, weights.g, config)
     agg = tsma_forward(q_grid, selection, weights.tsma, config)
     feature = untokenize(agg, config, weights.g.proj_w)
     residual = reconstruct(feature, weights.r, config)
     skip = bicubic_upsample(frames[-1], config.scale)
-    return Tensor(residual.data + skip.data)
+    return Tensor(residual + skip)
 
 
 # --- losses -----------------------------------------------------------------
 
 def charbonnier_loss(sr, hr, epsilon=1e-4):
     """Mean over elements of sqrt(diff^2 + eps^2); equals eps at sr == hr."""
-    # raw arrays keep their precision so finite-difference checks stay exact
-    x = sr.data if isinstance(sr, Tensor) else np.asarray(sr, dtype=np.float64)
-    y = hr.data if isinstance(hr, Tensor) else np.asarray(hr, dtype=np.float64)
+    # float64 throughout, so finite-difference checks stay exact
+    x, y = np.asarray(sr, dtype=np.float64), np.asarray(hr, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"dim mismatch {x.shape} vs {y.shape}")
-    d = x.astype(np.float64) - y.astype(np.float64)
+    d = x - y
     return float(np.sqrt(d * d + epsilon * epsilon).mean())
 
 

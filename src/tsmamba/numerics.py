@@ -1,6 +1,8 @@
-"""Dense-tensor substrate and neural building blocks for the forward pipeline.
+"""Array kernels and neural building blocks for the forward pipeline.
 
-Tensors are thin wrappers around row-major float32 numpy arrays.  Outputs
+Arrays are float32 numpy ndarrays, taken as array-likes and returned as
+ndarrays.  Only `ts_mamba_forward` and `block_matching_flow` return a `Tensor`,
+because the benchmark's workloads read those two results at `.data`.  Outputs
 are byte-identical for the same inputs on the same numpy/BLAS build: every
 reduction is either a fixed-order numpy expression or a float32 GEMM whose
 result does not depend on the BLAS thread count.  A different numpy or BLAS
@@ -40,23 +42,18 @@ _CONV_CHUNK = 1 << 16
 
 
 class Tensor:
-    """Dense row-major float32 array with explicit dims."""
+    """The row-major float32 array at `.data` that `ts_mamba_forward` and
+    `block_matching_flow` return.  `np.asarray` reads a Tensor as that array,
+    so one passed back in (a frame, a flow, an SR to write) needs no
+    unwrapping."""
 
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float32)
-        self.data = np.ascontiguousarray(arr)
+        self.data = np.ascontiguousarray(data, dtype=np.float32)
 
-    @property
-    def dims(self):
-        return tuple(self.data.shape)
-
-    def copy(self):
-        return Tensor(self.data.copy())
-
-    def __repr__(self):
-        return f"Tensor(dims={self.dims})"
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.data, dtype=dtype, copy=copy)
 
 
 @dataclass
@@ -88,10 +85,6 @@ class ModelConfig:
         return self
 
 
-def _as_array(x):
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
-
-
 def conv2d(inp, weights, bias=None, stride=1, padding=0):
     """Cross-correlation of [Cin,H,W] with [Cout,Cin,kh,kw] -> [Cout,H',W'].
 
@@ -101,8 +94,8 @@ def conv2d(inp, weights, bias=None, stride=1, padding=0):
     byte-identical for the same inputs on the same numpy/BLAS build; it
     differs from a tap-by-tap float32 sum only by reordering (about 1e-6).
     """
-    x = _as_array(inp)
-    w = _as_array(weights)
+    x = np.asarray(inp, dtype=np.float32)
+    w = np.asarray(weights, dtype=np.float32)
     if x.ndim != 3 or w.ndim != 4:
         raise ValueError("conv2d expects input [Cin,H,W] and weights [Cout,Cin,kh,kw]")
     cin, h, wdt = x.shape
@@ -126,26 +119,26 @@ def conv2d(inp, weights, bias=None, stride=1, padding=0):
         cols = win[:, r0:r1].transpose(0, 3, 4, 1, 2).reshape(k, (r1 - r0) * wo)
         np.matmul(wmat, cols, out=out[:, r0:r1].reshape(cout, (r1 - r0) * wo))
     if bias is not None:
-        out += _as_array(bias).reshape(cout, 1, 1)
-    return Tensor(out)
+        out += np.asarray(bias, dtype=np.float32).reshape(cout, 1, 1)
+    return out
 
 
 def relu(x):
-    return Tensor(np.maximum(_as_array(x), 0.0))
+    return np.maximum(np.asarray(x, dtype=np.float32), 0.0)
 
 
 def residual_block(inp, w1, b1, w2, b2):
     """conv3x3 -> relu -> conv3x3, plus identity skip; shape preserving."""
-    x = inp if isinstance(inp, Tensor) else Tensor(inp)
+    x = np.asarray(inp, dtype=np.float32)
     y = conv2d(x, w1, b1, padding=1)
     y = relu(y)
     y = conv2d(y, w2, b2, padding=1)
-    return Tensor(x.data + y.data)
+    return x + y
 
 
 def pixel_shuffle(inp, r):
     """Depth-to-space: [C*r*r, H, W] -> [C, r*H, r*W]."""
-    x = _as_array(inp)
+    x = np.asarray(inp, dtype=np.float32)
     if x.ndim != 3:
         raise ValueError("pixel_shuffle expects [C*r*r, H, W]")
     crr, h, w = x.shape
@@ -153,7 +146,7 @@ def pixel_shuffle(inp, r):
         raise ValueError(f"channel count {crr} not divisible by r^2={r * r}")
     c = crr // (r * r)
     y = x.reshape(c, r, r, h, w).transpose(0, 3, 1, 4, 2).reshape(c, h * r, w * r)
-    return Tensor(np.ascontiguousarray(y))
+    return np.ascontiguousarray(y)
 
 
 def _cubic_kernel(t, a=-0.5):
@@ -189,9 +182,9 @@ def bicubic_upsample(inp, scale):
     if int(scale) != scale or scale < 1:
         raise ValueError("scale must be a positive integer")
     scale = int(scale)
-    x = _as_array(inp)
+    x = np.asarray(inp, dtype=np.float32)
     if scale == 1:
-        return Tensor(x.copy())
+        return x.copy()
     if x.ndim != 3:
         raise ValueError("bicubic_upsample expects [C,H,W]")
     c, h, w = x.shape
@@ -206,26 +199,26 @@ def bicubic_upsample(inp, scale):
     out = np.zeros((c, h * scale, w * scale), dtype=np.float64)
     for k in range(4):
         out += cwts[:, k] * tmp[:, :, cidx[:, k]]
-    return Tensor(out.astype(np.float32))
+    return out.astype(np.float32)
 
 
 def layer_norm(inp, gamma=None, beta=None):
     """Normalize over the trailing channel axis per site, then affine."""
-    x = _as_array(inp)
+    x = np.asarray(inp, dtype=np.float32)
     mean = x.mean(axis=-1, keepdims=True, dtype=np.float64)
     var = ((x.astype(np.float64) - mean) ** 2).mean(axis=-1, keepdims=True)
     y = (x - mean) / np.sqrt(var + 1e-5)
     y = y.astype(np.float32)
     if gamma is not None:
-        y = y * _as_array(gamma)
+        y = y * np.asarray(gamma, dtype=np.float32)
     if beta is not None:
-        y = y + _as_array(beta)
-    return Tensor(y)
+        y = y + np.asarray(beta, dtype=np.float32)
+    return y
 
 
 def psnr(a, b, peak=1.0):
     """10*log10(peak^2/MSE); identical inputs report the 100 dB cap."""
-    x, y = _as_array(a), _as_array(b)
+    x, y = np.asarray(a, dtype=np.float32), np.asarray(b, dtype=np.float32)
     if x.shape != y.shape:
         raise ValueError(f"dim mismatch: {x.shape} vs {y.shape}")
     mse = float(np.mean((x.astype(np.float64) - y.astype(np.float64)) ** 2))
@@ -257,7 +250,7 @@ def ssim(a, b, peak=1.0):
 
     Multi-channel inputs are averaged channel-by-channel.
     """
-    x, y = _as_array(a).astype(np.float64), _as_array(b).astype(np.float64)
+    x, y = (np.asarray(v, dtype=np.float32).astype(np.float64) for v in (a, b))
     if x.shape != y.shape:
         raise ValueError(f"dim mismatch: {x.shape} vs {y.shape}")
     if x.ndim == 2:
@@ -288,9 +281,9 @@ TSTF_MAGIC = b"TSTF"
 TSTF_VERSION = 1
 
 
-def write_tstf(path, tensor):
+def write_tstf(path, array):
     """Magic 'TSTF', u32 version=1, u8 dtype=0, u8 ndim, ndim*u64 dims, LE f32."""
-    arr = _as_array(tensor)
+    arr = np.asarray(array, dtype=np.float32)
     with open(path, "wb") as f:
         f.write(TSTF_MAGIC)
         f.write(struct.pack("<I", TSTF_VERSION))
@@ -327,14 +320,14 @@ def read_tstf(path):
                              f"the file holds {len(payload)}")
         # numpy rejects dims it cannot represent with ValueError
         arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
-    return Tensor(arr.copy())
+    return arr.copy()
 
 
 # --- PGM / PPM --------------------------------------------------------------
 
-def write_pnm(path, tensor):
+def write_pnm(path, array):
     """Write [1,H,W] as binary PGM (P5) or [3,H,W] as PPM (P6), 8-bit."""
-    arr = _as_array(tensor)
+    arr = np.asarray(array, dtype=np.float32)
     if arr.ndim == 2:
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[0] not in (1, 3):
@@ -351,7 +344,7 @@ def write_pnm(path, tensor):
 
 
 def read_pnm(path):
-    """Read binary PGM/PPM into a [C,H,W] float tensor in [0,1]."""
+    """Read binary PGM/PPM into a [C,H,W] float32 array in [0,1]."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:2] not in (b"P5", b"P6"):
@@ -384,4 +377,4 @@ def read_pnm(path):
         arr = pix.reshape(1, h, w)
     else:
         arr = pix.reshape(h, w, 3).transpose(2, 0, 1)
-    return Tensor(arr.astype(np.float32) / 255.0)
+    return arr.astype(np.float32, order="C") / 255.0

@@ -270,10 +270,14 @@ def scan_to_json(scan):
 
 def scan_from_json(text):
     obj = json.loads(text)
-    order = tuple((r, c) for r, c in obj["order"])
-    if not all(type(x) is int for x in (obj["size"], *chain.from_iterable(order))):
-        raise ValueError("scan size and cells must be integers")
-    return ScanOrder(size=obj["size"], order=order, label=obj.get("variant", ""))
+    if not (isinstance(obj, dict) and type(obj.get("size")) is int
+            and isinstance(obj.get("order"), list) and isinstance(obj.get("variant", ""), str)
+            and all(isinstance(cell, list) and len(cell) == 2
+                    and all(type(x) is int for x in cell) for cell in obj["order"])):
+        raise ValueError("a scan is an object with an integer size, [int, int] cells "
+                         "in order and an optional string variant")
+    return ScanOrder(size=obj["size"], order=tuple(map(tuple, obj["order"])),
+                     label=obj.get("variant", ""))
 
 
 def scan_to_svg(scan):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor
+from .numerics import layer_norm
 
 __all__ = [
     "SelectiveScanParams",
@@ -82,13 +82,9 @@ class SelectiveScanParams:
         return self
 
 
-def selective_scan_forward(params, sequence, with_cache=False):
-    """Run the recurrence over sequence [L, C]; returns (output, cache).
-
-    All math is float64 internally for gradient-check fidelity; the public
-    Tensor output is float32.
-    """
-    u = sequence.data.astype(np.float64) if isinstance(sequence, Tensor) else np.asarray(sequence, dtype=np.float64)
+def _recurrence(params, u):
+    """The float64 recurrence over u [L, C]: returns y [L, C] and the
+    (delta, abar, hs) cache that the backward pass reads."""
     if u.ndim != 2 or u.shape[0] < 1:
         raise ValueError("sequence must be [L, C] with L >= 1")
     L, C = u.shape
@@ -104,10 +100,14 @@ def selective_scan_forward(params, sequence, with_cache=False):
         h = abar[l] * h + binp[l] * u[l][:, None]
         hs[l] = h
         y[l] = hs[l] @ params.C[l] + params.D * u[l]
-    out = Tensor(y.astype(np.float32))
-    if with_cache:
-        return out, {"u": u, "delta": delta, "abar": abar, "hs": hs, "y": y}
-    return out, None
+    return y, (delta, abar, hs)
+
+
+def selective_scan_forward(params, sequence):
+    """Run the recurrence over sequence [L, C]; returns the float32 [L, C]
+    output.  All math is float64 internally for gradient-check fidelity."""
+    y, _ = _recurrence(params, np.asarray(sequence, dtype=np.float64))
+    return y.astype(np.float32)
 
 
 def selective_scan_backward(params, sequence, upstream):
@@ -115,9 +115,9 @@ def selective_scan_backward(params, sequence, upstream):
 
     Returns a dict with gradients for 'u', 'A', 'D', 'dt', 'B', 'C'.
     """
-    _, cache = selective_scan_forward(params, sequence, with_cache=True)
-    u, delta, abar, hs = cache["u"], cache["delta"], cache["abar"], cache["hs"]
-    g = upstream.data.astype(np.float64) if isinstance(upstream, Tensor) else np.asarray(upstream, dtype=np.float64)
+    u = np.asarray(sequence, dtype=np.float64)
+    _, (delta, abar, hs) = _recurrence(params, u)
+    g = np.asarray(upstream, dtype=np.float64)
     L, C = u.shape
     N = params.A.shape[1]
     if g.shape != (L, C):
@@ -155,7 +155,7 @@ def gradient_check(params, sequence, rng=None):
     """Central finite differences vs analytic backward; returns max rel error."""
     step = 1e-4
     rng = rng or np.random.default_rng(0)
-    u = np.array(sequence.data if isinstance(sequence, Tensor) else sequence, dtype=np.float64)
+    u = np.array(sequence, dtype=np.float64)
     L, C = u.shape
     g = rng.normal(0.0, 1.0, (L, C))
     # float64 copies that the loss reads, so an in-place step reaches it
@@ -163,8 +163,8 @@ def gradient_check(params, sequence, rng=None):
                                for k, a in vars(params).items()})
 
     def loss():
-        _, cache = selective_scan_forward(p, u, with_cache=True)
-        return float((cache["y"] * g).sum())
+        y, _ = _recurrence(p, u)
+        return float((y * g).sum())
 
     analytic = selective_scan_backward(p, u, g)
     max_rel = 0.0
@@ -191,37 +191,37 @@ def build_ss3d_sequence(scan_cells, q, v, s):
 
     scan_cells : int array [..., K] of token indices (into the token grid) in
                  each window's scan order.
-    q          : Tensor[N, C] current-frame tokens.
-    v          : Tensor[N, s, C] selected tokens (ascending frame index);
+    q          : [N, C] current-frame tokens.
+    v          : [N, s, C] selected tokens (ascending frame index);
                  unused when s == 0.
     s          : number of selected tokens per site.
 
-    Returns Tensor[..., K*(s+1), C]: position k is slot k % (s+1) of cell
+    Returns a float32 [..., K*(s+1), C] array: position k is slot k % (s+1) of cell
     k // (s+1), where slots 0..s-1 are the selected tokens and slot s is the
     current token.
     """
-    q = q.data if isinstance(q, Tensor) else np.asarray(q, dtype=np.float32)
+    q = np.asarray(q, dtype=np.float32)
     cells = np.asarray(scan_cells, dtype=np.intp)
     bad = (cells < 0) | (cells >= q.shape[0])
     if bad.any():
         raise ValueError(f"token index {int(cells[bad][0])} outside grid")
     rows = q[:, None]
     if s > 0:
-        v = v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float32)
+        v = np.asarray(v, dtype=np.float32)
         if v.ndim != 3 or v.shape[1] != s:
             raise ValueError(f"v_selected must be [N, {s}, C]")
         rows = np.concatenate([v, rows], axis=1)
     gathered = rows[cells]                          # [..., K, s+1, C]
-    return Tensor(gathered.reshape(*cells.shape[:-1], -1, q.shape[1]))
+    return gathered.reshape(*cells.shape[:-1], -1, q.shape[1])
 
 
 def scatter_current(scan_cells, outputs, s, n_tokens):
     """Scatter the current-token slots of [..., K*(s+1), C] outputs back to
     [N, C]; tokens in no window stay zero."""
-    y = outputs.data if isinstance(outputs, Tensor) else np.asarray(outputs, dtype=np.float32)
+    y = np.asarray(outputs, dtype=np.float32)
     out = np.zeros((n_tokens, y.shape[-1]), dtype=np.float32)
     out[np.asarray(scan_cells, dtype=np.intp)] = y[..., s::s + 1, :]
-    return Tensor(out)
+    return out
 
 
 def ssm_block(tokens_in, window_scans, v_selected, s, params, gamma=None, beta=None):
@@ -234,16 +234,14 @@ def ssm_block(tokens_in, window_scans, v_selected, s, params, gamma=None, beta=N
     channels (A, D and dt tiled W times) that share B and C.  Selected-token
     slots are context only; outputs come from current slots.
     """
-    from .numerics import layer_norm
-
-    x = tokens_in.data if isinstance(tokens_in, Tensor) else np.asarray(tokens_in, dtype=np.float32)
+    x = np.asarray(tokens_in, dtype=np.float32)
     n, c = x.shape
-    normed = layer_norm(Tensor(x), gamma, beta)
+    normed = layer_norm(x, gamma, beta)
     normed_v = layer_norm(v_selected, gamma, beta) if s > 0 else None
-    gathered = build_ss3d_sequence(window_scans, normed, normed_v, s).data   # [W, L, C]
+    gathered = build_ss3d_sequence(window_scans, normed, normed_v, s)   # [W, L, C]
     w, length, _ = gathered.shape
     tiled = SelectiveScanParams(A=np.tile(params.A, (w, 1)), D=np.tile(params.D, w),
                                 dt=np.tile(params.dt, (1, w)), B=params.B, C=params.C)
-    y, _ = selective_scan_forward(tiled, gathered.transpose(1, 0, 2).reshape(length, w * c))
-    y = y.data.reshape(length, w, c).transpose(1, 0, 2)
-    return Tensor(x + scatter_current(window_scans, y, s, n).data)
+    y = selective_scan_forward(tiled, gathered.transpose(1, 0, 2).reshape(length, w * c))
+    y = y.reshape(length, w, c).transpose(1, 0, 2)
+    return x + scatter_current(window_scans, y, s, n)

@@ -59,7 +59,7 @@ class SelectionResult:
 
     indices: np.ndarray       # [N, s] int
     scores: np.ndarray        # [N, s] float
-    selected: Tensor          # [N, s, C], ascending frame index (old -> new)
+    selected: np.ndarray      # [N, s, C] float32, ascending frame index (old -> new)
 
 
 @dataclass
@@ -104,19 +104,18 @@ def generate_tokens(frame, config, weights):
     Returns the float32 token grid [ht, wt, C].  Patches are flattened
     channel-major before projection.
     """
-    x = frame if isinstance(frame, Tensor) else Tensor(frame)
-    _, h, w = x.dims
+    x = np.asarray(frame, dtype=np.float32)
+    _, h, w = x.shape
     t = config.token_size
     if h % t or w % t:
         raise ValueError(f"frame dims {h}x{w} not divisible by token_size {t}")
     feat = conv2d(x, weights.conv_w, weights.conv_b, padding=1)
     for (w1, b1, w2, b2) in weights.res:
         feat = residual_block(feat, w1, b1, w2, b2)
-    c = feat.dims[0]
+    c = feat.shape[0]
     ht, wt = h // t, w // t
-    f = feat.data
     patches = (
-        f.reshape(c, ht, t, wt, t)
+        feat.reshape(c, ht, t, wt, t)
         .transpose(1, 3, 0, 2, 4)       # [ht, wt, c, t, t]: channel-major flatten
         .reshape(ht * wt, c * t * t)
     )
@@ -166,7 +165,7 @@ def propagate_trajectories(prev, flow, config):
     over each token's pixels (edge pixels beyond the token grid take the last
     token), so each bilinear corner reads its token's coordinates directly.
     """
-    f = flow.data if isinstance(flow, Tensor) else np.asarray(flow, dtype=np.float32)
+    f = np.asarray(flow, dtype=np.float32)
     if f.shape[0] != 2 or f.shape[1] != prev.height or f.shape[2] != prev.width:
         raise ValueError(f"flow dims {f.shape} do not match {prev.height}x{prev.width}")
     h, w = prev.height, prev.width
@@ -203,10 +202,11 @@ def block_matching_flow(a, b, radius):
     Ties break by smaller displacement magnitude, then lexicographic (dy, dx)
     where dy is the row offset.  radius 0 returns zero flow.  The SAD of
     every pixel's patch is computed for one displacement at a time over the
-    whole frame, as float64 box sums.
+    whole frame, as float64 box sums.  Returns a Tensor, whose callers read
+    the [2, H, W] flow at .data.
     """
-    xa = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float32)
-    xb = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float32)
+    xa = np.asarray(a, dtype=np.float32)
+    xb = np.asarray(b, dtype=np.float32)
     if xa.shape != xb.shape:
         raise ValueError("block_matching_flow requires equal dims")
     if radius < 0:
@@ -290,7 +290,7 @@ def select_tokens(q_grid, pool, traj, s):
     return SelectionResult(
         indices=(order + 1).astype(np.int64),
         scores=np.take_along_axis(score, order, axis=1),
-        selected=Tensor(np.take_along_axis(v, oldest_first[..., None], axis=1)),
+        selected=np.take_along_axis(v, oldest_first[..., None], axis=1),
     )
 
 
@@ -299,16 +299,16 @@ def select_along_trajectories(frames, flows, g_weights, config):
     propagation, and top-s selection (s = config.s_selected) over the
     previous frames' tokens.
 
-    frames : list of Tensor[C, H, W], oldest first, last entry is frame t.
-    flows  : list of Tensor[2, H, W] flow from frame k to k-1 (len(frames)-1
+    frames : list of [C, H, W] arrays, oldest first, last entry is frame t.
+    flows  : list of [2, H, W] flows from frame k to k-1 (len(frames)-1
              entries) or None for a static scene, whose trajectories stay
              the cold-start set (zero flow propagates it unchanged).
     Returns (the [ht, wt, C] token grid of frame t, SelectionResult).
     """
     if not frames:
         raise ValueError("need at least one frame")
-    dims = frames[0].dims
-    if any(f.dims != dims for f in frames):
+    dims = np.shape(frames[0])
+    if any(np.shape(f) != dims for f in frames):
         raise ValueError("all frames must share dims [C,H,W]")
     grids = np.stack([generate_tokens(frame, config, g_weights) for frame in frames])
 

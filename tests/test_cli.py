@@ -6,7 +6,7 @@ import pytest
 from tsmamba import ssm
 from tsmamba.cli import main
 from tsmamba.model import TsMambaWeights, set_weight, ts_mamba_forward, weight_map
-from tsmamba.numerics import ModelConfig, Tensor, read_pnm, read_tstf, write_pnm, write_tstf
+from tsmamba.numerics import ModelConfig, read_pnm, read_tstf, write_pnm, write_tstf
 from tsmamba.trajectory import token_centers
 
 
@@ -39,11 +39,25 @@ def test_scan_check_rejects_broken_order(tmp_path, capsys):
     assert main(["scan", "check", str(p)]) == 1
 
 
-def test_scan_check_rejects_non_integer_cells(tmp_path, capsys):
-    p = tmp_path / "float.json"
-    p.write_text(json.dumps({"variant": "x", "size": 2,
-                             "order": [[0, 0], [0, 1], [1, 0], [1.5, 1]]}))
+@pytest.mark.parametrize("doc", [
+    {"variant": "x", "size": 2, "order": [[0, 0], [0, 1], [1, 0], [1.5, 1]]},
+    {"size": 2, "order": [1, 2]},                 # cells that are not pairs
+    {"size": 1, "order": [[0, 0, 0]]},
+    {"size": 1, "order": [[0, True]]},
+    {"size": 1.0, "order": [[0, 0]]},
+    {"order": [[0, 0]]},                          # size missing
+    {"size": 1},                                  # order missing
+    {"size": 1, "order": {"0": [0, 0]}},
+    {"size": 1, "order": [[0, 0]], "variant": 3},
+    [1, 2],                                       # not an object
+], ids=["float_cell", "int_cells", "triple", "bool", "float_size", "no_size",
+        "no_order", "order_object", "variant_int", "list"])
+def test_scan_check_rejects_non_integer_cells(tmp_path, capsys, doc):
+    """A malformed scan document exits 2 with a message, never a traceback."""
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
     assert main(["scan", "check", str(p)]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_disc_analyze_payload(tmp_path, capsys):
@@ -92,7 +106,7 @@ def _write_frames(directory, n=3, size=16, seed=0):
     rng = np.random.default_rng(seed)
     for k in range(n):
         frame = rng.random((3, size, size)).astype(np.float32)
-        write_pnm(directory / f"frame_{k:03d}.ppm", Tensor(frame))
+        write_pnm(directory / f"frame_{k:03d}.ppm", frame)
 
 
 def test_traj_select(tmp_path, capsys):
@@ -106,7 +120,7 @@ def test_traj_select(tmp_path, capsys):
     env = json.loads(out.read_text())
     idx = np.array(env["payload"]["indices"])
     assert idx.shape == (16, 3)
-    assert read_tstf(toks).dims[1:] == (3, 32)
+    assert read_tstf(toks).shape[1:] == (3, 32)
 
 
 def test_traj_select_zero_flows_match_radius_0(tmp_path):
@@ -116,7 +130,7 @@ def test_traj_select_zero_flows_match_radius_0(tmp_path):
     flows = tmp_path / "flows"
     flows.mkdir()
     for k in (1, 2):
-        write_tstf(flows / f"flow_{k:04d}.tstf", Tensor(np.zeros((2, 16, 16))))
+        write_tstf(flows / f"flow_{k:04d}.tstf", np.zeros((2, 16, 16)))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["traj", "select", "--frames", str(frames), "--radius", "0",
                  "--out", str(a)]) == 0
@@ -156,12 +170,12 @@ def test_ssm_run_round_trip(tmp_path, capsys):
     seq = np.random.default_rng(1).normal(0, 1, (12, 4)).astype(np.float32)
     inp = tmp_path / "seq.tstf"
     out = tmp_path / "out.tstf"
-    write_tstf(inp, Tensor(seq))
+    write_tstf(inp, seq)
     assert main(["ssm", "run", "--input", str(inp), "--out", str(out),
                  "--state-dim", "4", "--seed", "0"]) == 0
     y = read_tstf(out)
-    assert y.dims == (12, 4)
-    assert np.all(np.isfinite(y.data))
+    assert y.shape == (12, 4)
+    assert np.all(np.isfinite(y))
 
 
 def test_ssm_run_params_file(tmp_path, capsys):
@@ -173,22 +187,22 @@ def test_ssm_run_params_file(tmp_path, capsys):
     params = ssm.SelectiveScanParams.init(C, N, L, rng)
     packed = np.concatenate([getattr(params, k).ravel() for k in ("A", "D", "dt", "B", "C")])
     inp, pfile, out = tmp_path / "seq.tstf", tmp_path / "p.tstf", tmp_path / "out.tstf"
-    write_tstf(inp, Tensor(seq))
-    write_tstf(pfile, Tensor(packed.astype(np.float32)))
+    write_tstf(inp, seq)
+    write_tstf(pfile, packed.astype(np.float32))
     args = ["ssm", "run", "--input", str(inp), "--state-dim", str(N), "--out", str(out)]
     assert main(args + ["--params", str(pfile)]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["state_dim"] == N
     rounded = ssm.SelectiveScanParams(**{
         k: getattr(params, k).astype(np.float32).astype(np.float64)
         for k in ("A", "D", "dt", "B", "C")})
-    want, _ = ssm.selective_scan_forward(rounded, Tensor(seq))
-    assert np.array_equal(read_tstf(out).data, want.data.astype(np.float32))
+    want = ssm.selective_scan_forward(rounded, seq)
+    assert np.array_equal(read_tstf(out), want)
 
-    write_tstf(pfile, Tensor(packed[:-1].astype(np.float32)))
+    write_tstf(pfile, packed[:-1].astype(np.float32))
     assert main(args + ["--params", str(pfile)]) == 2
     assert "values" in capsys.readouterr().err
     packed[C * N + 1] = np.nan
-    write_tstf(pfile, Tensor(packed.astype(np.float32)))
+    write_tstf(pfile, packed.astype(np.float32))
     assert main(args + ["--params", str(pfile)]) == 2
     assert "non-finite" in capsys.readouterr().err
 
@@ -196,14 +210,14 @@ def test_ssm_run_params_file(tmp_path, capsys):
 def test_ssm_run_rejects_bad_rank(tmp_path):
     inp = tmp_path / "bad.tstf"
     for dims in ((2, 3, 4), (4, 0), (0, 3)):     # wrong rank, or an empty axis
-        write_tstf(inp, Tensor(np.zeros(dims, dtype=np.float32)))
+        write_tstf(inp, np.zeros(dims, dtype=np.float32))
         assert main(["ssm", "run", "--input", str(inp),
                      "--out", str(inp) + ".o"]) == 2
 
 
 def test_ssm_run_truncated_tstf_header_exits_2(tmp_path, capsys):
     inp = tmp_path / "short.tstf"
-    write_tstf(inp, Tensor(np.zeros((4, 2), dtype=np.float32)))
+    write_tstf(inp, np.zeros((4, 2), dtype=np.float32))
     inp.write_bytes(inp.read_bytes()[:10])        # magic, version, dtype, ndim
     assert main(["ssm", "run", "--input", str(inp), "--out", str(inp) + ".o"]) == 2
     assert "truncated header" in capsys.readouterr().err
@@ -217,7 +231,7 @@ def test_ssm_run_truncated_tstf_header_exits_2(tmp_path, capsys):
 def test_ssm_commands_reject_empty_sizes(argv, tmp_path, capsys):
     if argv[0] == "ssm":
         inp = tmp_path / "seq.tstf"
-        write_tstf(inp, Tensor(np.zeros((4, 2), dtype=np.float32)))
+        write_tstf(inp, np.zeros((4, 2), dtype=np.float32))
         argv = argv + ["--input", str(inp), "--out", str(tmp_path / "out.tstf")]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -257,7 +271,7 @@ def test_model_forward_toy(tmp_path):
     cfg.write_text(json.dumps({"channels": 6, "state_dim": 4}))
     assert main(["model", "forward", "--frames", str(frames),
                  "--config", str(cfg), "--out", str(out)]) == 0
-    assert read_tstf(out).dims == (3, 64, 64)
+    assert read_tstf(out).shape == (3, 64, 64)
 
 
 def test_model_forward_frame_size_not_a_window_multiple(tmp_path):
@@ -267,15 +281,15 @@ def test_model_forward_frame_size_not_a_window_multiple(tmp_path):
     rng = np.random.default_rng(3)
     for k in range(2):
         write_pnm(frames / f"frame_{k:03d}.ppm",
-                  Tensor(rng.random((3, 36, 52)).astype(np.float32)))
+                  rng.random((3, 36, 52)).astype(np.float32))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"channels": 4, "state_dim": 2, "n2_res_blocks": 1}))
     out = tmp_path / "sr.tstf"
     assert main(["model", "forward", "--frames", str(frames),
                  "--config", str(cfg), "--out", str(out)]) == 0
     sr = read_tstf(out)
-    assert sr.dims == (3, 144, 208)
-    assert np.all(np.isfinite(sr.data))
+    assert sr.shape == (3, 144, 208)
+    assert np.all(np.isfinite(sr))
 
 
 def test_model_forward_bad_config_key(tmp_path):
@@ -297,7 +311,7 @@ def _write_bundle(directory, weights):
     manifest = {}
     for name, arr in weight_map(weights).items():
         manifest[name] = f"{name}.tstf"
-        write_tstf(directory / manifest[name], Tensor(arr))
+        write_tstf(directory / manifest[name], arr)
     (directory / "manifest.json").write_text(json.dumps(manifest))
     return manifest
 
@@ -319,7 +333,7 @@ def test_model_forward_weight_bundle(tmp_path):
         set_weight(weights, name, arr.astype(np.float32).astype(np.float64))
     clip = [read_pnm(p) for p in sorted(frames.iterdir())]
     want = ts_mamba_forward(clip, None, weights, config)
-    assert np.array_equal(read_tstf(out).data, want.data)
+    assert np.array_equal(read_tstf(out), want.data)
 
 
 @pytest.mark.parametrize("defect", ["missing", "shape", "non_string", "not_object"])
@@ -335,7 +349,7 @@ def test_model_forward_bad_weight_bundle(tmp_path, defect):
     if defect == "missing":
         del manifest["r.res1.b2"]
     elif defect == "shape":
-        write_tstf(bundle / manifest["tsma.fusion_w"], Tensor(np.zeros((6, 6, 1, 1))))
+        write_tstf(bundle / manifest["tsma.fusion_w"], np.zeros((6, 6, 1, 1)))
     elif defect == "non_string":
         manifest["g.conv_b"] = 3
     else:
@@ -348,7 +362,7 @@ def test_model_forward_bad_weight_bundle(tmp_path, defect):
 def test_loss_eval_fixed_point(tmp_path, capsys):
     arr = np.random.default_rng(2).random((3, 8, 8)).astype(np.float32)
     p = tmp_path / "a.tstf"
-    write_tstf(p, Tensor(arr))
+    write_tstf(p, arr)
     assert main(["loss", "eval", "--sr", str(p), "--hr", str(p)]) == 0
     env = json.loads(capsys.readouterr().out)
     assert env["payload"]["spatial"] == pytest.approx(1e-4, abs=1e-12)
@@ -357,13 +371,13 @@ def test_loss_eval_fixed_point(tmp_path, capsys):
 
 def test_loss_eval_trajectories_need_lr_size(tmp_path, capsys):
     sr = tmp_path / "sr.tstf"
-    write_tstf(sr, Tensor(np.zeros((3, 8, 8), dtype=np.float32)))
+    write_tstf(sr, np.zeros((3, 8, 8), dtype=np.float32))
     # LR 8x32 frame (2x8 tokens); HR 16x64 (4x16 tokens) at scale 2
     hr_coords = np.stack([token_centers(4, 16, 4)] * 2)
     lr_coords = hr_coords.reshape(2, 4, 16, 2)[:, ::2, ::2].reshape(2, 16, 2) / 2
     lr, hr = tmp_path / "lr.tstf", tmp_path / "hr.tstf"
-    write_tstf(lr, Tensor(lr_coords))
-    write_tstf(hr, Tensor(hr_coords))
+    write_tstf(lr, lr_coords)
+    write_tstf(hr, hr_coords)
     args = ["loss", "eval", "--sr", str(sr), "--hr", str(sr), "--scale", "2",
             "--lr-traj", str(lr), "--hr-traj", str(hr)]
     assert main(args + ["--lr-height", "8", "--lr-width", "32"]) == 0
@@ -385,7 +399,7 @@ def test_loss_eval_trajectories_need_lr_size(tmp_path, capsys):
                            (lr_coords[0], hr_coords[0]),
                            (lr_coords[:, :0], hr_coords[:, :0]),
                            (lr_coords, hr_coords[:1])):
-        write_tstf(lr, Tensor(lr_bad))
-        write_tstf(hr, Tensor(hr_bad))
+        write_tstf(lr, lr_bad)
+        write_tstf(hr, hr_bad)
         assert main(args + ["--lr-height", "8", "--lr-width", "32"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tsmamba import ssm
-from tsmamba.numerics import ModelConfig, Tensor, bicubic_upsample
+from tsmamba.numerics import ModelConfig, bicubic_upsample
 from tsmamba.model import (
     TsMambaWeights,
     calibrate_channels,
@@ -30,8 +30,7 @@ def zeroed_tail(r_weights):
 
 def charbonnier_grad(sr, hr, epsilon=1e-4):
     """d charbonnier_loss / d sr, for the finite-difference check."""
-    x = (sr.data if isinstance(sr, Tensor) else np.asarray(sr)).astype(np.float64)
-    y = (hr.data if isinstance(hr, Tensor) else np.asarray(hr)).astype(np.float64)
+    x, y = np.asarray(sr, dtype=np.float64), np.asarray(hr, dtype=np.float64)
     d = x - y
     return d / (np.sqrt(d * d + epsilon * epsilon) * d.size)
 
@@ -40,7 +39,7 @@ def _toy_setup(channels=8, state_dim=4, seed=0):
     cfg = ModelConfig(channels=channels, state_dim=state_dim)
     weights = TsMambaWeights.random(cfg, seed=seed)
     rng = np.random.default_rng(seed)
-    frames = [Tensor(rng.normal(0, 0.2, (3, 32, 32)).astype(np.float32))
+    frames = [rng.normal(0, 0.2, (3, 32, 32)).astype(np.float32)
               for _ in range(5)]
     return cfg, weights, frames
 
@@ -49,7 +48,7 @@ def test_forward_output_dims_and_determinism():
     cfg, weights, frames = _toy_setup()
     a = ts_mamba_forward(frames, None, weights, cfg)
     b = ts_mamba_forward(frames, None, weights, cfg)
-    assert a.dims == (3, 128, 128)
+    assert a.data.shape == (3, 128, 128)
     assert np.array_equal(a.data, b.data)
 
 
@@ -59,18 +58,18 @@ def test_forward_zero_tail_equals_bicubic_skip():
                             r=zeroed_tail(weights.r))
     out = ts_mamba_forward(frames, None, zeroed, cfg)
     skip = bicubic_upsample(frames[-1], cfg.scale)
-    assert np.array_equal(out.data, skip.data)
+    assert np.array_equal(out.data, skip)
 
 
 def test_forward_single_frame_cold_start():
     cfg, weights, frames = _toy_setup()
     out = ts_mamba_forward(frames[:1], None, weights, cfg)
-    assert out.dims == (3, 128, 128)
+    assert out.data.shape == (3, 128, 128)
 
 
 def test_forward_rejects_mismatched_frames():
     cfg, weights, frames = _toy_setup()
-    bad = frames[:2] + [Tensor(np.zeros((3, 16, 16), dtype=np.float32))]
+    bad = frames[:2] + [np.zeros((3, 16, 16), dtype=np.float32)]
     with pytest.raises(ValueError):
         ts_mamba_forward(bad, None, weights, cfg)
     with pytest.raises(ValueError):
@@ -94,7 +93,7 @@ _TOY = dict(channels=4, state_dim=2, n1_res_blocks=1, n2_res_blocks=1,
 
 def _clip(h, w, n, seed=0):
     rng = np.random.default_rng(seed)
-    return [Tensor(rng.random((3, h, w)).astype(np.float32)) for _ in range(n)]
+    return [rng.random((3, h, w)).astype(np.float32) for _ in range(n)]
 
 
 def test_forward_at_paper_lr_size():
@@ -102,7 +101,7 @@ def test_forward_at_paper_lr_size():
     cfg = ModelConfig(**_TOY)
     out = ts_mamba_forward(_clip(180, 320, 2), None,
                            TsMambaWeights.random(cfg, seed=0), cfg)
-    assert out.dims == (3, 720, 1280)
+    assert out.data.shape == (3, 720, 1280)
     assert np.all(np.isfinite(out.data))
 
 
@@ -158,7 +157,7 @@ def test_weight_map_names_and_setter():
 # --- losses -----------------------------------------------------------------
 
 def test_charbonnier_fixed_point():
-    x = Tensor(np.random.default_rng(0).random((3, 8, 8)).astype(np.float32))
+    x = np.random.default_rng(0).random((3, 8, 8)).astype(np.float32)
     assert charbonnier_loss(x, x, epsilon=1e-4) == pytest.approx(1e-4, abs=1e-12)
 
 
@@ -167,21 +166,21 @@ def test_charbonnier_matches_manual():
     b = np.array([[1.5, 1.0]], dtype=np.float32)
     eps = 1e-4
     want = np.sqrt(np.array([0.25, 1.0]) + eps * eps).mean()
-    assert charbonnier_loss(Tensor(a), Tensor(b), eps) == pytest.approx(want)
+    assert charbonnier_loss(a, b, eps) == pytest.approx(want)
 
 
 def test_charbonnier_gradient_finite_difference():
     rng = np.random.default_rng(1)
     x = rng.normal(0, 1, (2, 4)).astype(np.float32)
     y = rng.normal(0, 1, (2, 4)).astype(np.float32)
-    g = charbonnier_grad(Tensor(x), Tensor(y))
+    g = charbonnier_grad(x, y)
     step = 1e-4   # large enough to survive the kernel's float32 storage
     worst = 0.0
     for idx in np.ndindex(x.shape):
         xp = x.astype(np.float64).copy(); xp[idx] += step
         xm = x.astype(np.float64).copy(); xm[idx] -= step
-        fd = (charbonnier_loss(Tensor(xp.astype(np.float32)), Tensor(y))
-              - charbonnier_loss(Tensor(xm.astype(np.float32)), Tensor(y))) / (2 * step)
+        fd = (charbonnier_loss(xp.astype(np.float32), y)
+              - charbonnier_loss(xm.astype(np.float32), y)) / (2 * step)
         rel = abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8)
         worst = max(worst, rel)
     assert worst < 1e-3

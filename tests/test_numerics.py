@@ -32,11 +32,16 @@ from tsmamba.numerics import (
 
 def test_tensor_basics():
     t = Tensor(np.arange(6.0).reshape(2, 3))
-    assert t.dims == (2, 3)
-    assert t.data.dtype == np.float32
-    c = t.copy()
-    c.data[0, 0] = 99
+    assert t.data.shape == (2, 3)
+    assert t.data.dtype == np.float32 and t.data.flags.c_contiguous
+    # np.asarray reads a Tensor as its array, honouring numpy's copy argument
+    assert np.asarray(t) is t.data
+    c = np.array(t, copy=True)
+    c[0, 0] = 99
     assert t.data[0, 0] == 0
+    assert np.asarray(t, dtype=np.float64).dtype == np.float64
+    with pytest.raises(ValueError):
+        np.array(t, dtype=np.float64, copy=False)
 
 
 def test_model_config_validation():
@@ -58,8 +63,8 @@ def test_conv2d_identity_kernel():
     w = np.zeros((2, 2, 3, 3))
     w[0, 0, 1, 1] = 1.0
     w[1, 1, 1, 1] = 1.0
-    y = conv2d(Tensor(x), w, padding=1)
-    assert np.allclose(y.data, x, atol=1e-6)
+    y = conv2d(x, w, padding=1)
+    assert np.allclose(y, x, atol=1e-6)
 
 
 def test_conv2d_matches_naive():
@@ -67,7 +72,7 @@ def test_conv2d_matches_naive():
     x = rng.normal(0, 1, (3, 6, 7))
     w = rng.normal(0, 1, (4, 3, 3, 3))
     b = rng.normal(0, 1, 4)
-    y = conv2d(Tensor(x.astype(np.float32)), w, b, stride=2, padding=1)
+    y = conv2d(x.astype(np.float32), w, b, stride=2, padding=1)
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     ho = (6 + 2 - 3) // 2 + 1
     wo = (7 + 2 - 3) // 2 + 1
@@ -77,8 +82,8 @@ def test_conv2d_matches_naive():
             for j in range(wo):
                 patch = xp[:, 2 * i:2 * i + 3, 2 * j:2 * j + 3]
                 ref[o, i, j] = (patch * w[o]).sum() + b[o]
-    assert y.dims == (4, ho, wo)
-    assert np.allclose(y.data, ref, atol=1e-4)
+    assert y.shape == (4, ho, wo)
+    assert np.allclose(y, ref, atol=1e-4)
 
 
 def _conv2d_loop(x, w, bias=None, stride=1, padding=0):
@@ -125,7 +130,7 @@ def test_conv2d_matches_loop_oracle(cin, cout, k, stride, padding, h, w):
     # by ~1e-6, which atol 1e-5 bounds
     wts = rng.normal(0, 1 / math.sqrt(cin * k * k), (cout, cin, k, k)).astype(np.float32)
     b = rng.normal(0, 1, cout).astype(np.float32)
-    got = conv2d(Tensor(x), wts, b, stride=stride, padding=padding).data
+    got = conv2d(x, wts, b, stride=stride, padding=padding)
     want = _conv2d_loop(x, wts, b, stride=stride, padding=padding)
     assert got.shape == want.shape and got.dtype == np.float32
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
@@ -152,7 +157,7 @@ def test_conv2d_peak_memory_is_chunked():
     finally:
         tracemalloc.stop()
     padded = 32 * 258 * 258 * 4
-    assert peak < padded + out.data.nbytes + 4 * 2**20
+    assert peak < padded + out.nbytes + 4 * 2**20
 
 
 _CONV_DIGEST = """
@@ -164,7 +169,7 @@ h = hashlib.sha256()
 for cin, cout, k, size in ((3, 32, 3, 64), (32, 32, 3, 64), (96, 32, 1, 64), (32, 48, 3, 32)):
     x = rng.random((cin, size, size), dtype=np.float32)
     w = rng.normal(0, 0.05, (cout, cin, k, k)).astype(np.float32)
-    h.update(conv2d(x, w, padding=k // 2).data.tobytes())
+    h.update(conv2d(x, w, padding=k // 2).tobytes())
 print(h.hexdigest())
 """
 
@@ -183,22 +188,22 @@ def test_conv2d_bytes_independent_of_blas_threads():
 
 
 def test_conv2d_shape_errors():
-    x = Tensor(np.zeros((3, 4, 4)))
+    x = np.zeros((3, 4, 4))
     with pytest.raises(ValueError):
         conv2d(x, np.zeros((2, 4, 3, 3)))      # channel mismatch
 
 
 def test_residual_block_zero_weights_is_identity():
-    x = Tensor(np.random.default_rng(2).normal(0, 1, (2, 4, 4)).astype(np.float32))
+    x = np.random.default_rng(2).normal(0, 1, (2, 4, 4)).astype(np.float32)
     z = np.zeros((2, 2, 3, 3))
     b = np.zeros(2)
     y = residual_block(x, z, b, z, b)
-    assert np.array_equal(y.data, x.data)
+    assert np.array_equal(y, x)
 
 
 def test_relu():
-    y = relu(Tensor(np.array([[-1.0, 0.0, 2.0]])))
-    assert y.data.tolist() == [[0.0, 0.0, 2.0]]
+    y = relu(np.array([[-1.0, 0.0, 2.0]]))
+    assert y.tolist() == [[0.0, 0.0, 2.0]]
 
 
 # --- pixel shuffle ----------------------------------------------------------
@@ -206,18 +211,18 @@ def test_relu():
 def test_pixel_shuffle_layout():
     c, r, h, w = 1, 2, 2, 2
     x = np.arange(c * r * r * h * w, dtype=np.float32).reshape(c * r * r, h, w)
-    y = pixel_shuffle(Tensor(x), r)
-    assert y.dims == (1, 4, 4)
+    y = pixel_shuffle(x, r)
+    assert y.shape == (1, 4, 4)
     # channel k of the input lands at offset (k // r, k % r) in each block
-    assert y.data[0, 0, 0] == x[0, 0, 0]
-    assert y.data[0, 0, 1] == x[1, 0, 0]
-    assert y.data[0, 1, 0] == x[2, 0, 0]
-    assert y.data[0, 1, 1] == x[3, 0, 0]
+    assert y[0, 0, 0] == x[0, 0, 0]
+    assert y[0, 0, 1] == x[1, 0, 0]
+    assert y[0, 1, 0] == x[2, 0, 0]
+    assert y[0, 1, 1] == x[3, 0, 0]
 
 
 def test_pixel_shuffle_rejects_bad_channels():
     with pytest.raises(ValueError):
-        pixel_shuffle(Tensor(np.zeros((3, 2, 2))), 2)
+        pixel_shuffle(np.zeros((3, 2, 2)), 2)
 
 
 # --- bicubic ----------------------------------------------------------------
@@ -261,7 +266,7 @@ def test_bicubic_matches_loop_oracle_bytes(scale):
     rng = np.random.default_rng(scale)
     x = rng.normal(0, 1, (3, 7, 9)).astype(np.float32)
     x[0, :, :3] = -0.0          # signed zeros: the sum starts from +0.0, as in the loop
-    got = bicubic_upsample(Tensor(x), scale).data
+    got = bicubic_upsample(x, scale)
     want = _bicubic_upsample_loop(x, scale)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -272,17 +277,17 @@ def test_bicubic_matches_loop_oracle_bytes(scale):
 
 
 def test_bicubic_constant_preserved():
-    x = Tensor(np.full((3, 6, 6), 0.37, dtype=np.float32))
+    x = np.full((3, 6, 6), 0.37, dtype=np.float32)
     y = bicubic_upsample(x, 4)
-    assert y.dims == (3, 24, 24)
-    assert np.allclose(y.data, 0.37, atol=1e-5)
+    assert y.shape == (3, 24, 24)
+    assert np.allclose(y, 0.37, atol=1e-5)
 
 
 def test_bicubic_linear_ramp_preserved_in_interior():
     h = 16
     ramp = np.tile(np.arange(h, dtype=np.float64), (h, 1))
-    x = Tensor(ramp[None].astype(np.float32))
-    y = bicubic_upsample(x, 2).data[0]
+    x = ramp[None].astype(np.float32)
+    y = bicubic_upsample(x, 2)[0]
     # interior columns follow the ramp with slope 1/2 (align_corners=False)
     interior = y[8, 8:-8]
     diffs = np.diff(interior)
@@ -293,7 +298,7 @@ def test_bicubic_linear_ramp_preserved_in_interior():
 
 def test_layer_norm_zero_mean_unit_var():
     x = np.random.default_rng(3).normal(2.0, 3.0, (5, 16)).astype(np.float32)
-    y = layer_norm(Tensor(x)).data
+    y = layer_norm(x)
     assert np.allclose(y.mean(axis=-1), 0, atol=1e-5)
     assert np.allclose(y.std(axis=-1), 1, atol=1e-2)
 
@@ -302,15 +307,15 @@ def test_layer_norm_affine():
     x = np.random.default_rng(4).normal(0, 1, (3, 8)).astype(np.float32)
     g = np.full(8, 2.0, dtype=np.float32)
     b = np.full(8, 1.0, dtype=np.float32)
-    base = layer_norm(Tensor(x)).data
-    aff = layer_norm(Tensor(x), g, b).data
+    base = layer_norm(x)
+    aff = layer_norm(x, g, b)
     assert np.allclose(aff, base * 2 + 1, atol=1e-6)
 
 
 # --- metrics ----------------------------------------------------------------
 
 def test_psnr_identical_capped():
-    x = Tensor(np.random.default_rng(5).random((3, 8, 8)).astype(np.float32))
+    x = np.random.default_rng(5).random((3, 8, 8)).astype(np.float32)
     assert psnr(x, x) == PSNR_CAP_DB
 
 
@@ -318,11 +323,11 @@ def test_psnr_known_value():
     a = np.zeros((1, 4, 4), dtype=np.float32)
     b = np.full((1, 4, 4), 0.1, dtype=np.float32)
     expect = 10 * np.log10(1.0 / 0.01)
-    assert abs(psnr(Tensor(a), Tensor(b)) - expect) < 1e-4
+    assert abs(psnr(a, b) - expect) < 1e-4
 
 
 def test_ssim_identical_is_one():
-    x = Tensor(np.random.default_rng(6).random((1, 16, 16)).astype(np.float32))
+    x = np.random.default_rng(6).random((1, 16, 16)).astype(np.float32)
     assert abs(ssim(x, x) - 1.0) < 1e-6
 
 
@@ -330,7 +335,7 @@ def test_ssim_decreases_with_noise():
     rng = np.random.default_rng(7)
     x = rng.random((1, 32, 32)).astype(np.float32)
     y = np.clip(x + rng.normal(0, 0.2, x.shape), 0, 1).astype(np.float32)
-    assert ssim(Tensor(x), Tensor(y)) < 0.95
+    assert ssim(x, y) < 0.95
 
 
 # --- file formats -----------------------------------------------------------
@@ -339,10 +344,10 @@ def test_tstf_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(8)
     arr = rng.normal(0, 1, (2, 3, 4)).astype(np.float32)
     p = tmp_path / "t.tstf"
-    write_tstf(p, Tensor(arr))
+    write_tstf(p, arr)
     back = read_tstf(p)
-    assert back.dims == (2, 3, 4)
-    assert np.array_equal(back.data, arr)
+    assert back.shape == (2, 3, 4)
+    assert np.array_equal(back, arr)
     raw = p.read_bytes()
     assert raw[:4] == b"TSTF"
     assert raw[4:8] == b"\x01\x00\x00\x00"
@@ -358,7 +363,7 @@ def test_tstf_rejects_bad_magic(tmp_path):
 
 def test_tstf_rejects_short_header_and_wrong_payload_size(tmp_path):
     p = tmp_path / "t.tstf"
-    write_tstf(p, Tensor(np.zeros((2, 3), dtype=np.float32)))
+    write_tstf(p, np.zeros((2, 3), dtype=np.float32))
     raw = p.read_bytes()
     for blob in (raw[:6], raw[:10], raw[:21],
                  raw[:10] + b"\xff" * 8 + raw[18:],         # dims[0] = 2^64 - 1
@@ -372,9 +377,9 @@ def test_tstf_rejects_short_header_and_wrong_payload_size(tmp_path):
 def _valid_file(fmt, path):
     rng = np.random.default_rng(10)
     if fmt == "tstf":
-        write_tstf(path, Tensor(rng.normal(0, 1, (2, 3)).astype(np.float32)))
+        write_tstf(path, rng.normal(0, 1, (2, 3)).astype(np.float32))
     else:
-        write_pnm(path, Tensor(rng.random((3, 2, 2)).astype(np.float32)))
+        write_pnm(path, rng.random((3, 2, 2)).astype(np.float32))
     return path.read_bytes()
 
 
@@ -396,7 +401,8 @@ def test_malformed_files_read_or_raise_value_error(tmp_path_factory, fmt, cut, f
     path.write_bytes(bytes(blob[:cut]) + tail)
     read = read_tstf if fmt == "tstf" else read_pnm
     try:
-        assert isinstance(read(path), Tensor)
+        out = read(path)
+        assert type(out) is np.ndarray and out.dtype == np.float32
     except ValueError:
         pass
 
@@ -405,16 +411,16 @@ def test_pnm_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     arr = (rng.integers(0, 256, (3, 5, 7)) / 255.0).astype(np.float32)
     p = tmp_path / "img.ppm"
-    write_pnm(p, Tensor(arr))
+    write_pnm(p, arr)
     back = read_pnm(p)
-    assert back.dims == (3, 5, 7)
-    assert np.allclose(back.data, arr, atol=1e-7)
+    assert back.shape == (3, 5, 7)
+    assert np.allclose(back, arr, atol=1e-7)
 
 
 def test_pgm_gray_round_trip(tmp_path):
     arr = (np.arange(12).reshape(1, 3, 4) / 255.0).astype(np.float32)
     p = tmp_path / "img.pgm"
-    write_pnm(p, Tensor(arr))
+    write_pnm(p, arr)
     back = read_pnm(p)
-    assert back.dims == (1, 3, 4)
-    assert np.allclose(back.data, arr, atol=1e-7)
+    assert back.shape == (1, 3, 4)
+    assert np.allclose(back, arr, atol=1e-7)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tsmamba.cli import main
-from tsmamba.numerics import Tensor, write_pnm, write_tstf
+from tsmamba.numerics import write_pnm, write_tstf
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "src" / "tsmamba" / "schemas"
 
@@ -94,14 +94,14 @@ def test_traj_select_validates(tmp_path, capsys):
     rng = np.random.default_rng(0)
     for k in range(4):
         write_pnm(frames / f"f{k}.ppm",
-                  Tensor(rng.random((3, 16, 16)).astype(np.float32)))
+                  rng.random((3, 16, 16)).astype(np.float32))
     main(["traj", "select", "--frames", str(frames), "--radius", "0"])
     _check_envelope(capsys.readouterr().out, "traj_select")
 
 
 def test_ssm_run_validates(tmp_path, capsys):
     inp = tmp_path / "seq.tstf"
-    write_tstf(inp, Tensor(np.zeros((6, 3), dtype=np.float32)))
+    write_tstf(inp, np.zeros((6, 3), dtype=np.float32))
     main(["ssm", "run", "--input", str(inp), "--out", str(tmp_path / "o.tstf")])
     _check_envelope(capsys.readouterr().out, "ssm_run")
 
@@ -113,7 +113,7 @@ def test_model_count_validates(capsys):
 
 def test_loss_eval_validates(tmp_path, capsys):
     p = tmp_path / "a.tstf"
-    write_tstf(p, Tensor(np.zeros((3, 4, 4), dtype=np.float32)))
+    write_tstf(p, np.zeros((3, 4, 4), dtype=np.float32))
     main(["loss", "eval", "--sr", str(p), "--hr", str(p)])
     _check_envelope(capsys.readouterr().out, "loss_eval")
 

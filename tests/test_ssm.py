@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsmamba.model import window_scans_for_grid
-from tsmamba.numerics import ModelConfig, Tensor, layer_norm
+from tsmamba.numerics import ModelConfig, layer_norm
 from tsmamba.scanorder import ScanVariant
 from tsmamba.ssm import (
     SelectiveScanParams,
@@ -31,7 +31,7 @@ def selective_scan_reference(params, u):
                 h[n] = np.exp(d * params.A[c, n]) * h[n] + d * params.B[l, n] * u[l, c]
                 acc += params.C[l, n] * h[n]
             y[l, c] = acc + params.D[c] * u[l, c]
-    return Tensor(y.astype(np.float32))
+    return y.astype(np.float32)
 
 
 def _random_instance(rng, L=None, C=None, N=None):
@@ -48,9 +48,9 @@ def test_forward_matches_reference_100_instances():
     worst = 0.0
     for _ in range(100):
         params, u = _random_instance(rng)
-        y, _ = selective_scan_forward(params, u)
+        y = selective_scan_forward(params, u)
         ref = selective_scan_reference(params, u)
-        worst = max(worst, float(np.abs(y.data - ref.data).max()))
+        worst = max(worst, float(np.abs(y - ref).max()))
     assert worst < 1e-6
 
 
@@ -60,10 +60,10 @@ def test_forward_single_step_closed_form():
         dt=np.array([[0.0]]), B=np.array([[2.0]]), C=np.array([[3.0]]),
     )
     u = np.array([[1.0]])
-    y, _ = selective_scan_forward(params, u)
+    y = selective_scan_forward(params, u)
     d = np.log(2.0)  # softplus(0)
     expect = 3.0 * (d * 2.0 * 1.0) + 0.5 * 1.0
-    assert abs(float(y.data[0, 0]) - expect) < 1e-6
+    assert abs(float(y[0, 0]) - expect) < 1e-6
 
 
 def test_param_shape_checks():
@@ -108,19 +108,19 @@ def test_backward_rejects_bad_upstream():
 def _ssm_block_loop(tokens_in, window_scans, v_selected, s, params, gamma, beta):
     """Oracle: one window at a time, a (token, slot) ordering, stacked rows,
     one scan per window, and a scatter of the current slots."""
-    x = tokens_in.data
+    x = tokens_in
     n, c = x.shape
-    normed = layer_norm(tokens_in, gamma, beta).data
-    normed_v = layer_norm(v_selected, gamma, beta).data if s > 0 else None
+    normed = layer_norm(tokens_in, gamma, beta)
+    normed_v = layer_norm(v_selected, gamma, beta) if s > 0 else None
     out = np.zeros_like(x)
     for cells in window_scans:
         ordering = [(int(idx), j) for idx in cells for j in range(s + 1)]
         rows = [normed[idx] if j == s else normed_v[idx, j] for idx, j in ordering]
-        y, _ = selective_scan_forward(params, Tensor(np.stack(rows)))
+        y = selective_scan_forward(params, np.stack(rows))
         for k, (idx, slot) in enumerate(ordering):
             if slot == s:
-                out[idx] = y.data[k]
-    return Tensor(x + out)
+                out[idx] = y[k]
+    return x + out
 
 
 @pytest.mark.parametrize("ht,wt", [(8, 8), (16, 16), (8, 16)])
@@ -135,35 +135,35 @@ def test_ssm_block_matches_per_window_loop(ht, wt, s, scan):
     n, c = ht * wt, 4
     scans = window_scans_for_grid(ht, wt, ModelConfig(), *scan)
     assert scans.shape == ((ht // 8) * (wt // 8), 64)
-    tokens = Tensor(rng.normal(0, 1, (n, c)).astype(np.float32))
-    v = Tensor(rng.normal(0, 1, (n, s, c)).astype(np.float32))
+    tokens = rng.normal(0, 1, (n, c)).astype(np.float32)
+    v = rng.normal(0, 1, (n, s, c)).astype(np.float32)
     params = SelectiveScanParams.init(c, 4, 64 * (s + 1), rng)
     params.A = -rng.uniform(0.5, 4.0, params.A.shape)      # distinct per channel
     params.D = rng.normal(1.0, 0.5, c)
     gamma, beta = rng.normal(1, 0.1, c), rng.normal(0, 0.1, c)
     out = ssm_block(tokens, scans, v, s, params, gamma, beta)
     ref = _ssm_block_loop(tokens, scans, v, s, params, gamma, beta)
-    assert out.data.tobytes() == ref.data.tobytes()
+    assert out.tobytes() == ref.tobytes()
 
 
 def test_ss3d_sequence_length_and_interleave():
     rng = np.random.default_rng(3)
     n, s, c = 64, 3, 4
-    q = Tensor(rng.normal(0, 1, (n, c)).astype(np.float32))
-    v = Tensor(rng.normal(0, 1, (n, s, c)).astype(np.float32))
+    q = rng.normal(0, 1, (n, c)).astype(np.float32)
+    v = rng.normal(0, 1, (n, s, c)).astype(np.float32)
     cells = np.arange(n)
     gathered = build_ss3d_sequence(cells, q, v, s)
-    assert gathered.dims == (64 * (s + 1), c) == (256, c)
+    assert gathered.shape == (64 * (s + 1), c) == (256, c)
     # slot pattern per cell: v0, v1, v2, q
     for cell in (0, 17, 63):
         k = cell * (s + 1)
         for j in range(s):
-            assert np.array_equal(gathered.data[k + j], v.data[cell, j])
-        assert np.array_equal(gathered.data[k + s], q.data[cell])
+            assert np.array_equal(gathered[k + j], v[cell, j])
+        assert np.array_equal(gathered[k + s], q[cell])
     # several windows gather along a leading axis
     batched = build_ss3d_sequence(cells.reshape(4, 16), q, v, s)
-    assert batched.dims == (4, 64, c)
-    assert np.array_equal(batched.data.reshape(256, c), gathered.data)
+    assert batched.shape == (4, 64, c)
+    assert np.array_equal(batched.reshape(256, c), gathered)
 
 
 def test_ss3d_gather_scatter_round_trip_100_fields():
@@ -172,17 +172,17 @@ def test_ss3d_gather_scatter_round_trip_100_fields():
         n = int(rng.integers(4, 65))
         s = 3
         c = int(rng.integers(1, 6))
-        q = Tensor(rng.normal(0, 1, (n, c)).astype(np.float32))
-        v = Tensor(rng.normal(0, 1, (n, s, c)).astype(np.float32))
+        q = rng.normal(0, 1, (n, c)).astype(np.float32)
+        v = rng.normal(0, 1, (n, s, c)).astype(np.float32)
         cells = rng.permutation(n)
         gathered = build_ss3d_sequence(cells, q, v, s)
         back = scatter_current(cells, gathered, s, n)
-        assert np.array_equal(back.data, q.data)
+        assert np.array_equal(back, q)
 
 
 def test_ss3d_rejects_out_of_range_cell():
-    q = Tensor(np.zeros((4, 2)))
-    v = Tensor(np.zeros((4, 3, 2)))
+    q = np.zeros((4, 2))
+    v = np.zeros((4, 3, 2))
     with pytest.raises(ValueError):
         build_ss3d_sequence([0, 1, 9], q, v, 3)
     with pytest.raises(ValueError):      # fancy indexing would wrap -1 silently
@@ -192,12 +192,12 @@ def test_ss3d_rejects_out_of_range_cell():
 def test_ssm_block_residual_structure():
     rng = np.random.default_rng(5)
     n, c, s = 16, 4, 3
-    tokens = Tensor(rng.normal(0, 1, (n, c)).astype(np.float32))
-    v = Tensor(rng.normal(0, 1, (n, s, c)).astype(np.float32))
+    tokens = rng.normal(0, 1, (n, c)).astype(np.float32)
+    v = rng.normal(0, 1, (n, s, c)).astype(np.float32)
     L = n * (s + 1)
     params = SelectiveScanParams.init(c, 4, L, rng)
     out = ssm_block(tokens, np.arange(n)[None], v, s, params)
-    assert out.dims == (n, c)
+    assert out.shape == (n, c)
     # residual: output differs from input but stays finite
-    assert np.all(np.isfinite(out.data))
-    assert not np.array_equal(out.data, tokens.data)
+    assert np.all(np.isfinite(out))
+    assert not np.array_equal(out, tokens)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsmamba.numerics import ModelConfig, Tensor
+from tsmamba.numerics import ModelConfig
 from tsmamba.trajectory import (
     GWeights,
     TrajectorySet,
@@ -176,7 +176,7 @@ def test_generate_tokens_shapes():
     cfg = ModelConfig(channels=8)
     rng = np.random.default_rng(0)
     w = GWeights.random(cfg, rng)
-    frame = Tensor(rng.normal(0, 0.3, (3, 16, 16)).astype(np.float32))
+    frame = rng.normal(0, 0.3, (3, 16, 16)).astype(np.float32)
     grid = generate_tokens(frame, cfg, w)
     assert grid.shape == (4, 4, 8)
     assert grid.dtype == np.float32
@@ -186,7 +186,7 @@ def test_generate_tokens_rejects_bad_dims():
     cfg = ModelConfig(channels=8)
     w = GWeights.random(cfg, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        generate_tokens(Tensor(np.zeros((3, 15, 16))), cfg, w)
+        generate_tokens(np.zeros((3, 15, 16)), cfg, w)
 
 
 def test_initial_trajectories_cold_start():
@@ -207,7 +207,7 @@ def test_propagate_zero_flow_keeps_centers(t, window):
     cfg = ModelConfig(token_size=t, temporal_window=window)
     h, w = 3 * t, 5 * t
     start = initial_trajectories(cfg, h, w)
-    flow = Tensor(np.zeros((2, h, w), dtype=np.float32))
+    flow = np.zeros((2, h, w), dtype=np.float32)
     traj = start
     for _ in range(window + 3):
         traj = propagate_trajectories(traj, flow, cfg)
@@ -222,14 +222,14 @@ def test_select_without_flows_equals_zero_flows(n_frames):
     cfg = ModelConfig(channels=4, temporal_window=3, s_selected=2)
     rng = np.random.default_rng(n_frames)
     g = GWeights.random(cfg, rng)
-    frames = [Tensor(rng.random((3, 16, 12)).astype(np.float32)) for _ in range(n_frames)]
-    zeros = [Tensor(np.zeros((2, 16, 12), dtype=np.float32))] * n_frames
+    frames = [rng.random((3, 16, 12)).astype(np.float32) for _ in range(n_frames)]
+    zeros = [np.zeros((2, 16, 12), dtype=np.float32)] * n_frames
     grid, sel = select_along_trajectories(frames, None, g, cfg)
     zgrid, zsel = select_along_trajectories(frames, zeros[1:], g, cfg)
     assert _same_bytes(grid, zgrid)
     for name in ("indices", "scores"):
         assert _same_bytes(getattr(sel, name), getattr(zsel, name))
-    assert _same_bytes(sel.selected.data, zsel.selected.data)
+    assert _same_bytes(sel.selected, zsel.selected)
     with pytest.raises(ValueError):      # one flow too many
         select_along_trajectories(frames, zeros, g, cfg)
 
@@ -239,7 +239,7 @@ def test_propagate_constant_flow_shifts_history():
     traj = initial_trajectories(cfg, 32, 32)
     flow = np.zeros((2, 32, 32), dtype=np.float32)
     flow[0] = 4.0       # content came from one token-height down in t-1
-    nxt = propagate_trajectories(traj, Tensor(flow), cfg)
+    nxt = propagate_trajectories(traj, flow, cfg)
     got = nxt.coords[1].reshape(8, 8, 2)
     want = traj.coords[0].reshape(8, 8, 2)
     # each token's history lands on the previous set's token one row down
@@ -251,7 +251,7 @@ def test_propagate_clamps_to_bounds():
     cfg = ModelConfig()
     traj = initial_trajectories(cfg, 8, 8)
     flow = np.full((2, 8, 8), 100.0, dtype=np.float32)
-    nxt = propagate_trajectories(traj, Tensor(flow), cfg)
+    nxt = propagate_trajectories(traj, flow, cfg)
     assert np.all(nxt.coords[1][:, 0] >= 1.0)
     assert np.all(nxt.coords[1][:, 0] <= 8.0)
 
@@ -260,7 +260,7 @@ def test_propagate_rejects_bad_flow_dims():
     cfg = ModelConfig()
     traj = initial_trajectories(cfg, 8, 8)
     with pytest.raises(ValueError):
-        propagate_trajectories(traj, Tensor(np.zeros((2, 4, 4))), cfg)
+        propagate_trajectories(traj, np.zeros((2, 4, 4)), cfg)
 
 
 def _flow_chain(rng, h, w):
@@ -286,7 +286,7 @@ def test_propagate_matches_loop_oracle_bytes(h, w, window):
     for flow in _flow_chain(rng, h, w):
         flow = flow.astype(np.float32)
         want = _propagate_trajectories_loop(traj, flow, cfg)
-        traj = propagate_trajectories(traj, Tensor(flow), cfg)
+        traj = propagate_trajectories(traj, flow, cfg)
         assert len(traj.coords) == len(want)
         for got_layer, want_layer in zip(traj.coords, want):
             assert _same_bytes(got_layer, want_layer)
@@ -311,7 +311,7 @@ def _bm_frames(kind, rng, c=3, h=14, w=13):
 @pytest.mark.parametrize("radius", [0, 1, 2, 3])
 def test_block_matching_matches_loop_oracle_bytes(kind, radius):
     a, b = _bm_frames(kind, np.random.default_rng(radius))
-    got = block_matching_flow(Tensor(a), Tensor(b), radius=radius).data
+    got = block_matching_flow(a, b, radius=radius).data
     assert _same_bytes(got, _block_matching_flow_loop(a, b, radius))
 
 
@@ -321,22 +321,22 @@ def test_block_matching_recovers_translation():
     shifted = np.roll(base, shift=(2, 1), axis=(1, 2))
     # shifted[r, c] == base[r - 2, c - 1]: the source in the previous frame
     # sits at displacement (-2, -1)
-    flow = block_matching_flow(Tensor(shifted), Tensor(base), radius=3)
+    flow = block_matching_flow(shifted, base, radius=3)
     inner = flow.data[:, 8:-8, 8:-8]
     assert np.all(inner[0] == -2)
     assert np.all(inner[1] == -1)
 
 
 def test_block_matching_zero_radius_and_identical():
-    x = Tensor(np.random.default_rng(2).random((1, 16, 16)).astype(np.float32))
+    x = np.random.default_rng(2).random((1, 16, 16)).astype(np.float32)
     assert np.all(block_matching_flow(x, x, radius=0).data == 0)
     # identical frames: zero displacement wins every tie
     assert np.all(block_matching_flow(x, x, radius=2).data == 0)
 
 
 def test_block_matching_rejects_mismatch():
-    a = Tensor(np.zeros((1, 8, 8)))
-    b = Tensor(np.zeros((1, 8, 9)))
+    a = np.zeros((1, 8, 8))
+    b = np.zeros((1, 8, 9))
     with pytest.raises(ValueError):
         block_matching_flow(a, b, radius=1)
     with pytest.raises(ValueError):
@@ -432,7 +432,7 @@ def test_selection_selected_tokens_oldest_first():
     for i in range(4):
         offs = sorted(sel.indices[i].tolist(), reverse=True)   # oldest first
         for j, off in enumerate(offs):
-            assert np.array_equal(sel.selected.data[i, j],
+            assert np.array_equal(sel.selected[i, j],
                                   vs[off - 1].reshape(4, 3)[i])
 
 
@@ -450,7 +450,7 @@ def _assert_matches_loop(q, vs, traj, s):
     indices, scores, selected = _select_tokens_loop(q, vs, traj, s)
     assert _same_bytes(sel.indices, indices)
     assert _same_bytes(sel.scores, scores)
-    assert _same_bytes(sel.selected.data, selected)
+    assert _same_bytes(sel.selected, selected)
     return sel
 
 
@@ -500,7 +500,7 @@ def test_select_tokens_empty_pool():
     traj = _stationary_traj(2, 3, 8, 12, 1)
     sel = _assert_matches_loop(q, _pool([], 2, 3, 3), traj, 0)
     assert sel.indices.shape == sel.scores.shape == (6, 0)
-    assert sel.selected.dims == (6, 0, 3)
+    assert sel.selected.shape == (6, 0, 3)
 
 
 def test_select_tokens_short_trajectory_clamps_depth():
@@ -514,7 +514,7 @@ def test_select_tokens_short_trajectory_clamps_depth():
     traj = TrajectorySet(2, 2 * ht, 2 * wt, np.array([centers, centers, oldest]))
     sel = _assert_matches_loop(q, vs, traj, pool)
     for i in range(ht * wt):
-        for off, token in zip(sorted(sel.indices[i], reverse=True), sel.selected.data[i]):
+        for off, token in zip(sorted(sel.indices[i], reverse=True), sel.selected[i]):
             src = ht * wt - 1 - i if off >= 2 else i
             assert np.array_equal(token, vs[off - 1].reshape(ht * wt, 5)[src])
 
