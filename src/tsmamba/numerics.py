@@ -11,6 +11,7 @@ build may round the GEMM differently in the last bits.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -158,11 +159,13 @@ def _cubic_kernel(t, a=-0.5):
     return 0.0
 
 
+@functools.lru_cache(maxsize=64)
 def _bicubic_axis_weights(n_in, scale):
     """Sample positions (align_corners=false) and 4-tap weights per output row.
 
     Returns (idx, wts), both [n_in*scale, 4]: tap k reads input row idx[:, k]
     with weight wts[:, k], for k = -1, 0, 1, 2 around the sample's floor.
+    The tables are built once per (n_in, scale) and shared read-only.
     """
     idx = []
     wts = []
@@ -174,7 +177,10 @@ def _bicubic_axis_weights(n_in, scale):
         s = sum(taps)
         idx.append([min(max(base + k, 0), n_in - 1) for k in range(-1, 3)])  # edge replicate
         wts.append([t / s for t in taps])
-    return np.array(idx, dtype=np.intp), np.array(wts, dtype=np.float64)
+    tables = np.array(idx, dtype=np.intp), np.array(wts, dtype=np.float64)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def bicubic_upsample(inp, scale):

@@ -88,14 +88,17 @@ class ScanOrder:
         not a bijection of the grid."""
         size = self.size
         n = size * size
+        message = f"scan order is not a bijection of the {size}x{size} grid"
+        # checked first, so the allocation below is bounded by the order's length
+        if size < 1 or len(self.order) != n:
+            raise ValueError(message)
         rank = np.full(n, -1, dtype=np.intp)
-        if len(self.order) == n:
-            cells = np.fromiter(chain.from_iterable(self.order), dtype=np.intp, count=2 * n)
-            # raises on a cell outside the grid, which a plain index would wrap
-            rank[np.ravel_multi_index((cells[0::2], cells[1::2]), (size, size))] = np.arange(n)
-        # an order that misses a cell leaves a -1 behind
+        cells = np.fromiter(chain.from_iterable(self.order), dtype=np.intp, count=2 * n)
+        # raises on a cell outside the grid, which a plain index would wrap
+        rank[np.ravel_multi_index((cells[0::2], cells[1::2]), (size, size))] = np.arange(n)
+        # an order that repeats a cell misses another, which keeps its -1
         if (rank < 0).any():
-            raise ValueError(f"scan order is not a bijection of the {size}x{size} grid")
+            raise ValueError(message)
         rank = rank.reshape(size, size)
         rank.flags.writeable = False
         return rank

@@ -9,7 +9,9 @@ The forward recurrence, per channel c and step l (h_0 = 0):
     y_l     = <C_l, h_l> + D[c] * u_l
 
 A is diagonal per channel (state_dim entries); B_l and C_l are per-step
-state_dim vectors shared across channels; dt is per (step, channel).
+state_dim vectors shared across channels; dt is per (step, channel).  Several
+windows of C channels can share one parameter set: they are a broadcast axis
+of the state, so each (step, channel) is discretised once.
 """
 
 from __future__ import annotations
@@ -82,31 +84,40 @@ class SelectiveScanParams:
         return self
 
 
-def _recurrence(params, u):
-    """The float64 recurrence over u [L, C]: returns y [L, C] and the
-    (delta, abar, hs) cache that the backward pass reads."""
+def _recurrence(params, u, windows=1):
+    """The float64 recurrence over u [L, W*C] (W windows of C channels,
+    window-major): returns y [L, W*C] and the (delta, abar, hs) cache that the
+    backward pass reads.  The windows are a broadcast axis: delta, Abar and
+    delta*B are computed once on the [L, C, N] parameters and every window's
+    state reads them."""
     if u.ndim != 2 or u.shape[0] < 1:
-        raise ValueError("sequence must be [L, C] with L >= 1")
-    L, C = u.shape
+        raise ValueError("sequence must be [L, W*C] with L >= 1")
+    L, width = u.shape
+    C, N = params.A.shape
+    if windows < 1 or width != windows * C:
+        raise ValueError(f"sequence width {width} is not {windows} windows of {C} channels")
     params.check(L, C)
-    N = params.A.shape[1]
     delta = softplus(params.dt)                      # [L, C]
     abar = np.exp(delta[:, :, None] * params.A[None])  # [L, C, N]
     binp = delta[:, :, None] * params.B[:, None, :]    # [L, C, N]
-    h = np.zeros((C, N), dtype=np.float64)
-    hs = np.zeros((L, C, N), dtype=np.float64)
-    y = np.zeros((L, C), dtype=np.float64)
+    uw = u.reshape(L, windows, C)
+    hs = np.empty((L, width, N), dtype=np.float64)
+    hw = hs.reshape(L, windows, C, N)
+    h = np.zeros((windows, C, N), dtype=np.float64)
     for l in range(L):
-        h = abar[l] * h + binp[l] * u[l][:, None]
-        hs[l] = h
-        y[l] = hs[l] @ params.C[l] + params.D * u[l]
+        h = np.multiply(abar[l], h, out=hw[l])
+        h += binp[l] * uw[l][..., None]
+    # one gemv per step, as hs[l] @ C[l] would take it
+    y = np.matmul(hs, params.C[:, :, None])[..., 0] + (params.D * uw).reshape(L, width)
     return y, (delta, abar, hs)
 
 
-def selective_scan_forward(params, sequence):
-    """Run the recurrence over sequence [L, C]; returns the float32 [L, C]
-    output.  All math is float64 internally for gradient-check fidelity."""
-    y, _ = _recurrence(params, np.asarray(sequence, dtype=np.float64))
+def selective_scan_forward(params, sequence, windows=1):
+    """Run the recurrence over sequence [L, W*C], W windows of C channels in
+    window-major order that share every parameter; returns the float32
+    [L, W*C] output.  All math is float64 internally for gradient-check
+    fidelity."""
+    y, _ = _recurrence(params, np.asarray(sequence, dtype=np.float64), windows)
     return y.astype(np.float32)
 
 
@@ -230,9 +241,9 @@ def ssm_block(tokens_in, window_scans, v_selected, s, params, gamma=None, beta=N
     window_scans : int array [W, K] of per-window token indices in scan order.
     params       : SelectiveScanParams for one window's sequence length
                    L = K*(s+1), shared by all windows.
-    The windows run as one recurrence over [L, W*C]: they become extra
-    channels (A, D and dt tiled W times) that share B and C.  Selected-token
-    slots are context only; outputs come from current slots.
+    The windows run as one recurrence over [L, W*C]: they are a broadcast
+    axis of the state, with no tiled copies of A, D or dt, and share B and C.
+    Selected-token slots are context only; outputs come from current slots.
     """
     x = np.asarray(tokens_in, dtype=np.float32)
     n, c = x.shape
@@ -240,8 +251,6 @@ def ssm_block(tokens_in, window_scans, v_selected, s, params, gamma=None, beta=N
     normed_v = layer_norm(v_selected, gamma, beta) if s > 0 else None
     gathered = build_ss3d_sequence(window_scans, normed, normed_v, s)   # [W, L, C]
     w, length, _ = gathered.shape
-    tiled = SelectiveScanParams(A=np.tile(params.A, (w, 1)), D=np.tile(params.D, w),
-                                dt=np.tile(params.dt, (1, w)), B=params.B, C=params.C)
-    y = selective_scan_forward(tiled, gathered.transpose(1, 0, 2).reshape(length, w * c))
+    y = selective_scan_forward(params, gathered.transpose(1, 0, 2).reshape(length, w * c), w)
     y = y.reshape(length, w, c).transpose(1, 0, 2)
     return x + scatter_current(window_scans, y, s, n)

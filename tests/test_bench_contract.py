@@ -1,18 +1,22 @@
 """The benchmark's own checks pass on the library as it is: each workload's
 first seeded op verifies against the stored reference, and its canary matches
-the stored fingerprint.  perfbench/workloads.py is loaded by path, as the
-benchmark runner loads it."""
+the stored fingerprint.  The perfbench modules are loaded by path, as the
+benchmark runner loads them, so a library change that breaks the runner or
+its tracer fails here too."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from tsmamba.scanorder import ScanOrder
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -20,7 +24,7 @@ def _workloads():
 
 @pytest.mark.parametrize("name", ["stream", "keyframe", "disc_search"])
 def test_workload_op_and_canary_verify(name):
-    wl_module = _workloads()
+    wl_module = _load("workloads")
     reference = wl_module.load_reference()
     wl = wl_module.WORKLOADS[name]()
     wl.setup()
@@ -33,3 +37,42 @@ def test_workload_op_and_canary_verify(name):
     assert record["error"] is None
     canary = wl.canary(reference)
     assert canary is None or canary["error"] is None
+
+
+def _bindings():
+    """Every name bound in the library's modules, and the one traced method."""
+    modules = [m for n, m in sys.modules.items()
+               if (n == "tsmamba" or n.startswith("tsmamba.")) and m is not None]
+    out = {(m.__name__, k): v for m in modules for k, v in vars(m).items()}
+    out["ScanOrder.index_map"] = ScanOrder.__dict__["index_map"]
+    return out
+
+
+def test_traced_keyframe_op_records_scans_and_changes_nothing():
+    spans = _load("spans")
+    wl = _load("workloads").WORKLOADS["keyframe"]()
+    wl.setup()
+    client = wl.client()
+    frame = next(wl.inputs(0))
+    untraced = client.step(frame)
+
+    before = _bindings()
+    recorder = spans.SpanRecorder()
+    uninstall = spans.install(recorder)
+    try:
+        root = recorder.begin_op(0)
+        traced = client.step(frame)
+        recorder.finish(root)
+    finally:
+        uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+
+    assert traced.data.tobytes() == untraced.data.tobytes()
+    table = recorder.arrays()
+    scans = table["name_id"] == recorder.names.index("ssm.selective_scan_forward")
+    # one scan per SSM block; each steps L = 64 cells * (s + 1) = 256 positions
+    # over 4 windows of 32 channels with state_dim 8
+    assert scans.sum() == 6
+    assert table["work"][scans].tolist() == [256 * 128 * 8] * 6

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,28 @@ def test_scan_check_rejects_broken_order(tmp_path, capsys):
     p.write_text(json.dumps({"variant": "x", "size": 2,
                              "order": [[0, 0], [0, 0], [1, 0], [1, 1]]}))
     assert main(["scan", "check", str(p)]) == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"size": 3000, "order": []},
+    {"size": 0, "order": []},
+    {"size": -2, "order": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+], ids=["large_empty", "zero", "negative"])
+def test_scan_check_short_order_allocates_by_input(tmp_path, capsys, doc):
+    """A non-positive size, or an order whose length is not size*size, is
+    rejected before the rank grid is built, so memory follows the document,
+    not the size it claims."""
+    p = tmp_path / "short.json"
+    p.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code = main(["scan", "check", str(p)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert not json.loads(capsys.readouterr().out)["payload"]["bijective"]
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("doc", [

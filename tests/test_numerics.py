@@ -276,6 +276,15 @@ def test_bicubic_matches_loop_oracle_bytes(scale):
         assert idx.tolist() == want_idx and wts.tolist() == want_wts
 
 
+def test_bicubic_axis_weights_cached_read_only():
+    idx, wts = numerics._bicubic_axis_weights(13, 4)
+    again = numerics._bicubic_axis_weights(13, 4)
+    assert again[0] is idx and again[1] is wts        # built once per (n_in, scale)
+    for table in (idx, wts):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
 def test_bicubic_constant_preserved():
     x = np.full((3, 6, 6), 0.37, dtype=np.float32)
     y = bicubic_upsample(x, 4)

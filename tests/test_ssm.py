@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsmamba.model import window_scans_for_grid
 from tsmamba.numerics import ModelConfig, layer_norm
@@ -64,6 +65,30 @@ def test_forward_single_step_closed_form():
     d = np.log(2.0)  # softplus(0)
     expect = 3.0 * (d * 2.0 * 1.0) + 0.5 * 1.0
     assert abs(float(y[0, 0]) - expect) < 1e-6
+
+
+@settings(max_examples=40)
+@given(L=st.integers(1, 40), C=st.integers(1, 8), N=st.integers(1, 9),
+       windows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_windows_equal_separate_scans(L, C, N, windows, seed):
+    """W windows in one call, window-major along the width, give the bytes
+    of W single-window calls with the same parameters."""
+    rng = np.random.default_rng(seed)
+    params = SelectiveScanParams.init(C, N, L, rng)
+    params.A = -rng.uniform(0.5, 4.0, params.A.shape)      # distinct per channel
+    params.D = rng.normal(1.0, 0.5, C)
+    u = rng.normal(0, 1, (L, windows, C))
+    y = selective_scan_forward(params, u.reshape(L, windows * C), windows)
+    want = np.stack([selective_scan_forward(params, u[:, w]) for w in range(windows)],
+                    axis=1)
+    assert y.tobytes() == want.reshape(L, windows * C).tobytes()
+
+
+@pytest.mark.parametrize("width,windows", [(6, 1), (6, 2), (8, 3), (0, 0), (4, 0)])
+def test_windows_must_divide_width(width, windows):
+    params = SelectiveScanParams.init(4, 2, 5)
+    with pytest.raises(ValueError):
+        selective_scan_forward(params, np.zeros((5, width)), windows)
 
 
 def test_param_shape_checks():
