@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 internal invariant violation, 2 invalid arguments.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -81,13 +82,17 @@ def _envelope(command, inputs, payload):
     }
 
 
-def _emit(obj, out_path=None):
-    text = json.dumps(obj, separators=(",", ":"), sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text + "\n")
+def _write_text(text, path=None):
+    """Write text to the file at path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as f:
+            f.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+
+
+def _emit(obj, out_path=None):
+    _write_text(json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n", out_path)
 
 
 # --- scan -------------------------------------------------------------------
@@ -98,14 +103,9 @@ def cmd_scan_gen(args):
     except ValueError:
         raise CliError(f"unknown variant {args.variant!r}")
     scan = generate_scan(variant, args.size)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(scan_to_json(scan) + "\n")
-    else:
-        sys.stdout.write(scan_to_json(scan) + "\n")
+    _write_text(scan_to_json(scan) + "\n", args.out)
     if args.svg:
-        with open(args.svg, "w") as f:
-            f.write(scan_to_svg(scan) + "\n")
+        _write_text(scan_to_svg(scan) + "\n", args.svg)
     return 0
 
 
@@ -134,19 +134,12 @@ def cmd_disc_analyze(args):
     payload = json.loads(report_to_json(report))
     _emit(_envelope("disc analyze", [], payload), args.out)
     if args.svg:
-        with open(args.svg, "w") as f:
-            f.write(report_to_svg(report, args.grid) + "\n")
+        _write_text(report_to_svg(report, args.grid) + "\n", args.svg)
     return 0
 
 
 def cmd_disc_search(args):
-    results = search_procedures(args.grid, args.window)
-    text = search_to_csv(results)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(search_to_csv(search_procedures(args.grid, args.window)), args.out)
     return 0
 
 
@@ -196,21 +189,15 @@ def cmd_traj_select(args):
 
 def _params_from_file(path, length, channels, state_dim, seed):
     if path:
-        blob = read_tstf(path)
-        flat = blob.reshape(-1).astype(np.float64)
+        flat = read_tstf(path).reshape(-1).astype(np.float64)
         c, n, L = channels, state_dim, length
-        need = c * n + c + L * c + L * n + L * n
-        if flat.size != need:
-            raise CliError(f"parameter file holds {flat.size} values, need {need}")
-        o = 0
-        def take(shape):
-            nonlocal o
-            k = int(np.prod(shape))
-            out = flat[o:o + k].reshape(shape)
-            o += k
-            return out
-        return SelectiveScanParams(A=take((c, n)), D=take((c,)),
-                                   dt=take((L, c)), B=take((L, n)), C=take((L, n)))
+        # SelectiveScanParams field order: A, D, dt, B, C
+        shapes = [(c, n), (c,), (L, c), (L, n), (L, n)]
+        sizes = [math.prod(shape) for shape in shapes]
+        if flat.size != sum(sizes):
+            raise CliError(f"parameter file holds {flat.size} values, need {sum(sizes)}")
+        parts = np.split(flat, np.cumsum(sizes)[:-1])
+        return SelectiveScanParams(*(p.reshape(shape) for p, shape in zip(parts, shapes)))
     return SelectiveScanParams.init(channels, state_dim, length,
                                     np.random.default_rng(seed))
 
@@ -250,8 +237,9 @@ def cmd_model_forward(args):
             overrides = json.load(f)
         if not isinstance(overrides, dict):
             raise CliError("--config must hold a JSON object")
+        known = {f.name for f in dataclasses.fields(ModelConfig)}
         for k, v in overrides.items():
-            if not hasattr(config, k):
+            if k not in known:
                 raise CliError(f"unknown config key {k!r}")
             if type(v) is not int:
                 raise CliError(f"config key {k!r} must be an integer, got {v!r}")
@@ -438,10 +426,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

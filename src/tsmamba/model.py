@@ -15,7 +15,7 @@ this pointwise fusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,11 +89,11 @@ class TsmaWeights:
 
     concat_proj_w: np.ndarray     # [(C, (s+1)*C)] merge Q with V_s
     concat_proj_b: np.ndarray
-    block_params: dict            # name -> SelectiveScanParams, L = window_size^2*(s+1)
     fusion_w: np.ndarray          # pointwise conv over concatenated branches
     fusion_b: np.ndarray
     ln_gamma: np.ndarray
     ln_beta: np.ndarray
+    block_params: dict            # name -> SelectiveScanParams, L = window_size^2*(s+1)
 
     @classmethod
     def random(cls, config, rng):
@@ -170,13 +170,13 @@ class RWeights:
 
     head_w: np.ndarray
     head_b: np.ndarray
-    res: list
     up1_w: np.ndarray            # conv to 4*C channels for x2 pixel shuffle
     up1_b: np.ndarray
     up2_w: np.ndarray
     up2_b: np.ndarray
     tail_w: np.ndarray           # conv to 3 channels
     tail_b: np.ndarray
+    res: list                    # list of [w1, b1, w2, b2]
 
     @classmethod
     def random(cls, config, rng):
@@ -184,8 +184,8 @@ class RWeights:
         std = 0.05
         res = []
         for _ in range(config.n2_res_blocks):
-            res.append((rng.normal(0, std, (c, c, 3, 3)), np.zeros(c),
-                        rng.normal(0, std, (c, c, 3, 3)), np.zeros(c)))
+            res.append([rng.normal(0, std, (c, c, 3, 3)), np.zeros(c),
+                        rng.normal(0, std, (c, c, 3, 3)), np.zeros(c)])
         return cls(
             head_w=rng.normal(0, std, (c, c, 3, 3)), head_b=np.zeros(c),
             res=res,
@@ -236,62 +236,47 @@ class TsMambaWeights:
 
 
 _RES_PARTS = ("w1", "b1", "w2", "b2")
-_SSM_PARTS = ("A", "D", "dt", "B", "C")
 
 
 def _weight_slots(weights):
-    """(name, owner, key) for every weight array, in bundle order.  The array
-    is attribute `key` of `owner`, or, for key = (i, j), entry j of the
-    residual-block tuple owner[i]."""
-    g, t, r = weights.g, weights.tsma, weights.r
-    for attr in ("conv_w", "conv_b", "proj_w", "proj_b"):
-        yield f"g.{attr}", g, attr
-    for i in range(len(g.res)):
-        for j, part in enumerate(_RES_PARTS):
-            yield f"g.res{i}.{part}", g.res, (i, j)
-    for attr in ("concat_proj_w", "concat_proj_b", "fusion_w", "fusion_b",
-                 "ln_gamma", "ln_beta"):
-        yield f"tsma.{attr}", t, attr
-    for block, params in t.block_params.items():
-        for attr in _SSM_PARTS:
-            yield f"tsma.{block}.{attr}", params, attr
-    for attr in ("head_w", "head_b", "up1_w", "up1_b", "up2_w", "up2_b",
-                 "tail_w", "tail_b"):
-        yield f"r.{attr}", r, attr
-    for i in range(len(r.res)):
-        for j, part in enumerate(_RES_PARTS):
-            yield f"r.res{i}.{part}", r.res, (i, j)
+    """name -> (container, key) for every weight array, in bundle order, named
+    by the dataclass fields: the array is container[key], where the container
+    is a part's vars() or a residual block's [w1, b1, w2, b2] list."""
+    slots = {}
 
+    def walk(prefix, part):
+        for f in fields(part):
+            value = getattr(part, f.name)
+            if isinstance(value, dict):          # block name -> SelectiveScanParams
+                for block, params in value.items():
+                    walk(f"{prefix}.{block}", params)
+            elif isinstance(value, list):        # residual blocks
+                for i, block in enumerate(value):
+                    for j, name in enumerate(_RES_PARTS):
+                        slots[f"{prefix}.{f.name}{i}.{name}"] = (block, j)
+            else:
+                slots[f"{prefix}.{f.name}"] = (vars(part), f.name)
 
-def _get_slot(owner, key):
-    if isinstance(key, tuple):
-        return owner[key[0]][key[1]]
-    return getattr(owner, key)
+    for f in fields(weights):
+        walk(f.name, getattr(weights, f.name))
+    return slots
 
 
 def weight_map(weights):
     """name -> array for every weight array of a TsMambaWeights (the names of
     a weight bundle's manifest)."""
-    return {name: _get_slot(owner, key) for name, owner, key in _weight_slots(weights)}
+    return {name: c[k] for name, (c, k) in _weight_slots(weights).items()}
 
 
 def set_weight(weights, name, array):
-    """Replace the named weight array; its shape must stay the same."""
-    for slot_name, owner, key in _weight_slots(weights):
-        if slot_name == name:
-            break
-    else:
+    """Replace the named weight array in place; its shape must stay the same."""
+    slot = _weight_slots(weights).get(name)
+    if slot is None:
         raise ValueError(f"unknown layer {name!r}")
-    cur = np.asarray(_get_slot(owner, key))
-    if tuple(array.shape) != cur.shape:
-        raise ValueError(f"layer {name}: shape {tuple(array.shape)} != {cur.shape}")
-    if isinstance(key, tuple):
-        i, j = key
-        block = list(owner[i])
-        block[j] = array
-        owner[i] = tuple(block)
-    else:
-        setattr(owner, key, array)
+    c, k = slot
+    if tuple(array.shape) != np.shape(c[k]):
+        raise ValueError(f"layer {name}: shape {tuple(array.shape)} != {np.shape(c[k])}")
+    c[k] = array
 
 
 def ts_mamba_forward(frames, flows, weights, config):

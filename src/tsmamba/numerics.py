@@ -14,7 +14,8 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -67,9 +68,10 @@ class ModelConfig:
     token_size: int = 4
     window_size: int = 8           # in tokens
     s_selected: int = 3
-    scale: int = 4
     temporal_window: int = 15
     state_dim: int = 8
+    # not a setting: R's two x2 pixel-shuffle stages fix the upscale at 4
+    scale: ClassVar[int] = 4
 
     def validate(self):
         if self.s_selected < 0:
@@ -80,13 +82,15 @@ class ModelConfig:
                 f"(got s={self.s_selected}, T={self.temporal_window})"
             )
         for name in ("n1_res_blocks", "n2_res_blocks", "channels", "token_size",
-                     "window_size", "scale", "temporal_window", "state_dim"):
+                     "window_size", "temporal_window", "state_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.window_size & (self.window_size - 1):
+            raise ValueError(f"window_size must be a power of two (got {self.window_size})")
         return self
 
 
-def conv2d(inp, weights, bias=None, stride=1, padding=0):
+def conv2d(inp, weights, bias=None, *, padding=0):
     """Cross-correlation of [Cin,H,W] with [Cout,Cin,kh,kw] -> [Cout,H',W'].
 
     im2col + GEMM: output rows are taken in blocks whose [Cin*kh*kw, rows*W']
@@ -108,7 +112,7 @@ def conv2d(inp, weights, bias=None, stride=1, padding=0):
     if padding:
         x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     # [Cin, H', W', kh, kw] view of every receptive field; nothing is copied yet
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))
     _, ho, wo, _, _ = win.shape
     k = cin * kh * kw
     wmat = w.reshape(cout, k)

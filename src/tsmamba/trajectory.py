@@ -68,9 +68,9 @@ class GWeights:
 
     conv_w: np.ndarray
     conv_b: np.ndarray
-    res: list                 # list of (w1, b1, w2, b2)
     proj_w: np.ndarray        # [C_token, token_size^2 * C_feat]
     proj_b: np.ndarray
+    res: list                 # list of [w1, b1, w2, b2]
 
     @classmethod
     def random(cls, config, rng, c_in=3):
@@ -79,8 +79,8 @@ class GWeights:
         std = 0.05
         res = []
         for _ in range(config.n1_res_blocks):
-            res.append((rng.normal(0, std, (c, c, 3, 3)), np.zeros(c),
-                        rng.normal(0, std, (c, c, 3, 3)), np.zeros(c)))
+            res.append([rng.normal(0, std, (c, c, 3, 3)), np.zeros(c),
+                        rng.normal(0, std, (c, c, 3, 3)), np.zeros(c)])
         return cls(
             conv_w=rng.normal(0, std, (c, c_in, 3, 3)),
             conv_b=np.zeros(c),

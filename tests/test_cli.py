@@ -328,6 +328,24 @@ def test_model_forward_bad_config_key(tmp_path):
                      "--config", str(cfg), "--out", str(frames / "x.tstf")]) == 2, bad
 
 
+@pytest.mark.parametrize("bad,named", [
+    ({"validate": 1}, "validate"),       # a method, not a setting
+    ({"scale": 2}, "scale"),             # fixed at 4 by R's two x2 stages
+    ({"window_size": 6}, "window_size"),
+])
+def test_model_forward_config_takes_only_settings(tmp_path, capsys, bad, named):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    _write_frames(frames, n=1, size=16)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    assert main(["model", "forward", "--frames", str(frames),
+                 "--config", str(cfg), "--out", str(tmp_path / "sr.tstf")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+    assert not (tmp_path / "sr.tstf").exists()
+
+
 def _write_bundle(directory, weights):
     """One TSTF file per named weight array, listed in manifest.json."""
     directory.mkdir()

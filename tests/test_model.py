@@ -140,10 +140,17 @@ def test_weight_map_names_and_setter():
     cfg = ModelConfig(channels=4, state_dim=2, n1_res_blocks=1, n2_res_blocks=2)
     weights = TsMambaWeights.random(cfg, seed=0)
     layers = weight_map(weights)
-    assert list(layers)[:4] == ["g.conv_w", "g.conv_b", "g.proj_w", "g.proj_b"]
-    assert "g.res0.w2" in layers and "r.res1.b1" in layers
-    assert "tsma.p2_inter.dt" in layers and "r.tail_b" in layers
-    assert len(layers) == 4 + 4 + 6 + 6 * 5 + 8 + 2 * 4
+    res = ("w1", "b1", "w2", "b2")
+    assert list(layers) == (
+        ["g.conv_w", "g.conv_b", "g.proj_w", "g.proj_b"]
+        + [f"g.res0.{p}" for p in res]
+        + ["tsma.concat_proj_w", "tsma.concat_proj_b", "tsma.fusion_w", "tsma.fusion_b",
+           "tsma.ln_gamma", "tsma.ln_beta"]
+        + [f"tsma.{path}_{branch}.{p}" for path in ("p1", "p2")
+           for branch in ("std", "intra", "inter") for p in ("A", "D", "dt", "B", "C")]
+        + ["r.head_w", "r.head_b", "r.up1_w", "r.up1_b", "r.up2_w", "r.up2_b",
+           "r.tail_w", "r.tail_b"]
+        + [f"r.res{i}.{p}" for i in range(2) for p in res])
     new = np.ones_like(layers["r.res1.w2"])
     set_weight(weights, "r.res1.w2", new)
     assert weights.r.res[1][2] is new
@@ -152,6 +159,24 @@ def test_weight_map_names_and_setter():
         set_weight(weights, "r.res1.w2", np.ones((2, 2)))
     with pytest.raises(ValueError):
         set_weight(weights, "r.res9.w2", new)
+
+
+def test_set_weight_writes_in_place():
+    cfg = ModelConfig(channels=4, state_dim=2, n1_res_blocks=1, n2_res_blocks=1)
+    weights = TsMambaWeights.random(cfg, seed=0)
+    block = weights.g.res[0]
+    params = weights.tsma.block_params["p2_std"]
+    layers = weight_map(weights)
+    new = {name: np.full_like(layers[name], 7.0)
+           for name in ("g.res0.b1", "tsma.p2_std.dt", "r.up1_w")}
+    for name, array in new.items():
+        set_weight(weights, name, array)
+    # the residual block and the SSM pack are the same objects, written into
+    assert weights.g.res[0] is block and block[1] is new["g.res0.b1"]
+    assert weights.tsma.block_params["p2_std"] is params
+    assert params.dt is new["tsma.p2_std.dt"]
+    assert weights.r.up1_w is new["r.up1_w"]
+    assert all(weight_map(weights)[name] is array for name, array in new.items())
 
 
 # --- losses -----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -53,6 +54,18 @@ def test_model_config_validation():
     ModelConfig(s_selected=0).validate()
     with pytest.raises(ValueError, match="negative"):
         ModelConfig(s_selected=-1).validate()
+    ModelConfig(window_size=16).validate()
+    for size in (3, 6, 12):
+        with pytest.raises(ValueError, match="window_size"):
+            ModelConfig(window_size=size).validate()
+
+
+def test_model_config_scale_is_fixed():
+    # R's two x2 pixel-shuffle stages fix the upscale; it is not a setting
+    assert ModelConfig().scale == 4
+    assert len(dataclasses.fields(ModelConfig)) == 8
+    with pytest.raises(TypeError):
+        ModelConfig(scale=2)
 
 
 # --- conv2d -----------------------------------------------------------------
@@ -72,15 +85,14 @@ def test_conv2d_matches_naive():
     x = rng.normal(0, 1, (3, 6, 7))
     w = rng.normal(0, 1, (4, 3, 3, 3))
     b = rng.normal(0, 1, 4)
-    y = conv2d(x.astype(np.float32), w, b, stride=2, padding=1)
+    y = conv2d(x.astype(np.float32), w, b, padding=1)
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    ho = (6 + 2 - 3) // 2 + 1
-    wo = (7 + 2 - 3) // 2 + 1
+    ho, wo = 6, 7
     ref = np.zeros((4, ho, wo))
     for o in range(4):
         for i in range(ho):
             for j in range(wo):
-                patch = xp[:, 2 * i:2 * i + 3, 2 * j:2 * j + 3]
+                patch = xp[:, i:i + 3, j:j + 3]
                 ref[o, i, j] = (patch * w[o]).sum() + b[o]
     assert y.shape == (4, ho, wo)
     assert np.allclose(y, ref, atol=1e-4)
@@ -108,7 +120,8 @@ def _conv2d_loop(x, w, bias=None, stride=1, padding=0):
     return out
 
 
-# (cin, cout, kernel, stride, padding, height, width)
+# (cin, cout, kernel, stride, padding, height, width); conv2d has no stride,
+# so a strided case samples its output every stride-th row and column
 CONV_CASES = [
     (3, 4, 3, 1, 1, 9, 11),
     (3, 4, 3, 2, 1, 9, 11),
@@ -130,16 +143,16 @@ def test_conv2d_matches_loop_oracle(cin, cout, k, stride, padding, h, w):
     # by ~1e-6, which atol 1e-5 bounds
     wts = rng.normal(0, 1 / math.sqrt(cin * k * k), (cout, cin, k, k)).astype(np.float32)
     b = rng.normal(0, 1, cout).astype(np.float32)
-    got = conv2d(x, wts, b, stride=stride, padding=padding)
+    got = conv2d(x, wts, b, padding=padding)[:, ::stride, ::stride]
     want = _conv2d_loop(x, wts, b, stride=stride, padding=padding)
     assert got.shape == want.shape and got.dtype == np.float32
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
 
 
 def test_conv2d_cases_cross_row_blocks():
-    for cin, _, k, stride, padding, h, w in (CONV_CASES[6], CONV_CASES[8]):
-        wo = (w + 2 * padding - k) // stride + 1
-        ho = (h + 2 * padding - k) // stride + 1
+    for cin, _, k, _, padding, h, w in (CONV_CASES[6], CONV_CASES[8]):
+        wo = w + 2 * padding - k + 1
+        ho = h + 2 * padding - k + 1
         rows = max(1, numerics._CONV_CHUNK // (cin * k * k * wo))
         assert ho > 2 * rows
 
