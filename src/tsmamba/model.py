@@ -7,6 +7,9 @@ The TSMA module runs two scan-shift-scan paths:
   path 2: standard Scan-2 block, then IntraWCB Scan-2 -> L(1) -> Scan-4 and
           InterWCB Scan-2 -> UL(3) -> Scan-4 (LU == UL).
 
+A shifted block reads its path's standard-block output and scans each window
+with the second curve shifted inside that window (`window_scans_for_grid`).
+
 Branch outputs are concatenated and fused by a pointwise convolution: the
 deformable attention block (DAB) of the reference design is substituted by
 this pointwise fusion.
@@ -20,13 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .numerics import ModelConfig, Tensor, bicubic_upsample, conv2d, pixel_shuffle, residual_block
-from .scanorder import (
-    ScanVariant,
-    ShiftSpec,
-    WindowPartition,
-    compose_scan_shift_scan,
-    window_tiled_order,
-)
+from .scanorder import ScanVariant, ShiftSpec, generate_scan, tile_windows
 from .ssm import SelectiveScanParams, ssm_block
 from .trajectory import GWeights, select_along_trajectories
 
@@ -47,40 +44,30 @@ __all__ = [
 
 
 # The two branches of the reference design: (block-name prefix, standard
-# scan, IntraWCB (first, shift, second), InterWCB (first, shift, second)).
+# scan, IntraWCB (shift, second scan), InterWCB (shift, second scan)).  A
+# shifted block's first scan is its branch's standard block, whose output it
+# reads.
 TSMA_PATHS = (
-    ("p1", ScanVariant.Scan1,
-     (ScanVariant.Scan1, "U1", ScanVariant.Scan3),
-     (ScanVariant.Scan1, "UL3", ScanVariant.Scan3)),
-    ("p2", ScanVariant.Scan2,
-     (ScanVariant.Scan2, "L1", ScanVariant.Scan4),
-     (ScanVariant.Scan2, "UL3", ScanVariant.Scan4)),
+    ("p1", ScanVariant.Scan1, ("U1", ScanVariant.Scan3), ("UL3", ScanVariant.Scan3)),
+    ("p2", ScanVariant.Scan2, ("L1", ScanVariant.Scan4), ("UL3", ScanVariant.Scan4)),
 )
 
 
-def _window_scan_cells(variant, shift_name, second, w):
-    """One window's cell order for a (possibly shifted) scan: the variant
-    curve, or the composed shifted order."""
-    part = WindowPartition(grid_size=w, window_size=w)
-    if shift_name is None:
-        order = window_tiled_order(variant, part).order
-    else:
-        proc = compose_scan_shift_scan(variant, ShiftSpec.parse(shift_name),
-                                       second, part)
-        order = proc.shifted_second_order.order
-    return order
-
-
-def window_scans_for_grid(ht, wt, config, variant, shift_name=None, second=None):
+def window_scans_for_grid(ht, wt, config, variant, shift=None):
     """Int array [W, w*w] of per-window token-index scan sequences covering
-    the grid, windows in row-major order."""
+    the grid, windows in row-major order.
+
+    Each window is scanned with the variant's w x w curve.  With a shift name
+    (for example "UL3"), the curve's visit at position p reads the window's
+    cell p - d, wrapped modulo w: the shift stays inside each window.
+    """
     w = config.window_size
-    if ht % w or wt % w:
-        raise ValueError(f"token grid {ht}x{wt} not divisible by window {w}")
-    r, c = np.asarray(_window_scan_cells(variant, shift_name, second, w)).T
-    rows = np.arange(0, ht, w)[:, None, None] + r
-    cols = np.arange(0, wt, w)[None, :, None] + c
-    return (rows * wt + cols).reshape(-1, w * w)
+    curve = np.asarray(generate_scan(variant, w).order)
+    if shift is not None:
+        d = ShiftSpec.parse(shift)
+        curve = (curve - (d.delta_row, d.delta_col)) % w
+    cells = tile_windows(curve, w, ht, wt)
+    return cells[..., 0] * wt + cells[..., 1]
 
 
 @dataclass
@@ -144,15 +131,15 @@ def tsma_forward(q_grid, selection, weights, config):
 
     v_pad = pad(selection.selected)
 
-    def run_block(tokens, name, variant, shift=None, second=None):
-        scans = window_scans_for_grid(hp, wp, config, variant, shift, second)
+    def run_block(tokens, name, shift, variant):
+        scans = window_scans_for_grid(hp, wp, config, variant, shift)
         return ssm_block(tokens, scans, v_pad, s, weights.block_params[name],
                          gamma=weights.ln_gamma, beta=weights.ln_beta)
 
     x = pad(merged)
     outs = []
     for prefix, std_var, intra, inter in TSMA_PATHS:
-        trunk = run_block(x, f"{prefix}_std", std_var)
+        trunk = run_block(x, f"{prefix}_std", None, std_var)
         outs.append(trunk)
         outs.append(run_block(trunk, f"{prefix}_intra", *intra))
         outs.append(run_block(trunk, f"{prefix}_inter", *inter))

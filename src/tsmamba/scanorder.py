@@ -7,9 +7,9 @@ orientation reproduces the published elimination values: the oracle in
 and the README "Acceptance status" section records what they reach.
 
 A variant's order on an S x S grid is the plain Hilbert curve (4-neighbor
-continuous).  For window-partitioned analysis the per-window order tiles the
-window-size curve over windows in raster window order; see
-`window_tiled_order`.
+continuous).  Window-partitioned orders place the window-size curve in every
+window, windows in raster order; `tile_windows` is the one tiler, and
+`window_tiled_order` wraps it for the discontinuity analysis.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "WindowPartition",
     "Procedure",
     "generate_scan",
+    "tile_windows",
     "window_tiled_order",
     "compose_scan_shift_scan",
     "scan_to_json",
@@ -166,9 +167,6 @@ class WindowPartition:
         r, c = cell
         return (r // self.window_size, c // self.window_size)
 
-    def windows_per_side(self):
-        return self.grid_size // self.window_size
-
 
 @dataclass(frozen=True)
 class Procedure:
@@ -214,12 +212,20 @@ def _check_size(size):
 def generate_scan(variant, size):
     """One of the four Hilbert variants on a size x size grid."""
     _check_size(size)
-    if not isinstance(variant, ScanVariant):
-        variant = ScanVariant(str(variant).lower())
     f = _DIHEDRAL[VARIANT_DIHEDRAL[variant]]
     base = _hilbert_base(size)
     order = tuple(f(r, c, size) for (r, c) in base)
     return ScanOrder(size=size, order=order, label=variant.value)
+
+
+def tile_windows(curve, window, rows, cols):
+    """Int array [W, w*w, 2] of (row, col) cells: the [w*w, 2] window curve
+    placed in every window of a rows x cols grid, windows in row-major order.
+    Raises ValueError when the window does not divide the grid."""
+    if rows % window or cols % window:
+        raise ValueError(f"grid {rows}x{cols} not divisible by window {window}")
+    origins = np.indices((rows // window, cols // window)).reshape(2, -1).T * window
+    return origins[:, None, :] + np.asarray(curve)
 
 
 def window_tiled_order(variant, partition):
@@ -229,14 +235,10 @@ def window_tiled_order(variant, partition):
     first scan": each window is scanned with the same variant curve, windows
     are visited row-major.
     """
-    w = partition.window_size
+    w, size = partition.window_size, partition.grid_size
     curve = generate_scan(variant, w)
-    cells = []
-    for wr in range(partition.windows_per_side()):
-        for wc in range(partition.windows_per_side()):
-            for (r, c) in curve.order:
-                cells.append((wr * w + r, wc * w + c))
-    return ScanOrder(size=partition.grid_size, order=tuple(cells),
+    cells = tile_windows(curve.order, w, size, size).reshape(-1, 2).tolist()
+    return ScanOrder(size=size, order=tuple(map(tuple, cells)),
                      label=f"{curve.label}@tiled")
 
 
@@ -244,8 +246,8 @@ def compose_scan_shift_scan(first, shift, second, partition):
     """Compose: shift the grid, re-partition, scan shifted windows with
     `second`, then map visited positions back to original cells.
 
-    `first` and `second` are window-size variant names/ScanVariants; each is
-    tiled over the windows of `partition`.
+    `first` and `second` are ScanVariants; each window-size curve is tiled
+    over the windows of `partition`.
     """
     first_order = window_tiled_order(first, partition)
     second_order = window_tiled_order(second, partition)

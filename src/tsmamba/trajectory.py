@@ -313,7 +313,7 @@ def select_along_trajectories(frames, flows, g_weights, config):
     grids = np.stack([generate_tokens(frame, config, g_weights) for frame in frames])
 
     traj = initial_trajectories(config, dims[1], dims[2])
-    if flows:
+    if flows is not None:
         if len(flows) != len(frames) - 1:
             raise ValueError(f"{len(frames)} frames need {len(frames) - 1} flows, "
                              f"got {len(flows)}")

@@ -6,6 +6,7 @@ its tracer fails here too."""
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,3 +77,42 @@ def test_traced_keyframe_op_records_scans_and_changes_nothing():
     # over 4 windows of 32 channels with state_dim 8
     assert scans.sum() == 6
     assert table["work"][scans].tolist() == [256 * 128 * 8] * 6
+
+
+def _traced_call_counts(name, n_ops):
+    """Calls of each traced function in each of a workload's first n_ops ops,
+    as perfbench/counts.py tallies them."""
+    spans = _load("spans")
+    wl = _load("workloads").WORKLOADS[name]()
+    wl.setup()
+    client = wl.client()
+    inputs = wl.inputs(0)
+    for _ in range(wl.warmup):
+        client.ingest(next(inputs))
+    recorder = spans.SpanRecorder()
+    uninstall = spans.install(recorder)
+    try:
+        for op in range(n_ops):
+            inp = next(inputs)
+            root = recorder.begin_op(op)
+            client.step(inp)
+            recorder.finish(root)
+    finally:
+        uninstall()
+    table = recorder.arrays()
+    return [Counter(recorder.names[i] for i in table["name_id"][table["op"] == op]
+                    if recorder.names[i] != spans.OP) for op in range(n_ops)]
+
+
+def test_traced_call_counts_equal_op_to_op():
+    """counts.py rejects a run whose ops call the traced functions a different
+    number of times; the keyframe op builds its six block scans from six
+    window curves, with no scan-shift-scan composition or whole-grid tiling."""
+    counts = {name: _traced_call_counts(name, 2) for name in ("keyframe", "disc_search")}
+    for name, (first, second) in counts.items():
+        assert first and first == second, name
+    keyframe = counts["keyframe"][0]
+    assert keyframe["scanorder.generate_scan"] == 6
+    assert keyframe["model.window_scans_for_grid"] == 6
+    assert keyframe["scanorder.compose_scan_shift_scan"] == 0
+    assert keyframe["scanorder.window_tiled_order"] == 0

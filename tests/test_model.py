@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from tsmamba import ssm
 from tsmamba.numerics import ModelConfig, bicubic_upsample
 from tsmamba.model import (
+    TSMA_PATHS,
     TsMambaWeights,
     calibrate_channels,
     charbonnier_loss,
@@ -19,6 +20,7 @@ from tsmamba.model import (
     weight_map,
     window_scans_for_grid,
 )
+from tsmamba.scanorder import ShiftSpec, WindowPartition, compose_scan_shift_scan, window_tiled_order
 from tsmamba.trajectory import TrajectorySet, token_centers
 
 
@@ -84,6 +86,41 @@ def test_window_scans_cover_token_grid():
     assert flat == list(range(64))
     with pytest.raises(ValueError):
         window_scans_for_grid(6, 8, cfg, ScanVariant.Scan1)
+
+
+def _composed_window_scans(ht, wt, w, first, shift, second):
+    """Oracle: one window's order from the discontinuity analysis's objects on
+    a one-window partition (the first curve, or first -> shift -> second),
+    placed in every window of the grid by explicit loops."""
+    part = WindowPartition(w, w)
+    if shift is None:
+        cells = window_tiled_order(first, part).order
+    else:
+        proc = compose_scan_shift_scan(first, ShiftSpec.parse(shift), second, part)
+        cells = proc.shifted_second_order.order
+    scans = []
+    for wr in range(0, ht, w):
+        for wc in range(0, wt, w):
+            scans.append([(wr + r) * wt + wc + c for r, c in cells])
+    return np.array(scans)
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 16])
+def test_window_scans_equal_composed_procedure(w):
+    """Every TSMA block's scans, on grids of 1-3 by 1-3 windows, are byte-equal
+    to the composed procedure's, and each token appears once."""
+    cfg = ModelConfig(window_size=w)
+    for _, std, *shifted in TSMA_PATHS:
+        # a block's first scan is its path's standard block
+        for variant, shift in [(std, None)] + [(second, shift) for shift, second in shifted]:
+            for nr in (1, 2, 3):
+                for nc in (1, 2, 3):
+                    ht, wt = nr * w, nc * w
+                    got = window_scans_for_grid(ht, wt, cfg, variant, shift)
+                    want = _composed_window_scans(ht, wt, w, std, shift, variant)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                    assert sorted(got.ravel().tolist()) == list(range(ht * wt))
 
 
 # toy width for forward passes at large frame sizes

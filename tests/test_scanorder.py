@@ -11,6 +11,7 @@ from tsmamba.scanorder import (
     scan_from_json,
     scan_to_json,
     scan_to_svg,
+    tile_windows,
     window_tiled_order,
 )
 
@@ -74,6 +75,20 @@ def test_window_tiled_order_covers_grid():
     assert order.is_bijective()
     # first 16 cells stay inside the top-left window
     assert all(r < 4 and c < 4 for (r, c) in order.order[:16])
+    # the tiler on rectangular grids: every cell once, and window k (row-major)
+    # holds the curve moved to that window's corner, so its cells stay inside it
+    for rows, cols, w in [(8, 24, 8), (24, 8, 8), (4, 12, 2), (3, 5, 1), (16, 16, 16)]:
+        curve = np.asarray(generate_scan(ScanVariant.Scan2, w).order)
+        cells = tile_windows(curve, w, rows, cols)
+        assert cells.shape == ((rows // w) * (cols // w), w * w, 2)
+        flat = (cells[..., 0] * cols + cells[..., 1]).ravel()
+        assert sorted(flat.tolist()) == list(range(rows * cols))
+        for k, window in enumerate(cells):
+            corner = np.array(divmod(k, cols // w)) * w
+            assert ((window // w) * w == corner).all()
+            assert np.array_equal(window, curve + corner)
+    with pytest.raises(ValueError, match="not divisible by window 8"):
+        tile_windows(generate_scan(ScanVariant.Scan1, 8).order, 8, 8, 12)
 
 
 def test_compose_is_bijective_and_inverts_shift():

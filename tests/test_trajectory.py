@@ -217,7 +217,7 @@ def test_propagate_zero_flow_keeps_centers(t, window):
             assert _same_bytes(got, want)
 
 
-@pytest.mark.parametrize("n_frames", [1, 2, 5])
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 5])
 def test_select_without_flows_equals_zero_flows(n_frames):
     cfg = ModelConfig(channels=4, temporal_window=3, s_selected=2)
     rng = np.random.default_rng(n_frames)
@@ -232,6 +232,11 @@ def test_select_without_flows_equals_zero_flows(n_frames):
     assert _same_bytes(sel.selected, zsel.selected)
     with pytest.raises(ValueError):      # one flow too many
         select_along_trajectories(frames, zeros, g, cfg)
+    # an empty list is a flow count like any other: one frame needs none, and
+    # more frames must not fall back to the static cold start
+    if n_frames > 1:
+        with pytest.raises(ValueError, match=f"{n_frames} frames need {n_frames - 1} flows, got 0"):
+            select_along_trajectories(frames, [], g, cfg)
 
 
 def test_propagate_constant_flow_shifts_history():
