@@ -8,6 +8,8 @@ region; the intra/inter split follows the window partition.
 An order is scored in one array pass: its rank grid `ScanOrder.rank` holds each
 cell's scan index, and the degrees of all (S-1)^2 regions come from sorting
 the stacked four corners of every region and counting the gaps wider than 1.
+A report holds the two [S-1, S-1] degree grids and the intra-window mask; its
+totals and its per-region `RegionRecord`s are both read from those arrays.
 """
 
 from __future__ import annotations
@@ -73,23 +75,46 @@ class RegionRecord:
     eliminated: int
 
 
-@dataclass(frozen=True)
+# a region's kind, indexed by its intra-window mask bit
+_KINDS = (RegionKind.InterWindow, RegionKind.IntraWindow)
+
+
+@dataclass(frozen=True, eq=False)
 class DiscontinuityReport:
+    """Elimination of one procedure: the [S-1, S-1] degrees of every 2x2
+    region under the first and the shifted second order, indexed by anchor,
+    and the bool mask of the regions inside one window."""
+
     procedure: str
-    records: tuple        # of RegionRecord
-    delta_intra: int
-    delta_inter: int
+    d_first: np.ndarray
+    d_second: np.ndarray
+    intra: np.ndarray
+
+    @property
+    def eliminated(self):
+        return np.maximum(self.d_first - self.d_second, 0)
+
+    @property
+    def delta_intra(self):
+        return int(self.eliminated[self.intra].sum())
+
+    @property
+    def delta_inter(self):
+        return int(self.eliminated[~self.intra].sum())
 
     @property
     def delta(self):
-        return self.delta_intra + self.delta_inter
+        return int(self.eliminated.sum())
 
-    def verify(self):
-        intra = sum(r.eliminated for r in self.records if r.kind is RegionKind.IntraWindow)
-        inter = sum(r.eliminated for r in self.records if r.kind is RegionKind.InterWindow)
-        if (intra, inter) != (self.delta_intra, self.delta_inter):
-            raise AssertionError("per-region records do not sum to stored deltas")
-        return self
+    @property
+    def records(self):
+        """One RegionRecord per region, in row-major anchor order."""
+        columns = (a.ravel().tolist() for a in
+                   (self.intra, self.d_first, self.d_second, self.eliminated))
+        return tuple(
+            RegionRecord(anchor=anchor, kind=_KINDS[intra], d_first=d1, d_second=d2,
+                         eliminated=e)
+            for anchor, intra, d1, d2, e in zip(np.ndindex(self.intra.shape), *columns))
 
 
 def _degrees(corners):
@@ -104,19 +129,15 @@ def _degree_grid(order):
     return _degrees(np.stack((rank[:-1, :-1], rank[:-1, 1:], rank[1:, :-1], rank[1:, 1:])))
 
 
-def _region_kinds(grid_size, partition):
-    """(anchor, kind) of every 2x2 region in row-major anchor order.
-
-    A region is intra-window when its two rows share a window row and its two
-    columns share a window column; on_edge[i] marks lines i, i + 1 that don't.
-    """
+def _intra_mask(grid_size, window_size):
+    """[S-1, S-1] bool mask, indexed by anchor, of the 2x2 regions inside one
+    window: their two rows share a window row and their two columns a window
+    column."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    on_edge = [partition.window_id((i, i)) != partition.window_id((i + 1, i + 1))
-               for i in range(grid_size - 1)]
-    return [((r, c), RegionKind.InterWindow if on_edge[r] or on_edge[c]
-             else RegionKind.IntraWindow)
-            for r in range(grid_size - 1) for c in range(grid_size - 1)]
+    window = np.arange(grid_size) // window_size
+    inside = window[:-1] == window[1:]
+    return inside[:, None] & inside
 
 
 def region_degree(order, region):
@@ -130,31 +151,23 @@ def region_degree(order, region):
 
 def enumerate_regions(grid_size, partition):
     """All (grid_size - 1)^2 overlapping 2x2 regions, kind-tagged."""
-    return [Region(anchor=anchor, kind=kind)
-            for anchor, kind in _region_kinds(grid_size, partition)]
+    intra = _intra_mask(grid_size, partition.window_size)
+    return [Region(anchor=anchor, kind=_KINDS[bit])
+            for anchor, bit in zip(np.ndindex(intra.shape), intra.ravel().tolist())]
 
 
 def elimination(procedure, partition):
-    """Per-region eliminated degrees and the intra/inter totals."""
+    """Degree grids of the procedure's two orders, and its intra-window mask."""
     first = procedure.first
     second = procedure.shifted_second_order
     if first.size != partition.grid_size or second.size != partition.grid_size:
         raise ValueError("procedure grid size does not match partition")
-    d_first = _degree_grid(first).ravel()
-    d_second = _degree_grid(second).ravel()
-    eliminated = np.maximum(d_first - d_second, 0)
-    regions = _region_kinds(partition.grid_size, partition)
-    intra = np.array([kind is RegionKind.IntraWindow for _, kind in regions])
-    records = tuple(
-        RegionRecord(anchor=anchor, kind=kind, d_first=d1, d_second=d2, eliminated=e)
-        for (anchor, kind), d1, d2, e in zip(regions, d_first.tolist(),
-                                             d_second.tolist(), eliminated.tolist()))
     return DiscontinuityReport(
         procedure=procedure.label(),
-        records=records,
-        delta_intra=int(eliminated[intra].sum()),
-        delta_inter=int(eliminated[~intra].sum()),
-    ).verify()
+        d_first=_degree_grid(first),
+        d_second=_degree_grid(second),
+        intra=_intra_mask(partition.grid_size, partition.window_size),
+    )
 
 
 def analyze(first, shift, second, grid_size, window_size):

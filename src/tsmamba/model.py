@@ -62,7 +62,7 @@ def window_scans_for_grid(ht, wt, config, variant, shift=None):
     cell p - d, wrapped modulo w: the shift stays inside each window.
     """
     w = config.window_size
-    curve = np.asarray(generate_scan(variant, w).order)
+    curve = generate_scan(variant, w).cells
     if shift is not None:
         d = ShiftSpec.parse(shift)
         curve = (curve - (d.delta_row, d.delta_col)) % w

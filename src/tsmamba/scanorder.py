@@ -10,6 +10,10 @@ A variant's order on an S x S grid is the plain Hilbert curve (4-neighbor
 continuous).  Window-partitioned orders place the window-size curve in every
 window, windows in raster order; `tile_windows` is the one tiler, and
 `window_tiled_order` wraps it for the discontinuity analysis.
+
+An order is one read-only `[n, 2]` integer array of (row, col) cells,
+`ScanOrder.cells`, from `generate_scan` through the shift composition to the
+JSON and SVG writers; `ScanOrder` converts its input once, on construction.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -70,17 +73,30 @@ VARIANT_DIHEDRAL = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanOrder:
-    """Bijective visit order over an S x S grid."""
+    """Bijective visit order over an S x S grid: cells[k] is the (row, col)
+    visited k-th, as a read-only [n, 2] np.intp array.  Any [n, 2] integer
+    array-like is accepted; a cell beyond the index range raises ValueError."""
 
     size: int
-    order: tuple                 # tuple of (row, col)
+    cells: np.ndarray
     label: str = ""
 
+    def __post_init__(self):
+        try:
+            cells = np.array(self.cells, dtype=np.intp)
+        except OverflowError as exc:
+            raise ValueError("a scan cell is outside the 64-bit index range") from exc
+        if cells.size and (cells.ndim != 2 or cells.shape[1] != 2):
+            raise ValueError(f"scan cells must be [n, 2], got shape {cells.shape}")
+        cells = cells.reshape(-1, 2)
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
+
     def index_map(self):
-        """dict cell -> scan index."""
-        return {cell: i for i, cell in enumerate(self.order)}
+        """dict (row, col) -> scan index."""
+        return {(r, c): i for i, (r, c) in enumerate(self.cells.tolist())}
 
     @functools.cached_property
     def rank(self):
@@ -91,12 +107,11 @@ class ScanOrder:
         n = size * size
         message = f"scan order is not a bijection of the {size}x{size} grid"
         # checked first, so the allocation below is bounded by the order's length
-        if size < 1 or len(self.order) != n:
+        if size < 1 or len(self.cells) != n:
             raise ValueError(message)
         rank = np.full(n, -1, dtype=np.intp)
-        cells = np.fromiter(chain.from_iterable(self.order), dtype=np.intp, count=2 * n)
         # raises on a cell outside the grid, which a plain index would wrap
-        rank[np.ravel_multi_index((cells[0::2], cells[1::2]), (size, size))] = np.arange(n)
+        rank[np.ravel_multi_index(self.cells.T, (size, size))] = np.arange(n)
         # an order that repeats a cell misses another, which keeps its -1
         if (rank < 0).any():
             raise ValueError(message)
@@ -111,10 +126,9 @@ class ScanOrder:
             return False
 
     def is_continuous(self):
-        return all(
-            abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
-            for a, b in zip(self.order, self.order[1:])
-        )
+        # Python-int steps: an intp step between far-apart cells could wrap to 1
+        steps = np.diff(self.cells.astype(object), axis=0)
+        return bool((np.abs(steps).sum(axis=1) == 1).all())
 
 
 @dataclass(frozen=True)
@@ -182,26 +196,18 @@ class Procedure:
 
 
 def _hilbert_base(size):
-    """Iterative d -> (row, col) Hilbert curve on a power-of-two grid."""
-    order = []
-    for d in range(size * size):
-        x = y = 0
-        t = d
-        s = 1
-        while s < size:
-            rx = 1 & (t // 2)
-            ry = 1 & (t ^ rx)
-            if ry == 0:
-                if rx == 1:
-                    x = s - 1 - x
-                    y = s - 1 - y
-                x, y = y, x
-            x += s * rx
-            y += s * ry
-            t //= 4
-            s *= 2
-        order.append((y, x))       # (row, col)
-    return order
+    """(rows, cols) arrays of the d -> (row, col) Hilbert curve on a
+    power-of-two grid, built level by level: the curve on a 2s grid visits
+    its top-left, bottom-left, bottom-right and top-right quadrants in turn,
+    each holding the s-grid curve, transposed in the first quadrant and
+    anti-transposed in the last."""
+    x = y = np.zeros(1, dtype=np.intp)       # x is the column, y the row
+    s = 1
+    while s < size:
+        x, y = (np.concatenate((y, x, x + s, 2 * s - 1 - y)),
+                np.concatenate((x, y + s, y + s, s - 1 - x)))
+        s *= 2
+    return y, x
 
 
 def _check_size(size):
@@ -213,9 +219,8 @@ def generate_scan(variant, size):
     """One of the four Hilbert variants on a size x size grid."""
     _check_size(size)
     f = _DIHEDRAL[VARIANT_DIHEDRAL[variant]]
-    base = _hilbert_base(size)
-    order = tuple(f(r, c, size) for (r, c) in base)
-    return ScanOrder(size=size, order=order, label=variant.value)
+    cells = np.stack(f(*_hilbert_base(size), size), axis=1)
+    return ScanOrder(size=size, cells=cells, label=variant.value)
 
 
 def tile_windows(curve, window, rows, cols):
@@ -237,9 +242,8 @@ def window_tiled_order(variant, partition):
     """
     w, size = partition.window_size, partition.grid_size
     curve = generate_scan(variant, w)
-    cells = tile_windows(curve.order, w, size, size).reshape(-1, 2).tolist()
-    return ScanOrder(size=size, order=tuple(map(tuple, cells)),
-                     label=f"{curve.label}@tiled")
+    cells = tile_windows(curve.cells, w, size, size).reshape(-1, 2)
+    return ScanOrder(size=size, cells=cells, label=f"{curve.label}@tiled")
 
 
 def compose_scan_shift_scan(first, shift, second, partition):
@@ -252,12 +256,9 @@ def compose_scan_shift_scan(first, shift, second, partition):
     first_order = window_tiled_order(first, partition)
     second_order = window_tiled_order(second, partition)
     size = partition.grid_size
-    dr, dc = shift.delta_row, shift.delta_col
     # The curve visits shifted position p; the original cell there is p - d.
-    composed = tuple(
-        ((r - dr) % size, (c - dc) % size) for (r, c) in second_order.order
-    )
-    shifted = ScanOrder(size=size, order=composed,
+    composed = (second_order.cells - (shift.delta_row, shift.delta_col)) % size
+    shifted = ScanOrder(size=size, cells=composed,
                         label=f"{second_order.label}+{shift.name()}")
     return Procedure(first=first_order, shift=shift, second=second_order,
                      shifted_second_order=shifted)
@@ -268,7 +269,7 @@ def compose_scan_shift_scan(first, shift, second, partition):
 def scan_to_json(scan):
     return json.dumps(
         {"variant": scan.label, "size": scan.size,
-         "order": [[r, c] for (r, c) in scan.order]},
+         "order": scan.cells.tolist()},
         separators=(",", ":"),
     )
 
@@ -281,8 +282,7 @@ def scan_from_json(text):
                     and all(type(x) is int for x in cell) for cell in obj["order"])):
         raise ValueError("a scan is an object with an integer size, [int, int] cells "
                          "in order and an optional string variant")
-    return ScanOrder(size=obj["size"], order=tuple(map(tuple, obj["order"])),
-                     label=obj.get("variant", ""))
+    return ScanOrder(size=obj["size"], cells=obj["order"], label=obj.get("variant", ""))
 
 
 def scan_to_svg(scan):
@@ -291,7 +291,7 @@ def scan_to_svg(scan):
     s = scan.size * cell_px
     pts = " ".join(
         f"{c * cell_px + cell_px // 2},{r * cell_px + cell_px // 2}"
-        for (r, c) in scan.order
+        for r, c in scan.cells.tolist()
     )
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{s}" height="{s}" '

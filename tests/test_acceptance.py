@@ -118,8 +118,8 @@ _STEPS = {"U": (-1, 0), "D": (1, 0), "L": (0, -1), "R": (0, 1),
 def _window_ranks(variant):
     """WINDOW x WINDOW array of each cell's index along the variant curve."""
     ranks = np.empty((WINDOW, WINDOW), dtype=int)
-    for i, cell in enumerate(generate_scan(variant, WINDOW).order):
-        ranks[cell] = i
+    for i, (r, c) in enumerate(generate_scan(variant, WINDOW).cells.tolist()):
+        ranks[r, c] = i
     return ranks
 
 
@@ -288,7 +288,7 @@ def test_criterion_5_degree_range(capfd):
     for _ in range(1000):
         shuffled = cells[:]
         rng.shuffle(shuffled)
-        order = ScanOrder(size=size, order=tuple(shuffled))
+        order = ScanOrder(size=size, cells=shuffled)
         ok &= all(region_degree(order, reg) in {0, 1, 2, 3} for reg in regions)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0

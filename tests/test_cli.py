@@ -73,8 +73,9 @@ def test_scan_check_short_order_allocates_by_input(tmp_path, capsys, doc):
     {"size": 1, "order": {"0": [0, 0]}},
     {"size": 1, "order": [[0, 0]], "variant": 3},
     [1, 2],                                       # not an object
+    {"size": 2, "order": [[0, 0], [0, 1], [1, 0], [10**20, 1]]},   # beyond int64
 ], ids=["float_cell", "int_cells", "triple", "bool", "float_size", "no_size",
-        "no_order", "order_object", "variant_int", "list"])
+        "no_order", "order_object", "variant_int", "list", "huge_cell"])
 def test_scan_check_rejects_non_integer_cells(tmp_path, capsys, doc):
     """A malformed scan document exits 2 with a message, never a traceback."""
     p = tmp_path / "bad.json"

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from tsmamba.discontinuity import (
     DEFAULT_SHIFTS,
-    DiscontinuityReport,
     Region,
     RegionKind,
     RegionRecord,
@@ -27,12 +26,13 @@ from tsmamba.scanorder import (
     WindowPartition,
     compose_scan_shift_scan,
     generate_scan,
+    scan_to_json,
+    scan_to_svg,
 )
 
 
 def _order_from_indices(indices, size=8):
-    cells = [(i // size, i % size) for i in indices]
-    return ScanOrder(size=size, order=tuple(cells))
+    return ScanOrder(size=size, cells=[divmod(i, size) for i in indices])
 
 
 def _region_at(anchor):
@@ -51,6 +51,7 @@ def _oracle_degree(order, region):
 
 
 def _oracle_elimination(procedure, partition):
+    """Per-region records and (delta_intra, delta_inter)."""
     first = procedure.first
     second = procedure.shifted_second_order
     records = []
@@ -69,8 +70,15 @@ def _oracle_elimination(procedure, partition):
                 delta_intra += elim
             else:
                 delta_inter += elim
-    return DiscontinuityReport(procedure=procedure.label(), records=tuple(records),
-                               delta_intra=delta_intra, delta_inter=delta_inter)
+    return tuple(records), (delta_intra, delta_inter)
+
+
+def _matches_oracle(procedure, partition):
+    rep = elimination(procedure, partition)
+    records, totals = _oracle_elimination(procedure, partition)
+    return (rep.procedure == procedure.label() and rep.records == records
+            and (rep.delta_intra, rep.delta_inter) == totals
+            and rep.delta == sum(totals))
 
 
 @st.composite
@@ -89,7 +97,7 @@ def _random_procedures(draw):
 @given(_random_procedures())
 def test_degrees_match_dict_oracle(case):
     proc, part = case
-    assert elimination(proc, part) == _oracle_elimination(proc, part)
+    assert _matches_oracle(proc, part)
     for r in range(part.grid_size - 1):
         for c in range(part.grid_size - 1):
             region = _region_at((r, c))
@@ -103,7 +111,7 @@ def test_elimination_matches_dict_oracle_all_procedures():
         for shift in DEFAULT_SHIFTS:
             for second in ScanVariant:
                 proc = compose_scan_shift_scan(first, ShiftSpec.parse(shift), second, part)
-                assert elimination(proc, part) == _oracle_elimination(proc, part)
+                assert _matches_oracle(proc, part)
                 n += 1
     assert n == 384
 
@@ -122,7 +130,7 @@ def test_degree_examples_from_contract():
         for i in range(size * size):
             if order[i] is None:
                 order[i] = next(it)
-        return ScanOrder(size=size, order=tuple(order))
+        return ScanOrder(size=size, cells=order)
 
     region = _region_at((0, 0))
     assert region_degree(order_with([5, 6, 7, 8]), region) == 0
@@ -156,7 +164,7 @@ def test_degree_range_random_orders():
     for _ in range(200):
         cells = all_cells[:]
         rng.shuffle(cells)
-        order = ScanOrder(size=size, order=tuple(cells))
+        order = ScanOrder(size=size, cells=cells)
         for region in regions:
             assert region_degree(order, region) in {0, 1, 2, 3}
 
@@ -188,7 +196,10 @@ def test_eliminated_bounded_by_d_first():
 
 def test_report_consistency_and_json():
     rep = analyze(ScanVariant.Scan2, "L1", ScanVariant.Scan4, 8, 4)
-    rep.verify()
+    for kind, total in [(RegionKind.IntraWindow, rep.delta_intra),
+                        (RegionKind.InterWindow, rep.delta_inter)]:
+        assert total == sum(r.eliminated for r in rep.records if r.kind is kind)
+    assert rep.delta == rep.delta_intra + rep.delta_inter
     blob = report_to_json(rep)
     assert '"delta"' in blob and '"regions"' in blob
 
@@ -226,6 +237,38 @@ def test_search_zero_shift_rows_zero():
 def test_search_csv_pinned(grid, window, sha256):
     csv_text = search_to_csv(search_procedures(grid, window))
     assert hashlib.sha256(csv_text.encode()).hexdigest() == sha256
+
+
+# SHA-256 of each output document, recorded while orders were tuples of (row,
+# col) tuples and reports held one RegionRecord per region
+@pytest.mark.parametrize("variant,json_sha256,svg_sha256", [
+    (ScanVariant.Scan1, "7c8583a92baf67a46ec2497ac1a35f3e6583567b103143ee8119a552d4a8f56f",
+     "3bea6c01c633d4dd467d63c443414ca0e32b38dc2f773acb4bf6beccda7bb545"),
+    (ScanVariant.Scan2, "0223181d5ccd265b0e4cd0576e0ebd892458a5664c0ea2793124ab6a755a3388",
+     "f89251a2fcc885d9b0b8c121595bd57cea8df0a40c0fbb75b9e05f6cb71f57a1"),
+    (ScanVariant.Scan3, "1cbe1fbab77684c6c8187247c72871eb944539fca121d461f15c90b9a42c0248",
+     "c0accf20f8d331229749f9b60910362787d84918e4ad886dd286b826e9cda0e7"),
+    (ScanVariant.Scan4, "235b801efae939f3c8cadb0c1555a10db8e4fd3a8886235126ea1cbeb2e32712",
+     "67f8fd2bb81cee2291cc64e43419f74d6be3751f2426cf52b183c777523e734c"),
+])
+def test_scan_documents_pinned(variant, json_sha256, svg_sha256):
+    scan = generate_scan(variant, 8)
+    assert hashlib.sha256(scan_to_json(scan).encode()).hexdigest() == json_sha256
+    assert hashlib.sha256(scan_to_svg(scan).encode()).hexdigest() == svg_sha256
+
+
+@pytest.mark.parametrize("first,shift,second,json_sha256,svg_sha256", [
+    (ScanVariant.Scan1, "U1", ScanVariant.Scan3,
+     "da63598d32e8c9192c663ab0439c0beecf65da278ab2ca650209acebcf3af525",
+     "a14cdc38e3f0d5788bbdab9823defc51eac60180a40b567fd3cfa7b4ccb4c734"),
+    (ScanVariant.Scan2, "L1", ScanVariant.Scan4,
+     "5d35aba25bdf073f0d4dcad6bb9c3a6274033f98a894de640a27bf7141361978",
+     "bf8a26e54369e982fc24ce9d4770260e4b5c0117390f22152590aa35f6a12680"),
+])
+def test_report_documents_pinned(first, shift, second, json_sha256, svg_sha256):
+    rep = analyze(first, shift, second, 8, 4)
+    assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == json_sha256
+    assert hashlib.sha256(report_to_svg(rep, 8).encode()).hexdigest() == svg_sha256
 
 
 def test_search_deterministic():

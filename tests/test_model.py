@@ -94,10 +94,10 @@ def _composed_window_scans(ht, wt, w, first, shift, second):
     placed in every window of the grid by explicit loops."""
     part = WindowPartition(w, w)
     if shift is None:
-        cells = window_tiled_order(first, part).order
+        cells = window_tiled_order(first, part).cells.tolist()
     else:
         proc = compose_scan_shift_scan(first, ShiftSpec.parse(shift), second, part)
-        cells = proc.shifted_second_order.order
+        cells = proc.shifted_second_order.cells.tolist()
     scans = []
     for wr in range(0, ht, w):
         for wc in range(0, wt, w):
