@@ -10,6 +10,11 @@ cell's scan index, and the degrees of all (S-1)^2 regions come from sorting
 the stacked four corners of every region and counting the gaps wider than 1.
 A report holds the two [S-1, S-1] degree grids and the intra-window mask; its
 totals and its per-region `RegionRecord`s are both read from those arrays.
+
+The search scores each distinct degree grid once.  It tiles one order per
+variant and stacks their rank grids as [V, S, S]; the shifted second orders
+are one cyclic roll of that stack per shift, [K, V, S, S].  One degree pass
+over each stack gives the read-only grids that all V x K x V reports view.
 """
 
 from __future__ import annotations
@@ -123,10 +128,11 @@ def _degrees(corners):
     return np.count_nonzero(corners[1:] - corners[:-1] > 1, axis=0)
 
 
-def _degree_grid(order):
-    """[S-1, S-1] degrees of all 2x2 regions, indexed by anchor."""
-    rank = order.rank
-    return _degrees(np.stack((rank[:-1, :-1], rank[:-1, 1:], rank[1:, :-1], rank[1:, 1:])))
+def _degree_grid(rank):
+    """[..., S-1, S-1] degrees of all 2x2 regions, indexed by anchor, of the
+    [..., S, S] rank grids."""
+    return _degrees(np.stack((rank[..., :-1, :-1], rank[..., :-1, 1:],
+                              rank[..., 1:, :-1], rank[..., 1:, 1:])))
 
 
 def _intra_mask(grid_size, window_size):
@@ -164,8 +170,8 @@ def elimination(procedure, partition):
         raise ValueError("procedure grid size does not match partition")
     return DiscontinuityReport(
         procedure=procedure.label(),
-        d_first=_degree_grid(first),
-        d_second=_degree_grid(second),
+        d_first=_degree_grid(first.rank),
+        d_second=_degree_grid(second.rank),
         intra=_intra_mask(partition.grid_size, partition.window_size),
     )
 
@@ -185,25 +191,42 @@ DEFAULT_SHIFTS = tuple(
 )
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 def search_procedures(grid_size, window_size, shifts=None, variants=None):
     """Evaluate all (first, shift, second) triples; ranked report table.
 
     Sorted by delta descending, ties by delta_inter descending then
-    lexicographic procedure label.
+    lexicographic procedure label.  Rows are (first, shift, second, report),
+    each report as `elimination` gives it for the composed procedure; their
+    degree grids are read-only views of arrays shared by all rows.
     """
     if shifts is None:
         shifts = DEFAULT_SHIFTS
     if not shifts:
         raise ValueError("shift list must be non-empty")
     shifts = [s if isinstance(s, ShiftSpec) else ShiftSpec.parse(s) for s in shifts]
-    variants = list(variants or ScanVariant)
+    variants = list(ScanVariant) if variants is None else list(variants)
+    if not variants:
+        raise ValueError("variant list must be non-empty")
     part = WindowPartition(grid_size=grid_size, window_size=window_size)
-    reports = []
-    for first in variants:
-        for shift in shifts:
-            for second in variants:
-                proc = compose_scan_shift_scan(first, shift, second, part)
-                reports.append((first, shift, second, elimination(proc, part)))
+    intra = _read_only(_intra_mask(grid_size, window_size))
+    orders = [window_tiled_order(v, part) for v in variants]
+    ranks = np.stack([order.rank for order in orders])                  # [V, S, S]
+    # the shifted order visits p where it reads cell p - d: its rank at p is rank[p + d]
+    shifted = np.stack([np.roll(ranks, (-s.delta_row, -s.delta_col), axis=(1, 2))
+                        for s in shifts])                               # [K, V, S, S]
+    d_first = _read_only(_degree_grid(ranks))
+    d_second = _read_only(_degree_grid(shifted))
+    reports = [(first, shift, second,
+                DiscontinuityReport(f"{orders[i].label}->{shift.name()}->{orders[j].label}",
+                                    d_first[i], d_second[k, j], intra))
+               for i, first in enumerate(variants)
+               for k, shift in enumerate(shifts)
+               for j, second in enumerate(variants)]
     reports.sort(key=lambda t: (-t[3].delta, -t[3].delta_inter, t[3].procedure))
     return reports
 

@@ -77,7 +77,8 @@ VARIANT_DIHEDRAL = {
 class ScanOrder:
     """Bijective visit order over an S x S grid: cells[k] is the (row, col)
     visited k-th, as a read-only [n, 2] np.intp array.  Any [n, 2] integer
-    array-like is accepted; a cell beyond the index range raises ValueError."""
+    array-like is accepted; a cell beyond the index range or of a non-integer
+    dtype raises ValueError."""
 
     size: int
     cells: np.ndarray
@@ -88,6 +89,10 @@ class ScanOrder:
             cells = np.array(self.cells, dtype=np.intp)
         except OverflowError as exc:
             raise ValueError("a scan cell is outside the 64-bit index range") from exc
+        # the intp cast truncates floats, so 0.5 would pass as cell 0
+        dtype = np.asarray(self.cells).dtype
+        if cells.size and dtype.kind not in "iu":
+            raise ValueError(f"scan cells must be integers, got dtype {dtype}")
         if cells.size and (cells.ndim != 2 or cells.shape[1] != 2):
             raise ValueError(f"scan cells must be [n, 2], got shape {cells.shape}")
         cells = cells.reshape(-1, 2)

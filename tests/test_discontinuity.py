@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -280,3 +281,64 @@ def test_search_deterministic():
 def test_empty_shift_list_rejected():
     with pytest.raises(ValueError):
         search_procedures(8, 4, shifts=[])
+
+
+def test_empty_variant_list_rejected():
+    with pytest.raises(ValueError):
+        search_procedures(8, 4, variants=[])
+    rows = search_procedures(8, 4, variants=None)
+    assert len(rows) == 4 * 24 * 4
+    assert {row[0] for row in rows} == {row[2] for row in rows} == set(ScanVariant)
+
+
+@pytest.mark.parametrize("grid,window", [
+    (1, 1),      # no 2x2 region
+    (8, 3),      # the window does not divide the grid
+    (12, 6),     # the window curve needs a power-of-two side
+])
+def test_search_rejects_bad_partition(grid, window):
+    with pytest.raises(ValueError):
+        search_procedures(grid, window)
+
+
+def test_search_grids_read_only():
+    """All rows view the same degree stacks and intra mask, so a write
+    through one row's report raises instead of changing the others."""
+    rows = search_procedures(8, 4)
+    report = rows[0][3]
+    for grid in (report.d_first, report.d_second, report.intra):
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0
+
+
+_SEARCH_SHIFTS = st.one_of(
+    st.sampled_from(DEFAULT_SHIFTS),
+    st.just(ShiftSpec(0, 0)),
+    st.builds(ShiftSpec, st.integers(-40, 40), st.integers(-40, 40)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(4, 2), (8, 4), (16, 4), (16, 8)]),
+       st.lists(_SEARCH_SHIFTS, min_size=1, max_size=6),
+       st.lists(st.sampled_from(list(ScanVariant)), min_size=1, max_size=4))
+def test_search_matches_composed_elimination(partition, shifts, variants):
+    """Each row equals elimination of its composed procedure, and the rows come
+    in the order of a stable sort of the triples built in loop order."""
+    grid, window = partition
+    part = WindowPartition(grid, window)
+    parsed = [s if isinstance(s, ShiftSpec) else ShiftSpec.parse(s) for s in shifts]
+    expected = [(first, shift, second,
+                 elimination(compose_scan_shift_scan(first, shift, second, part), part))
+                for first in variants for shift in parsed for second in variants]
+    expected.sort(key=lambda t: (-t[3].delta, -t[3].delta_inter, t[3].procedure))
+    rows = search_procedures(grid, window, shifts=shifts, variants=variants)
+    assert len(rows) == len(expected)
+    for (first, shift, second, got), (*triple, want) in zip(rows, expected):
+        assert (first, shift, shift.name(), second) == (
+            triple[0], triple[1], triple[1].name(), triple[2])
+        assert got.procedure == want.procedure
+        for name in ("d_first", "d_second", "intra"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert (got.delta_intra, got.delta_inter, got.delta) == (
+            want.delta_intra, want.delta_inter, want.delta)

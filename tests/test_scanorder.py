@@ -93,6 +93,9 @@ def test_rank_rejects_non_bijection(order):
     [[0, 0], [0, 1], [1, 0], [10**20, 1]],       # beyond the index range
     [[0, 0, 0]],                                 # not (row, col) pairs
     [0, 1],
+    ((0.5, 0), (0, 1), (1, 0), (1, 1)),          # the intp cast would make it a bijection
+    np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float),
+    ((True, False), (False, True), (True, True), (False, False)),
 ])
 def test_cells_rejected_on_construction(cells):
     with pytest.raises(ValueError):
