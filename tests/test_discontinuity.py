@@ -334,9 +334,8 @@ def test_search_matches_composed_elimination(partition, shifts, variants):
     expected.sort(key=lambda t: (-t[3].delta, -t[3].delta_inter, t[3].procedure))
     rows = search_procedures(grid, window, shifts=shifts, variants=variants)
     assert len(rows) == len(expected)
-    for (first, shift, second, got), (*triple, want) in zip(rows, expected):
-        assert (first, shift, shift.name(), second) == (
-            triple[0], triple[1], triple[1].name(), triple[2])
+    for (*triple, got), (*want_triple, want) in zip(rows, expected):
+        assert triple == want_triple and triple[1].name() == want_triple[1].name()
         assert got.procedure == want.procedure
         for name in ("d_first", "d_second", "intra"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
