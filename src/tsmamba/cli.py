@@ -134,7 +134,7 @@ def cmd_disc_analyze(args):
     payload = json.loads(report_to_json(report))
     _emit(_envelope("disc analyze", [], payload), args.out)
     if args.svg:
-        _write_text(report_to_svg(report, args.grid) + "\n", args.svg)
+        _write_text(report_to_svg(report) + "\n", args.svg)
     return 0
 
 

@@ -9,7 +9,10 @@ An order is scored in one array pass: its rank grid `ScanOrder.rank` holds each
 cell's scan index, and the degrees of all (S-1)^2 regions come from sorting
 the stacked four corners of every region and counting the gaps wider than 1.
 A report holds the two [S-1, S-1] degree grids and the intra-window mask; its
-totals and its per-region `RegionRecord`s are both read from those arrays.
+totals and the JSON and SVG writers read those arrays in row-major anchor
+order, and a region's kind is "intra" or "inter" by its mask bit.
+`region_degree(order, anchor)` scores one region by its top-left cell, and
+`enumerate_regions(partition)` lists the (anchor, kind) pairs.
 
 The search scores each distinct degree grid once.  It tiles one order per
 variant and stacks their rank grids as [V, S, S]; the shifted second orders
@@ -23,13 +26,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .scanorder import (
-    Procedure,
-    ScanOrder,
     ScanVariant,
     ShiftSpec,
     WindowPartition,
@@ -38,9 +38,6 @@ from .scanorder import (
 )
 
 __all__ = [
-    "RegionKind",
-    "Region",
-    "RegionRecord",
     "DiscontinuityReport",
     "region_degree",
     "enumerate_regions",
@@ -53,35 +50,8 @@ __all__ = [
 ]
 
 
-class RegionKind(Enum):
-    IntraWindow = "intra"
-    InterWindow = "inter"
-
-
-@dataclass(frozen=True)
-class Region:
-    """Axis-aligned 2x2 region anchored at its top-left cell."""
-
-    anchor: tuple
-    kind: RegionKind
-
-    @property
-    def cells(self):
-        r, c = self.anchor
-        return ((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1))
-
-
-@dataclass(frozen=True)
-class RegionRecord:
-    anchor: tuple
-    kind: RegionKind
-    d_first: int
-    d_second: int
-    eliminated: int
-
-
 # a region's kind, indexed by its intra-window mask bit
-_KINDS = (RegionKind.InterWindow, RegionKind.IntraWindow)
+_KINDS = ("inter", "intra")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,16 +81,6 @@ class DiscontinuityReport:
     def delta(self):
         return int(self.eliminated.sum())
 
-    @property
-    def records(self):
-        """One RegionRecord per region, in row-major anchor order."""
-        columns = (a.ravel().tolist() for a in
-                   (self.intra, self.d_first, self.d_second, self.eliminated))
-        return tuple(
-            RegionRecord(anchor=anchor, kind=_KINDS[intra], d_first=d1, d_second=d2,
-                         eliminated=e)
-            for anchor, intra, d1, d2, e in zip(np.ndindex(self.intra.shape), *columns))
-
 
 def _degrees(corners):
     """Gaps wider than 1 among the sorted scan indices along axis 0."""
@@ -146,19 +106,20 @@ def _intra_mask(grid_size, window_size):
     return inside[:, None] & inside
 
 
-def region_degree(order, region):
-    """Number of gaps among the sorted scan indices of the region's cells."""
-    for cell in region.cells:
-        if not all(0 <= x < order.size for x in cell):
-            raise ValueError(f"region cell {cell} outside grid")
-    rows, cols = zip(*region.cells)
-    return int(_degrees(order.rank[rows, cols]))
+def region_degree(order, anchor):
+    """Number of gaps among the sorted scan indices of the four cells of the
+    2x2 region whose top-left cell is `anchor`."""
+    r, c = anchor
+    if not (0 <= r <= order.size - 2 and 0 <= c <= order.size - 2):
+        raise ValueError(f"region anchor {anchor} outside [0, {order.size - 2}]^2")
+    return int(_degrees(order.rank[r:r + 2, c:c + 2].ravel()))
 
 
-def enumerate_regions(grid_size, partition):
-    """All (grid_size - 1)^2 overlapping 2x2 regions, kind-tagged."""
-    intra = _intra_mask(grid_size, partition.window_size)
-    return [Region(anchor=anchor, kind=_KINDS[bit])
+def enumerate_regions(partition):
+    """(anchor, kind) of all (S-1)^2 overlapping 2x2 regions of the
+    partition's grid, in row-major anchor order; kind is "intra" or "inter"."""
+    intra = _intra_mask(partition.grid_size, partition.window_size)
+    return [(anchor, _KINDS[bit])
             for anchor, bit in zip(np.ndindex(intra.shape), intra.ravel().tolist())]
 
 
@@ -234,16 +195,17 @@ def search_procedures(grid_size, window_size, shifts=None, variants=None):
 # --- serialization ----------------------------------------------------------
 
 def report_to_json(report):
+    columns = (a.ravel().tolist() for a in
+               (report.intra, report.d_first, report.d_second, report.eliminated))
     return json.dumps({
         "procedure": report.procedure,
         "delta": report.delta,
         "delta_intra": report.delta_intra,
         "delta_inter": report.delta_inter,
         "regions": [
-            {"anchor": list(r.anchor), "kind": r.kind.value,
-             "d_first": r.d_first, "d_second": r.d_second,
-             "eliminated": r.eliminated}
-            for r in report.records
+            {"anchor": list(anchor), "kind": _KINDS[bit],
+             "d_first": d1, "d_second": d2, "eliminated": e}
+            for anchor, bit, d1, d2, e in zip(np.ndindex(report.intra.shape), *columns)
         ],
     }, separators=(",", ":"))
 
@@ -251,9 +213,11 @@ def report_to_json(report):
 _ELIM_COLORS = {1: "#2ca02c", 2: "#d62728", 3: "#7f7f7f"}   # green/red/gray
 
 
-def report_to_svg(report, grid_size):
-    """Grid with eliminated regions marked by degree-colored circles."""
+def report_to_svg(report):
+    """Grid with eliminated regions marked by degree-colored circles, dashed
+    for inter-window regions."""
     cell_px = 24
+    grid_size = report.intra.shape[0] + 1
     s = grid_size * cell_px
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{s}" height="{s}" '
@@ -264,16 +228,13 @@ def report_to_svg(report, grid_size):
         p = i * cell_px
         lines.append(f'<line x1="0" y1="{p}" x2="{s}" y2="{p}" stroke="#ccc"/>')
         lines.append(f'<line x1="{p}" y1="0" x2="{p}" y2="{s}" stroke="#ccc"/>')
-    for rec in report.records:
-        if rec.eliminated == 0:
-            continue
-        color = _ELIM_COLORS.get(rec.eliminated, "#000")
-        cx = (rec.anchor[1] + 1) * cell_px
-        cy = (rec.anchor[0] + 1) * cell_px
-        dash = ' stroke-dasharray="3,2"' if rec.kind is RegionKind.InterWindow else ""
+    eliminated = report.eliminated
+    for r, c in np.argwhere(eliminated > 0).tolist():
+        color = _ELIM_COLORS.get(int(eliminated[r, c]), "#000")
+        dash = "" if report.intra[r, c] else ' stroke-dasharray="3,2"'
         lines.append(
-            f'<circle cx="{cx}" cy="{cy}" r="{cell_px // 2}" fill="none" '
-            f'stroke="{color}" stroke-width="2"{dash}/>')
+            f'<circle cx="{(c + 1) * cell_px}" cy="{(r + 1) * cell_px}" r="{cell_px // 2}" '
+            f'fill="none" stroke="{color}" stroke-width="2"{dash}/>')
     lines.append("</svg>")
     return "\n".join(lines)
 

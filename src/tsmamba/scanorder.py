@@ -156,8 +156,10 @@ class ShiftSpec:
         """Parse canonical names like 'U1', 'U(1)', 'UL3', 'ul(3)'."""
         t = text.strip().upper().replace("(", "").replace(")", "")
         for name in sorted(cls._DIRS, key=len, reverse=True):
-            if t.startswith(name) and t[len(name):].isdigit():
-                k = int(t[len(name):])
+            digits = t[len(name):]
+            # str.isdigit also accepts '²' and '٣', which int() rejects or reads as 3
+            if t.startswith(name) and digits.isascii() and digits.isdigit():
+                k = int(digits)
                 dr, dc = cls._DIRS[name]
                 return cls(dr * k, dc * k, label=f"{name}({k})")
         raise ValueError(f"unrecognized shift spec: {text!r}")
@@ -181,10 +183,6 @@ class WindowPartition:
         if self.grid_size % self.window_size:
             raise ValueError(
                 f"window_size {self.window_size} does not divide grid {self.grid_size}")
-
-    def window_id(self, cell):
-        r, c = cell
-        return (r // self.window_size, c // self.window_size)
 
 
 @dataclass(frozen=True)
@@ -262,7 +260,8 @@ def compose_scan_shift_scan(first, shift, second, partition):
     second_order = window_tiled_order(second, partition)
     size = partition.grid_size
     # The curve visits shifted position p; the original cell there is p - d.
-    composed = (second_order.cells - (shift.delta_row, shift.delta_col)) % size
+    # d is reduced first, so a shift beyond the int64 range stays an int array.
+    composed = (second_order.cells - (shift.delta_row % size, shift.delta_col % size)) % size
     shifted = ScanOrder(size=size, cells=composed,
                         label=f"{second_order.label}+{shift.name()}")
     return Procedure(first=first_order, shift=shift, second=second_order,

@@ -9,6 +9,7 @@ curves reaches them; see the README "Acceptance status" section.
 """
 
 import dataclasses
+import json
 import random
 import sys
 import time
@@ -22,6 +23,7 @@ from tsmamba.discontinuity import (
     enumerate_regions,
     pin_report,
     region_degree,
+    report_to_json,
     search_procedures,
 )
 from tsmamba.model import (
@@ -174,8 +176,10 @@ def _reachable(shift):
 
 
 def _records(report):
-    return [(r.anchor, r.kind.value, r.d_first, r.d_second, r.eliminated)
-            for r in report.records]
+    """The report's JSON regions as (anchor, kind, d_first, d_second,
+    eliminated) tuples, the oracle's record layout."""
+    return [(tuple(g["anchor"]), g["kind"], g["d_first"], g["d_second"], g["eliminated"])
+            for g in json.loads(report_to_json(report))["regions"]]
 
 
 def _matches_oracle(report, totals, first, shift, second):
@@ -213,11 +217,11 @@ def test_criterion_2_inter_window_optimum(capfd):
     elapsed = time.monotonic() - t0
 
     def mirrored(rep):
-        return sorted(((r.anchor[0], GRID - 2 - r.anchor[1]), r.kind.value,
-                       r.eliminated) for r in rep.records)
+        return sorted(((r, GRID - 2 - c), kind, elim)
+                      for (r, c), kind, _, _, elim in _records(rep))
 
     sym = mirrored(ul) == sorted(
-        (r.anchor, r.kind.value, r.eliminated) for r in ur.records)
+        (anchor, kind, elim) for anchor, kind, _, _, elim in _records(ur))
     ul_inter = pins[_pin_key(*ul_named)][2]
     ur_inter = pins[_pin_key(*ur_named)][2]
     best_inter = max(_oracle_named(ScanVariant.Scan1, s, ScanVariant.Scan3)[1][2]
@@ -269,10 +273,9 @@ def test_criterion_4_hilbert_properties(capfd):
             scan = generate_scan(variant, size)
             ok &= scan.is_bijective() and scan.is_continuous()
             part = WindowPartition(size, size)
-            for region in enumerate_regions(size, part):
-                r, c = region.anchor
+            for (r, c), _ in enumerate_regions(part):
                 if r % 2 == 0 and c % 2 == 0:
-                    ok &= region_degree(scan, region) == 0
+                    ok &= region_degree(scan, (r, c)) == 0
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0
     _report(capfd, 4, ok, f"{elapsed:.2f}s")
@@ -282,14 +285,14 @@ def test_criterion_5_degree_range(capfd):
     t0 = time.monotonic()
     size = 8
     cells = [(r, c) for r in range(size) for c in range(size)]
-    regions = enumerate_regions(size, WindowPartition(size, 4))
+    anchors = [anchor for anchor, _ in enumerate_regions(WindowPartition(size, 4))]
     rng = random.Random(0)
     ok = True
     for _ in range(1000):
         shuffled = cells[:]
         rng.shuffle(shuffled)
         order = ScanOrder(size=size, cells=shuffled)
-        ok &= all(region_degree(order, reg) in {0, 1, 2, 3} for reg in regions)
+        ok &= all(region_degree(order, anchor) in {0, 1, 2, 3} for anchor in anchors)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0
     _report(capfd, 5, ok, f"1000 random orders, {elapsed:.2f}s")

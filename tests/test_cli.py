@@ -6,8 +6,10 @@ import pytest
 
 from tsmamba import ssm
 from tsmamba.cli import main
+from tsmamba.discontinuity import analyze, search_procedures
 from tsmamba.model import TsMambaWeights, set_weight, ts_mamba_forward, weight_map
 from tsmamba.numerics import ModelConfig, read_pnm, read_tstf, write_pnm, write_tstf
+from tsmamba.scanorder import ScanVariant
 from tsmamba.trajectory import token_centers
 
 
@@ -104,6 +106,24 @@ def test_disc_analyze_envelope_deterministic(capsys):
           "--second", "scan3"])
     b = capsys.readouterr().out
     assert a == b
+
+
+def test_disc_analyze_shift_beyond_int64(capsys):
+    """A shift is cyclic, so U(10^20 - 1) on an 8-grid is D1, as in the search."""
+    shift = "U99999999999999999999"
+    assert main(["disc", "analyze", "--first", "scan1", "--shift", shift,
+                 "--second", "scan3", "--grid", "8", "--window", "4"]) == 0
+    regions = json.loads(capsys.readouterr().out)["payload"]["regions"]
+    got = {key: np.array([g[key] for g in regions]).reshape(7, 7)
+           for key in ("d_first", "d_second")}
+    d1 = analyze(ScanVariant.Scan1, "D1", ScanVariant.Scan3, 8, 4)
+    (row,) = [rep for first, _, second, rep
+              in search_procedures(8, 4, shifts=[shift],
+                                   variants=[ScanVariant.Scan1, ScanVariant.Scan3])
+              if (first, second) == (ScanVariant.Scan1, ScanVariant.Scan3)]
+    for rep in (d1, row):
+        assert np.array_equal(got["d_first"], rep.d_first)
+        assert np.array_equal(got["d_second"], rep.d_second)
 
 
 def test_disc_search_csv(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import numpy as np
@@ -7,9 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from tsmamba.discontinuity import (
     DEFAULT_SHIFTS,
-    Region,
-    RegionKind,
-    RegionRecord,
     analyze,
     elimination,
     enumerate_regions,
@@ -36,48 +34,56 @@ def _order_from_indices(indices, size=8):
     return ScanOrder(size=size, cells=[divmod(i, size) for i in indices])
 
 
-def _region_at(anchor):
-    return Region(anchor=anchor, kind=RegionKind.IntraWindow)
+def _cells(anchor):
+    r, c = anchor
+    return ((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1))
 
 
 # --- oracle: the contracted degree from one index_map dict per region -----
 
-def _oracle_degree(order, region):
+def _oracle_degree(order, anchor):
     imap = order.index_map()
     try:
-        idx = sorted(imap[cell] for cell in region.cells)
+        idx = sorted(imap[cell] for cell in _cells(anchor))
     except KeyError as exc:
         raise ValueError(f"region cell {exc.args[0]} outside grid") from exc
     return sum(1 for a, b in zip(idx, idx[1:]) if b - a > 1)
 
 
 def _oracle_elimination(procedure, partition):
-    """Per-region records and (delta_intra, delta_inter)."""
+    """Per-region (anchor, kind, d_first, d_second, eliminated) tuples in
+    row-major anchor order, and (delta_intra, delta_inter)."""
     first = procedure.first
     second = procedure.shifted_second_order
+    w = partition.window_size
     records = []
     delta_intra = delta_inter = 0
     for r in range(partition.grid_size - 1):
         for c in range(partition.grid_size - 1):
-            region = _region_at((r, c))
-            wids = {partition.window_id(cell) for cell in region.cells}
-            kind = RegionKind.IntraWindow if len(wids) == 1 else RegionKind.InterWindow
-            d1 = _oracle_degree(first, region)
-            d2 = _oracle_degree(second, region)
+            wids = {(row // w, col // w) for row, col in _cells((r, c))}
+            kind = "intra" if len(wids) == 1 else "inter"
+            d1 = _oracle_degree(first, (r, c))
+            d2 = _oracle_degree(second, (r, c))
             elim = max(0, d1 - d2)
-            records.append(RegionRecord(anchor=(r, c), kind=kind,
-                                        d_first=d1, d_second=d2, eliminated=elim))
-            if kind is RegionKind.IntraWindow:
+            records.append(((r, c), kind, d1, d2, elim))
+            if kind == "intra":
                 delta_intra += elim
             else:
                 delta_inter += elim
     return tuple(records), (delta_intra, delta_inter)
 
 
+def _records(report):
+    """The report's JSON regions as (anchor, kind, d_first, d_second,
+    eliminated) tuples."""
+    return tuple((tuple(g["anchor"]), g["kind"], g["d_first"], g["d_second"], g["eliminated"])
+                 for g in json.loads(report_to_json(report))["regions"])
+
+
 def _matches_oracle(procedure, partition):
     rep = elimination(procedure, partition)
     records, totals = _oracle_elimination(procedure, partition)
-    return (rep.procedure == procedure.label() and rep.records == records
+    return (rep.procedure == procedure.label() and _records(rep) == records
             and (rep.delta_intra, rep.delta_inter) == totals
             and rep.delta == sum(totals))
 
@@ -99,10 +105,10 @@ def _random_procedures(draw):
 def test_degrees_match_dict_oracle(case):
     proc, part = case
     assert _matches_oracle(proc, part)
-    for r in range(part.grid_size - 1):
-        for c in range(part.grid_size - 1):
-            region = _region_at((r, c))
-            assert region_degree(proc.first, region) == _oracle_degree(proc.first, region)
+    records, _ = _oracle_elimination(proc, part)
+    assert enumerate_regions(part) == [(anchor, kind) for anchor, kind, *_ in records]
+    for anchor, _, d_first, _, _ in records:
+        assert region_degree(proc.first, anchor) == d_first
 
 
 def test_elimination_matches_dict_oracle_all_procedures():
@@ -133,41 +139,39 @@ def test_degree_examples_from_contract():
                 order[i] = next(it)
         return ScanOrder(size=size, cells=order)
 
-    region = _region_at((0, 0))
-    assert region_degree(order_with([5, 6, 7, 8]), region) == 0
-    assert region_degree(order_with([0, 1, 4, 5]), region) == 1
-    assert region_degree(order_with([0, 9, 20, 63]), region) == 3
+    assert region_degree(order_with([5, 6, 7, 8]), (0, 0)) == 0
+    assert region_degree(order_with([0, 1, 4, 5]), (0, 0)) == 1
+    assert region_degree(order_with([0, 9, 20, 63]), (0, 0)) == 3
 
 
 def test_degree_out_of_bounds():
     scan = generate_scan(ScanVariant.Scan1, 8)
-    with pytest.raises(ValueError):
-        region_degree(scan, _region_at((7, 7)))
-    with pytest.raises(ValueError):
-        region_degree(scan, _region_at((-1, 0)))
+    assert region_degree(scan, (6, 6)) in {0, 1, 2, 3}
+    for anchor in [(7, 7), (-1, 0), (0, 7), (6, -1)]:
+        with pytest.raises(ValueError):
+            region_degree(scan, anchor)
 
 
 def test_enumerate_regions_counts():
-    assert len(enumerate_regions(4, WindowPartition(4, 4))) == 9
-    regions = enumerate_regions(8, WindowPartition(8, 4))
-    assert len(regions) == 49
-    intra = [r for r in regions if r.kind is RegionKind.IntraWindow]
-    inter = [r for r in regions if r.kind is RegionKind.InterWindow]
-    assert (len(intra), len(inter)) == (36, 13)
-    assert len(enumerate_regions(2, WindowPartition(2, 2))) == 1
+    assert len(enumerate_regions(WindowPartition(4, 4))) == 9
+    regions = enumerate_regions(WindowPartition(8, 4))
+    assert [anchor for anchor, _ in regions] == [(r, c) for r in range(7) for c in range(7)]
+    kinds = [kind for _, kind in regions]
+    assert (kinds.count("intra"), kinds.count("inter")) == (36, 13)
+    assert enumerate_regions(WindowPartition(2, 2)) == [((0, 0), "intra")]
 
 
 def test_degree_range_random_orders():
     size = 8
     all_cells = [(r, c) for r in range(size) for c in range(size)]
-    regions = enumerate_regions(size, WindowPartition(size, 4))
+    regions = enumerate_regions(WindowPartition(size, 4))
     rng = random.Random(0)
     for _ in range(200):
         cells = all_cells[:]
         rng.shuffle(cells)
         order = ScanOrder(size=size, cells=cells)
-        for region in regions:
-            assert region_degree(order, region) in {0, 1, 2, 3}
+        for anchor, _ in regions:
+            assert region_degree(order, anchor) in {0, 1, 2, 3}
 
 
 def test_aligned_quadrants_degree_zero():
@@ -176,7 +180,7 @@ def test_aligned_quadrants_degree_zero():
             scan = generate_scan(variant, size)
             for r in range(0, size, 2):
                 for c in range(0, size, 2):
-                    assert region_degree(scan, _region_at((r, c))) == 0
+                    assert region_degree(scan, (r, c)) == 0
 
 
 def test_identity_procedure_zero_delta():
@@ -189,27 +193,31 @@ def test_identity_procedure_zero_delta():
 
 def test_eliminated_bounded_by_d_first():
     rep = analyze(ScanVariant.Scan1, "U1", ScanVariant.Scan3, 8, 4)
-    for rec in rep.records:
-        assert 0 <= rec.eliminated <= rec.d_first
-        assert rec.d_first in {0, 1, 2, 3} and rec.d_second in {0, 1, 2, 3}
+    for _, _, d_first, d_second, eliminated in _records(rep):
+        assert eliminated == max(0, d_first - d_second)
+        assert 0 <= eliminated <= d_first
+        assert d_first in {0, 1, 2, 3} and d_second in {0, 1, 2, 3}
     assert rep.delta == rep.delta_intra + rep.delta_inter
 
 
 def test_report_consistency_and_json():
     rep = analyze(ScanVariant.Scan2, "L1", ScanVariant.Scan4, 8, 4)
-    for kind, total in [(RegionKind.IntraWindow, rep.delta_intra),
-                        (RegionKind.InterWindow, rep.delta_inter)]:
-        assert total == sum(r.eliminated for r in rep.records if r.kind is kind)
-    assert rep.delta == rep.delta_intra + rep.delta_inter
-    blob = report_to_json(rep)
-    assert '"delta"' in blob and '"regions"' in blob
+    doc = json.loads(report_to_json(rep))
+    regions = doc["regions"]
+    assert len(regions) == 49 and {g["kind"] for g in regions} == {"intra", "inter"}
+    for key, kind in [("delta_intra", "intra"), ("delta_inter", "inter")]:
+        total = sum(g["eliminated"] for g in regions if g["kind"] == kind)
+        assert doc[key] == getattr(rep, key) == total, key
+    assert doc["delta"] == rep.delta == rep.delta_intra + rep.delta_inter
 
 
 def test_svg_marks_only_eliminations():
     rep = analyze(ScanVariant.Scan1, "U1", ScanVariant.Scan3, 8, 4)
-    svg = report_to_svg(rep, 8)
-    n_marks = svg.count("<circle")
-    assert n_marks == sum(1 for r in rep.records if r.eliminated > 0)
+    svg = report_to_svg(rep)
+    assert 'width="192"' in svg
+    marked = [rec for rec in _records(rep) if rec[4] > 0]
+    assert svg.count("<circle") == len(marked)
+    assert svg.count("stroke-dasharray") == sum(1 for rec in marked if rec[1] == "inter")
 
 
 def test_search_table_sorted_and_csv():
@@ -241,7 +249,7 @@ def test_search_csv_pinned(grid, window, sha256):
 
 
 # SHA-256 of each output document, recorded while orders were tuples of (row,
-# col) tuples and reports held one RegionRecord per region
+# col) tuples and reports held one record object per region
 @pytest.mark.parametrize("variant,json_sha256,svg_sha256", [
     (ScanVariant.Scan1, "7c8583a92baf67a46ec2497ac1a35f3e6583567b103143ee8119a552d4a8f56f",
      "3bea6c01c633d4dd467d63c443414ca0e32b38dc2f773acb4bf6beccda7bb545"),
@@ -269,7 +277,7 @@ def test_scan_documents_pinned(variant, json_sha256, svg_sha256):
 def test_report_documents_pinned(first, shift, second, json_sha256, svg_sha256):
     rep = analyze(first, shift, second, 8, 4)
     assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == json_sha256
-    assert hashlib.sha256(report_to_svg(rep, 8).encode()).hexdigest() == svg_sha256
+    assert hashlib.sha256(report_to_svg(rep).encode()).hexdigest() == svg_sha256
 
 
 def test_search_deterministic():

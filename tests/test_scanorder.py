@@ -131,6 +131,10 @@ def test_shift_parse():
         ShiftSpec.parse("Q1")
     with pytest.raises(ValueError):
         ShiftSpec.parse("U")
+    # digits outside ASCII: int() rejects the first and reads the second as 3
+    for text in ("U\u00b2", "U\u0663"):
+        with pytest.raises(ValueError, match="unrecognized shift spec"):
+            ShiftSpec.parse(text)
 
 
 def test_window_tiled_order_covers_grid():
