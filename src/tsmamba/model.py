@@ -183,17 +183,17 @@ class RWeights:
 
 
 def untokenize(grid, config, proj_w):
-    """Inverse of the patch projection: [ht, wt, C] tokens -> [C, H, W]."""
+    """Inverse of the patch projection: [ht, wt, C] tokens -> [C, H, W].
+
+    The result is the transposed view of an [H, W, C] buffer, built with one
+    copy, so R's first conv reads it channels last.
+    """
     t = config.token_size
     ht, wt, c_token = grid.shape
     x = grid.reshape(ht * wt, c_token) @ proj_w.astype(np.float32)   # [N, C*t*t]
     c = proj_w.shape[1] // (t * t)
-    feature = (
-        x.reshape(ht, wt, c, t, t)
-        .transpose(2, 0, 3, 1, 4)
-        .reshape(c, ht * t, wt * t)
-    )
-    return np.ascontiguousarray(feature)
+    feature = x.reshape(ht, wt, c, t, t).transpose(0, 3, 1, 4, 2).reshape(ht * t, wt * t, c)
+    return feature.transpose(2, 0, 1)
 
 
 def reconstruct(feature, rw, config):

@@ -1,9 +1,17 @@
 """Array kernels and neural building blocks for the forward pipeline.
 
 Arrays are float32 numpy ndarrays, taken as array-likes and returned as
-ndarrays.  Only `ts_mamba_forward` and `block_matching_flow` return a `Tensor`,
-because the benchmark's workloads read those two results at `.data`.  Outputs
-are byte-identical for the same inputs on the same numpy/BLAS build: every
+ndarrays.  A feature map is [C, H, W] by shape, but the convolutions compute
+channels last: `conv2d` pads its input into an [H, W, C] copy, gathers each
+receptive field as kh runs of kw*C contiguous floats, and returns the
+[C, H', W'] transposed view of its [H', W', C] result.  `pixel_shuffle` and
+`model.untokenize` build their outputs the same way, so G, the TSMA fusion
+conv and R pass channels-last buffers from conv to conv with no added copies,
+and these three return views that are not C-contiguous.
+
+Only `ts_mamba_forward` and `block_matching_flow` return a `Tensor`, whose
+`.data` is C-contiguous, because the benchmark's workloads read those two
+results there.  Outputs are byte-identical for the same inputs on the same numpy/BLAS build: every
 reduction is either a fixed-order numpy expression or a float32 GEMM whose
 result does not depend on the BLAS thread count.  A different numpy or BLAS
 build may round the GEMM differently in the last bits.
@@ -37,10 +45,10 @@ __all__ = [
 ]
 
 PSNR_CAP_DB = 100.0
-# float32 elements of im2col columns gathered per GEMM in conv2d (256 KiB):
+# float32 elements of receptive fields gathered per GEMM in conv2d (1 MiB):
 # large enough for BLAS to run at speed, small enough that a conv never
-# holds more than a sliver of its column matrix.
-_CONV_CHUNK = 1 << 16
+# holds more than a sliver of its gathered matrix.
+_CONV_CHUNK = 1 << 18
 
 
 class Tensor:
@@ -93,11 +101,17 @@ class ModelConfig:
 def conv2d(inp, weights, bias=None, *, padding=0):
     """Cross-correlation of [Cin,H,W] with [Cout,Cin,kh,kw] -> [Cout,H',W'].
 
-    im2col + GEMM: output rows are taken in blocks whose [Cin*kh*kw, rows*W']
-    column matrix holds about _CONV_CHUNK floats, and each block is one float32
-    matrix product with the [Cout, Cin*kh*kw] weights.  The result is
-    byte-identical for the same inputs on the same numpy/BLAS build; it
-    differs from a tap-by-tap float32 sum only by reordering (about 1e-6).
+    The conv computes channels last.  It pads the input into one
+    [H+2p, W+2p, Cin] copy, so each of a receptive field's kh rows is kw*Cin
+    contiguous floats.  Output rows are taken in blocks whose
+    [rows*W', kh*kw*Cin] gathered matrix holds about _CONV_CHUNK floats (one
+    buffer serves every block), and each block is one float32 product with
+    the [kh*kw*Cin, Cout] weights, written into an [H', W', Cout] buffer.
+    The result is that buffer's [Cout,H',W'] transposed view, so it is not
+    C-contiguous; the next conv reads it back with a plain contiguous pad
+    copy.  The bytes do not depend on the input's memory layout or the BLAS
+    thread count on the same numpy/BLAS build, and differ from a tap-by-tap
+    float32 sum only by reordering (about 1e-6).
     """
     x = np.asarray(inp, dtype=np.float32)
     w = np.asarray(weights, dtype=np.float32)
@@ -109,23 +123,28 @@ def conv2d(inp, weights, bias=None, *, padding=0):
         raise ValueError(f"channel mismatch: input {cin} vs weights {cin_w}")
     if h + 2 * padding < kh or wdt + 2 * padding < kw:
         raise ValueError("kernel does not fit inside the padded input")
-    if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    # [Cin, H', W', kh, kw] view of every receptive field; nothing is copied yet
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))
-    _, ho, wo, _, _ = win.shape
-    k = cin * kh * kw
-    wmat = w.reshape(cout, k)
-    out = np.empty((cout, ho, wo), dtype=np.float32)
-    rows = max(1, _CONV_CHUNK // (k * wo))
+    xp = np.pad(x.transpose(1, 2, 0), ((padding, padding), (padding, padding), (0, 0)))
+    hp, wp, _ = xp.shape
+    # [H', W', kh, kw*Cin] view of every receptive field; nothing is copied yet
+    win = sliding_window_view(xp.reshape(hp, wp * cin), (kh, kw * cin))[:, ::cin]
+    ho, wo = win.shape[:2]
+    k = kh * kw * cin
+    wmat = w.transpose(2, 3, 1, 0).reshape(k, cout)
+    # the bias repeated along an output row, so one add covers W'*Cout floats
+    brow = None if bias is None else np.tile(np.asarray(bias, dtype=np.float32), wo)
+    out = np.empty((ho, wo * cout), dtype=np.float32)
+    rows = min(ho, max(1, _CONV_CHUNK // (k * wo)))
+    # one gather buffer for every row block: reused memory stays in cache
+    cols = np.empty((rows, wo, kh, kw * cin), dtype=np.float32)
     for r0 in range(0, ho, rows):
         r1 = min(r0 + rows, ho)
-        # the reshape gathers the block's columns in (cin, kh, kw) order
-        cols = win[:, r0:r1].transpose(0, 3, 4, 1, 2).reshape(k, (r1 - r0) * wo)
-        np.matmul(wmat, cols, out=out[:, r0:r1].reshape(cout, (r1 - r0) * wo))
-    if bias is not None:
-        out += np.asarray(bias, dtype=np.float32).reshape(cout, 1, 1)
-    return out
+        fields = cols[:r1 - r0]
+        np.copyto(fields, win[r0:r1])          # the gather, in (kh, kw, cin) order
+        blk = out[r0:r1]
+        np.matmul(fields.reshape(-1, k), wmat, out=blk.reshape(-1, cout))
+        if brow is not None:
+            blk += brow
+    return out.reshape(ho, wo, cout).transpose(2, 0, 1)
 
 
 def relu(x):
@@ -142,7 +161,12 @@ def residual_block(inp, w1, b1, w2, b2):
 
 
 def pixel_shuffle(inp, r):
-    """Depth-to-space: [C*r*r, H, W] -> [C, r*H, r*W]."""
+    """Depth-to-space: [C*r*r, H, W] -> [C, r*H, r*W].
+
+    Input channel c*r*r + i*r + j lands at offset (i, j) of each r x r block.
+    The result is the transposed view of an [r*H, r*W, C] buffer, as conv2d's
+    is, so it is not C-contiguous.
+    """
     x = np.asarray(inp, dtype=np.float32)
     if x.ndim != 3:
         raise ValueError("pixel_shuffle expects [C*r*r, H, W]")
@@ -150,8 +174,9 @@ def pixel_shuffle(inp, r):
     if r < 1 or crr % (r * r) != 0:
         raise ValueError(f"channel count {crr} not divisible by r^2={r * r}")
     c = crr // (r * r)
-    y = x.reshape(c, r, r, h, w).transpose(0, 3, 1, 4, 2).reshape(c, h * r, w * r)
-    return np.ascontiguousarray(y)
+    # built channels last with one copy: [H, W, C, r, r] -> [H, r, W, r, C]
+    y = x.transpose(1, 2, 0).reshape(h, w, c, r, r).transpose(0, 3, 1, 4, 2)
+    return y.reshape(h * r, w * r, c).transpose(2, 0, 1)
 
 
 def _cubic_kernel(t, a=-0.5):

@@ -136,6 +136,12 @@ class ScanOrder:
         return bool((np.abs(steps).sum(axis=1) == 1).all())
 
 
+# longest shift count ShiftSpec.parse reads: 640 is the lowest limit that
+# Python's int() can be configured to (sys.int_info.str_digits_check_threshold),
+# so a longer count is rejected here, never by int()
+MAX_SHIFT_DIGITS = 640
+
+
 @dataclass(frozen=True)
 class ShiftSpec:
     """Cyclic content shift by (delta_row, delta_col)."""
@@ -158,7 +164,8 @@ class ShiftSpec:
         for name in sorted(cls._DIRS, key=len, reverse=True):
             digits = t[len(name):]
             # str.isdigit also accepts '²' and '٣', which int() rejects or reads as 3
-            if t.startswith(name) and digits.isascii() and digits.isdigit():
+            if (t.startswith(name) and len(digits) <= MAX_SHIFT_DIGITS
+                    and digits.isascii() and digits.isdigit()):
                 k = int(digits)
                 dr, dc = cls._DIRS[name]
                 return cls(dr * k, dc * k, label=f"{name}({k})")

@@ -126,6 +126,15 @@ def test_disc_analyze_shift_beyond_int64(capsys):
         assert np.array_equal(got["d_second"], rep.d_second)
 
 
+def test_disc_analyze_shift_too_many_digits_exit_2(capsys):
+    """A 5,000-digit shift count exits 2 with the parser's own message, not
+    Python's int-conversion limit."""
+    assert main(["disc", "analyze", "--first", "scan1", "--shift", "U" + "9" * 5000,
+                 "--second", "scan3", "--grid", "8", "--window", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized shift spec" in err and "Exceeds the limit" not in err
+
+
 def test_disc_search_csv(tmp_path):
     out = tmp_path / "search.csv"
     assert main(["disc", "search", "--grid", "8", "--window", "4",

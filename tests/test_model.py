@@ -17,11 +17,29 @@ from tsmamba.model import (
     trajectory_loss,
     set_weight,
     ts_mamba_forward,
+    untokenize,
     weight_map,
     window_scans_for_grid,
 )
 from tsmamba.scanorder import ShiftSpec, WindowPartition, compose_scan_shift_scan, window_tiled_order
 from tsmamba.trajectory import TrajectorySet, token_centers
+
+
+@pytest.mark.parametrize("t", [2, 4])
+def test_untokenize_matches_chw_formula(t):
+    """Byte-equal to the channels-first reshape/transpose formula: patch
+    channel c*t*t + i*t + j lands at offset (i, j) of its token's t x t block."""
+    rng = np.random.default_rng(t)
+    ht, wt, c_token, c = 3, 5, 6, 4
+    grid = rng.normal(0, 1, (ht, wt, c_token)).astype(np.float32)
+    proj_w = rng.normal(0, 1, (c_token, c * t * t))
+    x = grid.reshape(ht * wt, c_token) @ proj_w.astype(np.float32)
+    want = np.ascontiguousarray(
+        x.reshape(ht, wt, c, t, t).transpose(2, 0, 3, 1, 4).reshape(c, ht * t, wt * t))
+    got = untokenize(grid, ModelConfig(token_size=t), proj_w)
+    assert got.shape == want.shape and got.dtype == np.float32
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    assert got.transpose(1, 2, 0).flags.c_contiguous
 
 
 def zeroed_tail(r_weights):

@@ -129,10 +129,17 @@ CONV_CASES = [
     (3, 4, 3, 2, 0, 10, 9),
     (3, 5, 1, 1, 0, 7, 6),
     (3, 5, 1, 2, 1, 7, 6),
-    (192, 4, 3, 1, 1, 12, 10),     # deep reduction over several row blocks
+    (192, 4, 3, 1, 1, 12, 10),
     (192, 3, 1, 1, 0, 8, 8),
-    (3, 2, 3, 1, 1, 200, 40),      # tall frame: several row blocks
+    (3, 2, 3, 1, 1, 200, 40),
+    (192, 4, 3, 1, 1, 40, 10),     # deep reduction over several row blocks
+    (3, 2, 3, 1, 1, 600, 40),      # tall frame: several row blocks
 ]
+
+
+def _channels_last(x):
+    """The same [C, H, W] values, backed by an [H, W, C] buffer."""
+    return np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
 @pytest.mark.parametrize("cin,cout,k,stride,padding,h,w", CONV_CASES)
@@ -143,14 +150,37 @@ def test_conv2d_matches_loop_oracle(cin, cout, k, stride, padding, h, w):
     # by ~1e-6, which atol 1e-5 bounds
     wts = rng.normal(0, 1 / math.sqrt(cin * k * k), (cout, cin, k, k)).astype(np.float32)
     b = rng.normal(0, 1, cout).astype(np.float32)
-    got = conv2d(x, wts, b, padding=padding)[:, ::stride, ::stride]
+    # a C-contiguous input and a channels-last-backed view of the same values
+    # give the same bytes, returned as the [Cout, H', W'] view of an
+    # [H', W', Cout] buffer
+    x_cl = _channels_last(x)
+    assert x.flags.c_contiguous and not x_cl.flags.c_contiguous
+    out, out_cl = (conv2d(inp, wts, b, padding=padding) for inp in (x, x_cl))
+    assert out.tobytes() == out_cl.tobytes()
+    assert out.transpose(1, 2, 0).flags.c_contiguous
+    got = out[:, ::stride, ::stride]
     want = _conv2d_loop(x, wts, b, stride=stride, padding=padding)
     assert got.shape == want.shape and got.dtype == np.float32
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
 
 
+def test_conv2d_chain_bytes_independent_of_input_layout():
+    """A conv reading another conv's channels-last result gives the bytes it
+    gives on a C-contiguous copy of the same values."""
+    rng = np.random.default_rng(11)
+    x = rng.random((3, 20, 18), dtype=np.float32)
+    w1 = rng.normal(0, 0.2, (8, 3, 3, 3)).astype(np.float32)
+    w2 = rng.normal(0, 0.2, (5, 8, 3, 3)).astype(np.float32)
+    outs = []
+    for inp in (x, _channels_last(x)):
+        y = conv2d(inp, w1, np.ones(8), padding=1)
+        outs.append(conv2d(y, w2, padding=1))
+        outs.append(conv2d(np.ascontiguousarray(y), w2, padding=1))
+    assert len({o.tobytes() for o in outs}) == 1
+
+
 def test_conv2d_cases_cross_row_blocks():
-    for cin, _, k, _, padding, h, w in (CONV_CASES[6], CONV_CASES[8]):
+    for cin, _, k, _, padding, h, w in (CONV_CASES[9], CONV_CASES[10]):
         wo = w + 2 * padding - k + 1
         ho = h + 2 * padding - k + 1
         rows = max(1, numerics._CONV_CHUNK // (cin * k * k * wo))
@@ -179,10 +209,14 @@ import numpy as np
 from tsmamba.numerics import conv2d
 rng = np.random.default_rng(0)
 h = hashlib.sha256()
-for cin, cout, k, size in ((3, 32, 3, 64), (32, 32, 3, 64), (96, 32, 1, 64), (32, 48, 3, 32)):
+for cin, cout, k, size in ((3, 32, 3, 64), (32, 32, 3, 64), (96, 32, 1, 64), (32, 48, 3, 32),
+                           (32, 3, 3, 64)):
     x = rng.random((cin, size, size), dtype=np.float32)
     w = rng.normal(0, 0.05, (cout, cin, k, k)).astype(np.float32)
     h.update(conv2d(x, w, padding=k // 2).tobytes())
+    # the same values backed by an [H, W, C] buffer, as a conv's result is
+    x_cl = np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
+    h.update(conv2d(x_cl, w, padding=k // 2).tobytes())
 print(h.hexdigest())
 """
 
@@ -231,6 +265,21 @@ def test_pixel_shuffle_layout():
     assert y[0, 0, 1] == x[1, 0, 0]
     assert y[0, 1, 0] == x[2, 0, 0]
     assert y[0, 1, 1] == x[3, 0, 0]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_pixel_shuffle_matches_chw_formula(r):
+    """Byte-equal to the channels-first reshape/transpose formula, on a
+    C-contiguous and on a channels-last-backed input."""
+    c, h, w = 5, 4, 6
+    x = np.random.default_rng(r).normal(0, 1, (c * r * r, h, w)).astype(np.float32)
+    want = np.ascontiguousarray(
+        x.reshape(c, r, r, h, w).transpose(0, 3, 1, 4, 2).reshape(c, h * r, w * r))
+    for inp in (x, _channels_last(x)):
+        got = pixel_shuffle(inp, r)
+        assert got.shape == want.shape and got.dtype == np.float32
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert got.transpose(1, 2, 0).flags.c_contiguous
 
 
 def test_pixel_shuffle_rejects_bad_channels():

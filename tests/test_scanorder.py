@@ -3,6 +3,7 @@ import pytest
 
 from tsmamba.scanorder import (
     _DIHEDRAL,
+    MAX_SHIFT_DIGITS,
     VARIANT_DIHEDRAL,
     ScanOrder,
     ScanVariant,
@@ -135,6 +136,14 @@ def test_shift_parse():
     for text in ("U\u00b2", "U\u0663"):
         with pytest.raises(ValueError, match="unrecognized shift spec"):
             ShiftSpec.parse(text)
+    # a count longer than MAX_SHIFT_DIGITS is rejected before int() sees it,
+    # whose own message ("Exceeds the limit (4300 digits) ...") starts at 4,301
+    with pytest.raises(ValueError, match="unrecognized shift spec"):
+        ShiftSpec.parse("U" + "9" * 5000)
+    with pytest.raises(ValueError, match="unrecognized shift spec"):
+        ShiftSpec.parse("UL" + "1" * (MAX_SHIFT_DIGITS + 1))
+    longest = ShiftSpec.parse("D" + "9" * MAX_SHIFT_DIGITS)
+    assert longest.delta_row == 10 ** MAX_SHIFT_DIGITS - 1 and longest.delta_col == 0
 
 
 def test_window_tiled_order_covers_grid():
