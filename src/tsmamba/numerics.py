@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -123,16 +123,19 @@ def conv2d(inp, weights, bias=None, *, padding=0):
         raise ValueError(f"channel mismatch: input {cin} vs weights {cin_w}")
     if h + 2 * padding < kh or wdt + 2 * padding < kw:
         raise ValueError("kernel does not fit inside the padded input")
-    xp = np.pad(x.transpose(1, 2, 0), ((padding, padding), (padding, padding), (0, 0)))
-    hp, wp, _ = xp.shape
-    # [H', W', kh, kw*Cin] view of every receptive field; nothing is copied yet
-    win = sliding_window_view(xp.reshape(hp, wp * cin), (kh, kw * cin))[:, ::cin]
-    ho, wo = win.shape[:2]
+    hp, wp = h + 2 * padding, wdt + 2 * padding
+    xp = np.zeros((hp, wp, cin), dtype=np.float32)
+    xp[padding:padding + h, padding:padding + wdt] = x.transpose(1, 2, 0)
+    ho, wo = hp - kh + 1, wp - kw + 1
+    # [H', W', kh, kw*Cin] read-only view of every receptive field: a field's
+    # row is kw*Cin contiguous floats of xp; nothing is copied yet
+    row, item = xp.strides[:2]
+    win = as_strided(xp, (ho, wo, kh, kw * cin), (row, item, row, xp.itemsize),
+                     writeable=False)
     k = kh * kw * cin
     wmat = w.transpose(2, 3, 1, 0).reshape(k, cout)
-    # the bias repeated along an output row, so one add covers W'*Cout floats
-    brow = None if bias is None else np.tile(np.asarray(bias, dtype=np.float32), wo)
-    out = np.empty((ho, wo * cout), dtype=np.float32)
+    b = None if bias is None else np.asarray(bias, dtype=np.float32)
+    out = np.empty((ho, wo, cout), dtype=np.float32)
     rows = min(ho, max(1, _CONV_CHUNK // (k * wo)))
     # one gather buffer for every row block: reused memory stays in cache
     cols = np.empty((rows, wo, kh, kw * cin), dtype=np.float32)
@@ -142,9 +145,9 @@ def conv2d(inp, weights, bias=None, *, padding=0):
         np.copyto(fields, win[r0:r1])          # the gather, in (kh, kw, cin) order
         blk = out[r0:r1]
         np.matmul(fields.reshape(-1, k), wmat, out=blk.reshape(-1, cout))
-        if brow is not None:
-            blk += brow
-    return out.reshape(ho, wo, cout).transpose(2, 0, 1)
+        if b is not None:
+            blk += b
+    return out.transpose(2, 0, 1)
 
 
 def relu(x):

@@ -103,10 +103,15 @@ def _recurrence(params, u, windows=1):
     uw = u.reshape(L, windows, C)
     hs = np.empty((L, width, N), dtype=np.float64)
     hw = hs.reshape(L, windows, C, N)
+    # every step's input term (delta*B)*u at once; the loop then adds the
+    # decayed state to it in place, so h_1 = (Abar_1*0) + input keeps the
+    # sign of zero that a zero-state step gives
+    np.multiply(binp[:, None], uw[..., None], out=hw)
     h = np.zeros((windows, C, N), dtype=np.float64)
-    for l in range(L):
-        h = np.multiply(abar[l], h, out=hw[l])
-        h += binp[l] * uw[l][..., None]
+    decayed = np.empty_like(h)
+    for a, hl in zip(abar, hw):
+        np.multiply(a, h, out=decayed)
+        h = np.add(decayed, hl, out=hl)
     # one gemv per step, as hs[l] @ C[l] would take it
     y = np.matmul(hs, params.C[:, :, None])[..., 0] + (params.D * uw).reshape(L, width)
     return y, (delta, abar, hs)
