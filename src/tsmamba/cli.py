@@ -55,6 +55,7 @@ from .scanorder import (
 )
 from .ssm import (
     SelectiveScanParams,
+    check_gradient_check_size,
     gradient_check,
     selective_scan_forward,
 )
@@ -217,6 +218,7 @@ def cmd_ssm_run(args):
 
 
 def cmd_grad_check(args):
+    check_gradient_check_size(args.length, args.channels, args.state_dim)
     rng = np.random.default_rng(args.seed)
     params = SelectiveScanParams.init(args.channels, args.state_dim, args.length, rng)
     u = rng.normal(0.0, 1.0, (args.length, args.channels))

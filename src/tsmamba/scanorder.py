@@ -141,6 +141,12 @@ class ScanOrder:
 # so a longer count is rejected here, never by int()
 MAX_SHIFT_DIGITS = 640
 
+# largest grid side a scan or a window partition is built on, checked before
+# anything is allocated: every array grows with the square of the side, and a
+# discontinuity search over the default 24 shifts and 4 variants peaks near
+# 0.5 GB at this size
+MAX_GRID_SIZE = 256
+
 
 @dataclass(frozen=True)
 class ShiftSpec:
@@ -185,6 +191,8 @@ class WindowPartition:
     def __post_init__(self):
         if self.grid_size < 1:
             raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
+        if self.grid_size > MAX_GRID_SIZE:
+            raise ValueError(f"grid_size must be at most {MAX_GRID_SIZE}, got {self.grid_size}")
         if self.window_size < 1:
             raise ValueError(f"window_size must be >= 1, got {self.window_size}")
         if self.grid_size % self.window_size:
@@ -223,6 +231,8 @@ def _hilbert_base(size):
 def _check_size(size):
     if size < 1 or (size & (size - 1)) != 0:
         raise ValueError(f"size must be a positive power of two, got {size}")
+    if size > MAX_GRID_SIZE:
+        raise ValueError(f"size must be at most {MAX_GRID_SIZE}, got {size}")
 
 
 def generate_scan(variant, size):

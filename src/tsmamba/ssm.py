@@ -27,6 +27,7 @@ __all__ = [
     "selective_scan_forward",
     "selective_scan_backward",
     "gradient_check",
+    "check_gradient_check_size",
     "build_ss3d_sequence",
     "ssm_block",
 ]
@@ -167,12 +168,28 @@ def selective_scan_backward(params, sequence, upstream):
     return {"u": gu, "A": gA, "D": gD, "dt": gdt, "B": gB, "C": gC}
 
 
+# values gradient_check perturbs, two forward passes each: the check's time
+# grows with their count times L, so it is bounded before anything is built
+MAX_GRADIENT_CHECK_VALUES = 1 << 12
+
+
+def check_gradient_check_size(length, channels, state_dim):
+    """Raise ValueError when a check over a [length, channels] input and its
+    parameters would perturb more than MAX_GRADIENT_CHECK_VALUES values."""
+    # u and dt are [L, C], B and C [L, N], A [C, N] and D [C]
+    n = 2 * length * (channels + state_dim) + channels * (state_dim + 1)
+    if n > MAX_GRADIENT_CHECK_VALUES:
+        raise ValueError(f"a gradient check over L={length}, C={channels}, N={state_dim} "
+                         f"perturbs {n} values, more than {MAX_GRADIENT_CHECK_VALUES}")
+
+
 def gradient_check(params, sequence, rng=None):
     """Central finite differences vs analytic backward; returns max rel error."""
     step = 1e-4
     rng = rng or np.random.default_rng(0)
     u = np.array(sequence, dtype=np.float64)
     L, C = u.shape
+    check_gradient_check_size(L, C, params.A.shape[1])
     g = rng.normal(0.0, 1.0, (L, C))
     # float64 copies that the loss reads, so an in-place step reaches it
     p = SelectiveScanParams(**{k: np.array(a, dtype=np.float64)

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsmamba import ssm
+import tsmamba
+from tsmamba import scanorder, ssm
 from tsmamba.cli import main
 from tsmamba.discontinuity import analyze, search_procedures
 from tsmamba.model import TsMambaWeights, set_weight, ts_mamba_forward, weight_map
@@ -153,6 +158,69 @@ def test_disc_search_csv(tmp_path):
 def test_disc_bad_partition_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# the sizes that once reached numpy's allocator: 1 PiB in the search's intra
+# mask and the analysis's tiler, 2.18 TiB in grad check's input, and a Hilbert
+# curve doubled until memory runs out
+OVERSIZED = [
+    ["disc", "search", "--grid", "33554432", "--window", "4"],
+    ["disc", "analyze", "--first", "scan1", "--shift", "U1", "--second", "scan3",
+     "--grid", "33554432", "--window", "4"],
+    ["grad", "check", "--length", "100000000000"],
+    ["scan", "gen", "--variant", "scan1", "--size", str(2**50)],
+]
+
+# the child caps its own address space first, so a size that escapes its
+# check fails here with a MemoryError instead of filling the machine
+_CAPPED_MAIN = """
+import resource
+import sys
+cap = 2 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from tsmamba.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", OVERSIZED)
+def test_oversized_sizes_exit_2_under_a_memory_cap(argv):
+    src = str(Path(tsmamba.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+def test_grid_sizes_bounded_at_max_grid_size(tmp_path, capsys):
+    top = scanorder.MAX_GRID_SIZE
+    out = tmp_path / "scan.json"
+    assert main(["scan", "gen", "--variant", "scan2", "--size", str(top),
+                 "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["order"]) == top * top
+    assert main(["disc", "analyze", "--first", "scan1", "--shift", "U1", "--second",
+                 "scan3", "--grid", str(top), "--window", "4", "--out",
+                 str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    for argv in (["scan", "gen", "--variant", "scan1", "--size", str(2 * top)],
+                 ["disc", "search", "--grid", str(top + 4), "--window", "4"],
+                 ["disc", "analyze", "--first", "scan1", "--shift", "U1", "--second",
+                  "scan3", "--grid", str(top + 4), "--window", "4"]):
+        assert main(argv) == 2
+        assert f"at most {top}" in capsys.readouterr().err
+
+
+def test_gradient_check_size_bound():
+    # 2 * 682 * (2 + 1) + 2 * (1 + 1) is exactly the bound
+    assert ssm.MAX_GRADIENT_CHECK_VALUES == 2 * 682 * 3 + 4
+    ssm.check_gradient_check_size(682, 2, 1)
+    with pytest.raises(ValueError, match="perturbs 4102 values"):
+        ssm.check_gradient_check_size(683, 2, 1)
+    params = ssm.SelectiveScanParams.init(2, 1, 683)
+    with pytest.raises(ValueError, match="more than"):
+        ssm.gradient_check(params, np.zeros((683, 2)))
 
 
 def _write_frames(directory, n=3, size=16, seed=0):

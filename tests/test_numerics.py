@@ -134,6 +134,9 @@ CONV_CASES = [
     (3, 2, 3, 1, 1, 200, 40),
     (192, 4, 3, 1, 1, 40, 10),     # deep reduction over several row blocks
     (3, 2, 3, 1, 1, 600, 40),      # tall frame: several row blocks
+    (3, 4, 3, 1, 2, 9, 11),        # padding wider than the kernel's reach
+    (4, 5, 1, 1, 1, 7, 6),         # a 1x1 kernel over a zero border
+    (3, 2, 5, 1, 1, 3, 4),         # the kernel as tall as the padded input: H' = 1
 ]
 
 
@@ -162,6 +165,30 @@ def test_conv2d_matches_loop_oracle(cin, cout, k, stride, padding, h, w):
     want = _conv2d_loop(x, wts, b, stride=stride, padding=padding)
     assert got.shape == want.shape and got.dtype == np.float32
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+
+def test_conv2d_leaves_input_unchanged_and_reads_a_read_only_view(monkeypatch):
+    """The receptive fields are a view of conv2d's own padded copy, never of
+    the input, and that view cannot be written through."""
+    views = []
+    as_strided = numerics.as_strided
+
+    def spy(*args, **kwargs):
+        views.append(as_strided(*args, **kwargs))
+        return views[-1]
+
+    monkeypatch.setattr(numerics, "as_strided", spy)
+    rng = np.random.default_rng(5)
+    x = rng.random((4, 7, 9), dtype=np.float32)
+    wts = rng.normal(0, 0.3, (3, 4, 3, 3)).astype(np.float32)
+    for inp in (x, _channels_last(x)):
+        before = inp.copy()
+        conv2d(inp, wts, np.ones(3), padding=2)
+        assert inp.tobytes() == before.tobytes()
+    assert len(views) == 2
+    assert all(not v.flags.writeable for v in views)
+    with pytest.raises(ValueError):
+        views[0][0, 0, 0, 0] = 1.0
 
 
 def test_conv2d_chain_bytes_independent_of_input_layout():

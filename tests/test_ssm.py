@@ -7,6 +7,7 @@ from tsmamba.numerics import ModelConfig, layer_norm
 from tsmamba.scanorder import ScanVariant
 from tsmamba.ssm import (
     SelectiveScanParams,
+    _recurrence,
     build_ss3d_sequence,
     gradient_check,
     scatter_current,
@@ -82,6 +83,52 @@ def test_windows_equal_separate_scans(L, C, N, windows, seed):
     want = np.stack([selective_scan_forward(params, u[:, w]) for w in range(windows)],
                     axis=1)
     assert y.tobytes() == want.reshape(L, windows * C).tobytes()
+
+
+def _recurrence_three_op(params, u, windows):
+    """Oracle: the step loop that takes three ufuncs per step, h_l =
+    Abar_l * h_{l-1} written into hs[l], then h_l += (delta_l * B_l) * u_l
+    with the input term made inside the loop."""
+    L, width = u.shape
+    C, N = params.A.shape
+    delta = np.logaddexp(0.0, params.dt)
+    abar = np.exp(delta[:, :, None] * params.A[None])
+    binp = delta[:, :, None] * params.B[:, None, :]
+    uw = u.reshape(L, windows, C)
+    hs = np.empty((L, width, N))
+    hw = hs.reshape(L, windows, C, N)
+    h = np.zeros((windows, C, N))
+    for l in range(L):
+        h = np.multiply(abar[l], h, out=hw[l])
+        h += binp[l] * uw[l][..., None]
+    y = np.matmul(hs, params.C[:, :, None])[..., 0] + (params.D * uw).reshape(L, width)
+    return y, hs
+
+
+@pytest.mark.parametrize("L", [1, 2, 256])
+@pytest.mark.parametrize("windows", [1, 4])
+@pytest.mark.parametrize("signed_zeros", [False, True])
+def test_recurrence_bytes_equal_three_op_loop(L, windows, signed_zeros):
+    """y and the cached states hs are byte-equal to the three-op step loop.
+    With zero-padded tokens (u = +-0.0) and negative B the input term is -0.0
+    at some sites; the first step still gives +0.0 there, as 0.0 + -0.0 does."""
+    rng = np.random.default_rng(L * 10 + windows)
+    C, N = 3, 5
+    params = SelectiveScanParams.init(C, N, L, rng)
+    u = rng.normal(0, 1, (L, windows * C))
+    if signed_zeros:
+        params.B = -np.abs(params.B)
+        u[: max(1, L // 2)] = 0.0
+        u[: max(1, L // 2), ::2] = -0.0
+        terms = (np.logaddexp(0.0, params.dt)[:, :, None] * params.B[:, None]
+                 )[:, None] * u.reshape(L, windows, C, 1)
+        assert np.signbit(terms[0]).any() and (terms[0] == 0).all()
+    y, (_, _, hs) = _recurrence(params, u, windows)
+    want_y, want_hs = _recurrence_three_op(params, u, windows)
+    assert hs.tobytes() == want_hs.tobytes()
+    assert y.tobytes() == want_y.tobytes()
+    if signed_zeros:
+        assert not np.signbit(hs[0]).any()
 
 
 @pytest.mark.parametrize("width,windows", [(6, 1), (6, 2), (8, 3), (0, 0), (4, 0)])
