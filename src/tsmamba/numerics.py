@@ -2,9 +2,10 @@
 
 Arrays are float32 numpy ndarrays, taken as array-likes and returned as
 ndarrays.  A feature map is [C, H, W] by shape, but the convolutions compute
-channels last: `conv2d` pads its input into an [H, W, C] copy, gathers each
-receptive field as kh runs of kw*C contiguous floats, and returns the
-[C, H', W'] transposed view of its [H', W', C] result.  `pixel_shuffle` and
+channels last: `conv2d` assigns its input into a zero-filled [H+2p, W+2p, C]
+buffer, gathers each receptive field as kh runs of kw*C contiguous floats
+through one read-only strided view of it, and returns the [C, H', W']
+transposed view of its [H', W', C] result.  `pixel_shuffle` and
 `model.untokenize` build their outputs the same way, so G, the TSMA fusion
 conv and R pass channels-last buffers from conv to conv with no added copies,
 and these three return views that are not C-contiguous.
@@ -101,17 +102,19 @@ class ModelConfig:
 def conv2d(inp, weights, bias=None, *, padding=0):
     """Cross-correlation of [Cin,H,W] with [Cout,Cin,kh,kw] -> [Cout,H',W'].
 
-    The conv computes channels last.  It pads the input into one
-    [H+2p, W+2p, Cin] copy, so each of a receptive field's kh rows is kw*Cin
-    contiguous floats.  Output rows are taken in blocks whose
-    [rows*W', kh*kw*Cin] gathered matrix holds about _CONV_CHUNK floats (one
-    buffer serves every block), and each block is one float32 product with
-    the [kh*kw*Cin, Cout] weights, written into an [H', W', Cout] buffer.
-    The result is that buffer's [Cout,H',W'] transposed view, so it is not
-    C-contiguous; the next conv reads it back with a plain contiguous pad
-    copy.  The bytes do not depend on the input's memory layout or the BLAS
-    thread count on the same numpy/BLAS build, and differ from a tap-by-tap
-    float32 sum only by reordering (about 1e-6).
+    The conv computes channels last.  It assigns the input into the
+    interior of one zero-filled [H+2p, W+2p, Cin] buffer, so each of a
+    receptive field's kh rows is kw*Cin contiguous floats, and views every
+    field at once through explicit strides.  Output rows are taken in blocks
+    whose [rows*W', kh*kw*Cin] gathered matrix holds about _CONV_CHUNK floats
+    (one buffer serves every block), and each block is one float32 product
+    with the [kh*kw*Cin, Cout] weights, written into an [H', W', Cout] buffer
+    and given its bias by broadcasting.  The result is that buffer's
+    [Cout,H',W'] transposed view, so it is not C-contiguous; the next conv
+    reads it back into its padded buffer with one contiguous copy.  The
+    bytes do not depend on the input's memory layout or the BLAS thread
+    count on the same numpy/BLAS build, and differ from a tap-by-tap float32
+    sum only by reordering (about 1e-6).
     """
     x = np.asarray(inp, dtype=np.float32)
     w = np.asarray(weights, dtype=np.float32)

@@ -12,6 +12,12 @@ A is diagonal per channel (state_dim entries); B_l and C_l are per-step
 state_dim vectors shared across channels; dt is per (step, channel).  Several
 windows of C channels can share one parameter set: they are a broadcast axis
 of the state, so each (step, channel) is discretised once.
+
+The input terms Bbar_l * u_l of all steps are formed in one broadcast
+multiply, straight into the state cache; the loop then takes two ufuncs per
+step, Abar_l * h_{l-1} into a step-sized temporary and that added in place to
+the cached input term.  The first step adds its input term to the zero
+state's 0.0, so a -0.0 term is kept as +0.0, as a zero-state step gives it.
 """
 
 from __future__ import annotations
