@@ -110,9 +110,8 @@ def _recurrence(params, u, windows=1):
     uw = u.reshape(L, windows, C)
     hs = np.empty((L, width, N), dtype=np.float64)
     hw = hs.reshape(L, windows, C, N)
-    # every step's input term (delta*B)*u at once; the loop then adds the
-    # decayed state to it in place, so h_1 = (Abar_1*0) + input keeps the
-    # sign of zero that a zero-state step gives
+    # all input terms first; step 1 still adds its term to the zero state's
+    # 0.0, which keeps a -0.0 term as the +0.0 a zero-state step gives
     np.multiply(binp[:, None], uw[..., None], out=hw)
     h = np.zeros((windows, C, N), dtype=np.float64)
     decayed = np.empty_like(h)
