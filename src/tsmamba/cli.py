@@ -32,7 +32,6 @@ from .model import (
     TsMambaWeights,
     charbonnier_loss,
     count_params_macs,
-    set_weight,
     total_loss,
     trajectory_loss,
     ts_mamba_forward,
@@ -125,13 +124,9 @@ def cmd_scan_check(args):
 # --- disc -------------------------------------------------------------------
 
 def cmd_disc_analyze(args):
-    try:
-        first = ScanVariant(args.first)
-        second = ScanVariant(args.second)
-        shift = ShiftSpec.parse(args.shift)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    report = analyze(first, shift, second, args.grid, args.window)
+    # main reports a ValueError as an invalid argument, exit 2
+    first, second = ScanVariant(args.first), ScanVariant(args.second)
+    report = analyze(first, ShiftSpec.parse(args.shift), second, args.grid, args.window)
     payload = json.loads(report_to_json(report))
     _emit(_envelope("disc analyze", [], payload), args.out)
     if args.svg:
@@ -268,15 +263,17 @@ def _load_weight_bundle(directory, config):
     if not isinstance(manifest, dict):
         raise CliError("manifest.json must hold a JSON object")
     weights = TsMambaWeights.random(config, seed=0)
-    names = list(weight_map(weights))
-    missing = [name for name in names if name not in manifest]
+    layers = weight_map(weights)
+    missing = [name for name in layers if name not in manifest]
     if missing:
         raise CliError("weight bundle missing layers: " + ", ".join(sorted(missing)))
-    for name in names:
+    for name, array in layers.items():
         if not isinstance(manifest[name], str):
             raise CliError(f"manifest entry for {name} must be a file name")
         t = read_tstf(os.path.join(directory, manifest[name]))
-        set_weight(weights, name, t.astype(np.float64))
+        if t.shape != array.shape:
+            raise CliError(f"layer {name}: shape {t.shape} != {array.shape}")
+        array[...] = t
     return weights
 
 

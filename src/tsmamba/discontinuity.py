@@ -14,10 +14,10 @@ order, and a region's kind is "intra" or "inter" by its mask bit.
 `region_degree(order, anchor)` scores one region by its top-left cell, and
 `enumerate_regions(partition)` lists the (anchor, kind) pairs.
 
-The search scores each distinct degree grid once.  It tiles one order per
-variant and stacks their rank grids as [V, S, S]; the shifted second orders
-are one cyclic roll of that stack per shift, [K, V, S, S].  One degree pass
-over each stack gives the read-only grids that all V x K x V reports view.
+The search, and `analyze` as its one-triple case, stacks one rank grid per
+variant as [V, S, S] and rolls the stack once per shift, [K, V, S, S]; one
+degree pass over each stack gives the read-only grids all reports view.
+`elimination` of a composed `Procedure` is the tests' reference for both.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .scanorder import (
     ScanVariant,
     ShiftSpec,
     WindowPartition,
-    compose_scan_shift_scan,
     window_tiled_order,
 )
 
@@ -124,7 +123,7 @@ def enumerate_regions(partition):
 
 
 def elimination(procedure, partition):
-    """Degree grids of the procedure's two orders, and its intra-window mask."""
+    """Degree grids and intra-window mask of a composed procedure (a test reference)."""
     first = procedure.first
     second = procedure.shifted_second_order
     if first.size != partition.grid_size or second.size != partition.grid_size:
@@ -137,15 +136,6 @@ def elimination(procedure, partition):
     )
 
 
-def analyze(first, shift, second, grid_size, window_size):
-    """Convenience wrapper: build the tiled procedure and run elimination."""
-    part = WindowPartition(grid_size=grid_size, window_size=window_size)
-    if not isinstance(shift, ShiftSpec):
-        shift = ShiftSpec.parse(shift)
-    proc = compose_scan_shift_scan(first, shift, second, part)
-    return elimination(proc, part)
-
-
 DEFAULT_SHIFTS = tuple(
     f"{name}{k}" for name in ("U", "D", "L", "R", "UL", "UR", "DL", "DR")
     for k in (1, 2, 3)
@@ -155,6 +145,35 @@ DEFAULT_SHIFTS = tuple(
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+def _score(firsts, shifts, seconds, part):
+    """Rows (first, shift, second, report) of every triple, in loop order;
+    each distinct variant is tiled and ranked once."""
+    intra = _read_only(_intra_mask(part.grid_size, part.window_size))
+    variants = list(dict.fromkeys(firsts + seconds))
+    orders = [window_tiled_order(v, part) for v in variants]
+    ranks = np.stack([order.rank for order in orders])                  # [V, S, S]
+    # the shifted order visits p where it reads cell p - d: its rank at p is rank[p + d]
+    shifted = np.stack([np.roll(ranks, (-s.delta_row, -s.delta_col), axis=(1, 2))
+                        for s in shifts])                               # [K, V, S, S]
+    d_first = _read_only(_degree_grid(ranks))
+    d_second = _read_only(_degree_grid(shifted))
+    js = [variants.index(v) for v in seconds]
+    return [(variants[i], shift, variants[j],
+             DiscontinuityReport(f"{orders[i].label}->{shift.name()}->{orders[j].label}",
+                                 d_first[i], d_second[k, j], intra))
+            for i in map(variants.index, firsts)
+            for k, shift in enumerate(shifts)
+            for j in js]
+
+
+def analyze(first, shift, second, grid_size, window_size):
+    """The one-triple search: the report of first -> shift -> second."""
+    part = WindowPartition(grid_size=grid_size, window_size=window_size)
+    if not isinstance(shift, ShiftSpec):
+        shift = ShiftSpec.parse(shift)
+    return _score([first], [shift], [second], part)[0][3]
 
 
 def search_procedures(grid_size, window_size, shifts=None, variants=None):
@@ -174,22 +193,8 @@ def search_procedures(grid_size, window_size, shifts=None, variants=None):
     if not variants:
         raise ValueError("variant list must be non-empty")
     part = WindowPartition(grid_size=grid_size, window_size=window_size)
-    intra = _read_only(_intra_mask(grid_size, window_size))
-    orders = [window_tiled_order(v, part) for v in variants]
-    ranks = np.stack([order.rank for order in orders])                  # [V, S, S]
-    # the shifted order visits p where it reads cell p - d: its rank at p is rank[p + d]
-    shifted = np.stack([np.roll(ranks, (-s.delta_row, -s.delta_col), axis=(1, 2))
-                        for s in shifts])                               # [K, V, S, S]
-    d_first = _read_only(_degree_grid(ranks))
-    d_second = _read_only(_degree_grid(shifted))
-    reports = [(first, shift, second,
-                DiscontinuityReport(f"{orders[i].label}->{shift.name()}->{orders[j].label}",
-                                    d_first[i], d_second[k, j], intra))
-               for i, first in enumerate(variants)
-               for k, shift in enumerate(shifts)
-               for j, second in enumerate(variants)]
-    reports.sort(key=lambda t: (-t[3].delta, -t[3].delta_inter, t[3].procedure))
-    return reports
+    return sorted(_score(variants, shifts, variants, part),
+                  key=lambda t: (-t[3].delta, -t[3].delta_inter, t[3].procedure))
 
 
 # --- serialization ----------------------------------------------------------

@@ -33,7 +33,6 @@ __all__ = [
     "RWeights",
     "TsMambaWeights",
     "weight_map",
-    "set_weight",
     "tsma_forward",
     "ts_mamba_forward",
     "charbonnier_loss",
@@ -222,14 +221,12 @@ class TsMambaWeights:
                    r=RWeights.random(config, rng))
 
 
-_RES_PARTS = ("w1", "b1", "w2", "b2")
-
-
-def _weight_slots(weights):
-    """name -> (container, key) for every weight array, in bundle order, named
-    by the dataclass fields: the array is container[key], where the container
-    is a part's vars() or a residual block's [w1, b1, w2, b2] list."""
-    slots = {}
+def weight_map(weights):
+    """name -> array for every weight array of a TsMambaWeights, in bundle
+    order, named by the dataclass fields (the names of a weight bundle's
+    manifest).  The arrays are the live ones: a write into one is a write
+    into the model."""
+    layers = {}
 
     def walk(prefix, part):
         for f in fields(part):
@@ -239,31 +236,14 @@ def _weight_slots(weights):
                     walk(f"{prefix}.{block}", params)
             elif isinstance(value, list):        # residual blocks
                 for i, block in enumerate(value):
-                    for j, name in enumerate(_RES_PARTS):
-                        slots[f"{prefix}.{f.name}{i}.{name}"] = (block, j)
+                    for name, array in zip(("w1", "b1", "w2", "b2"), block):
+                        layers[f"{prefix}.{f.name}{i}.{name}"] = array
             else:
-                slots[f"{prefix}.{f.name}"] = (vars(part), f.name)
+                layers[f"{prefix}.{f.name}"] = value
 
     for f in fields(weights):
         walk(f.name, getattr(weights, f.name))
-    return slots
-
-
-def weight_map(weights):
-    """name -> array for every weight array of a TsMambaWeights (the names of
-    a weight bundle's manifest)."""
-    return {name: c[k] for name, (c, k) in _weight_slots(weights).items()}
-
-
-def set_weight(weights, name, array):
-    """Replace the named weight array in place; its shape must stay the same."""
-    slot = _weight_slots(weights).get(name)
-    if slot is None:
-        raise ValueError(f"unknown layer {name!r}")
-    c, k = slot
-    if tuple(array.shape) != np.shape(c[k]):
-        raise ValueError(f"layer {name}: shape {tuple(array.shape)} != {np.shape(c[k])}")
-    c[k] = array
+    return layers
 
 
 def ts_mamba_forward(frames, flows, weights, config):

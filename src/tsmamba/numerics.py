@@ -29,6 +29,8 @@ from typing import ClassVar
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .scanorder import MAX_GRID_SIZE
+
 __all__ = [
     "Tensor",
     "ModelConfig",
@@ -50,6 +52,14 @@ PSNR_CAP_DB = 100.0
 # large enough for BLAS to run at speed, small enough that a conv never
 # holds more than a sliver of its gathered matrix.
 _CONV_CHUNK = 1 << 18
+
+# largest value of each ModelConfig setting (window_size: MAX_GRID_SIZE); at its
+# bound a setting draws at most 0.2 GB of weights, window_size 0.6 GB
+MAX_CHANNELS = 256
+MAX_RES_BLOCKS = 64
+MAX_TOKEN_SIZE = 32
+MAX_TEMPORAL_WINDOW = 256
+MAX_STATE_DIM = 64
 
 
 class Tensor:
@@ -90,10 +100,12 @@ class ModelConfig:
                 "s_selected must not exceed temporal_window - 1 "
                 f"(got s={self.s_selected}, T={self.temporal_window})"
             )
-        for name in ("n1_res_blocks", "n2_res_blocks", "channels", "token_size",
-                     "window_size", "temporal_window", "state_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for name, top in (("n1_res_blocks", MAX_RES_BLOCKS), ("n2_res_blocks", MAX_RES_BLOCKS),
+                          ("channels", MAX_CHANNELS), ("token_size", MAX_TOKEN_SIZE),
+                          ("window_size", MAX_GRID_SIZE),
+                          ("temporal_window", MAX_TEMPORAL_WINDOW), ("state_dim", MAX_STATE_DIM)):
+            if not 1 <= getattr(self, name) <= top:
+                raise ValueError(f"{name} must lie in [1, {top}], got {getattr(self, name)}")
         if self.window_size & (self.window_size - 1):
             raise ValueError(f"window_size must be a power of two (got {self.window_size})")
         return self

@@ -202,7 +202,7 @@ class WindowPartition:
 
 @dataclass(frozen=True)
 class Procedure:
-    """A scan-shift-scan procedure with its composed second order."""
+    """A scan-shift-scan procedure with its composed second order (a test reference)."""
 
     first: ScanOrder
     shift: ShiftSpec
@@ -271,7 +271,8 @@ def compose_scan_shift_scan(first, shift, second, partition):
     `second`, then map visited positions back to original cells.
 
     `first` and `second` are ScanVariants; each window-size curve is tiled
-    over the windows of `partition`.
+    over the windows of `partition`.  Only the tests call it, as the
+    reference for the discontinuity scorer.
     """
     first_order = window_tiled_order(first, partition)
     second_order = window_tiled_order(second, partition)

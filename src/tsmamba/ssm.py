@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import layer_norm
+from .numerics import MAX_STATE_DIM, layer_norm
 
 __all__ = [
     "SelectiveScanParams",
@@ -67,6 +67,8 @@ class SelectiveScanParams:
     @classmethod
     def init(cls, channels, state_dim, length, rng=None):
         """Stable initialization: A = -(1..N) per channel (S4D-real)."""
+        if state_dim > MAX_STATE_DIM:
+            raise ValueError(f"state_dim must be at most {MAX_STATE_DIM}, got {state_dim}")
         rng = rng or np.random.default_rng(0)
         a = -np.tile(np.arange(1, state_dim + 1, dtype=np.float64), (channels, 1))
         return cls(
@@ -231,7 +233,7 @@ def build_ss3d_sequence(scan_cells, q, v, s):
                  each window's scan order.
     q          : [N, C] current-frame tokens.
     v          : [N, s, C] selected tokens (ascending frame index);
-                 unused when s == 0.
+                 [N, 0, C] when s == 0.
     s          : number of selected tokens per site.
 
     Returns a float32 [..., K*(s+1), C] array: position k is slot k % (s+1) of cell
@@ -243,13 +245,10 @@ def build_ss3d_sequence(scan_cells, q, v, s):
     bad = (cells < 0) | (cells >= q.shape[0])
     if bad.any():
         raise ValueError(f"token index {int(cells[bad][0])} outside grid")
-    rows = q[:, None]
-    if s > 0:
-        v = np.asarray(v, dtype=np.float32)
-        if v.ndim != 3 or v.shape[1] != s:
-            raise ValueError(f"v_selected must be [N, {s}, C]")
-        rows = np.concatenate([v, rows], axis=1)
-    gathered = rows[cells]                          # [..., K, s+1, C]
+    v = np.asarray(v, dtype=np.float32)
+    if v.ndim != 3 or v.shape[1] != s:
+        raise ValueError(f"v_selected must be [N, {s}, C]")
+    gathered = np.concatenate([v, q[:, None]], axis=1)[cells]    # [..., K, s+1, C]
     return gathered.reshape(*cells.shape[:-1], -1, q.shape[1])
 
 
@@ -275,7 +274,7 @@ def ssm_block(tokens_in, window_scans, v_selected, s, params, gamma=None, beta=N
     x = np.asarray(tokens_in, dtype=np.float32)
     n, c = x.shape
     normed = layer_norm(x, gamma, beta)
-    normed_v = layer_norm(v_selected, gamma, beta) if s > 0 else None
+    normed_v = layer_norm(v_selected, gamma, beta)
     gathered = build_ss3d_sequence(window_scans, normed, normed_v, s)   # [W, L, C]
     w, length, _ = gathered.shape
     y = selective_scan_forward(params, gathered.transpose(1, 0, 2).reshape(length, w * c), w)

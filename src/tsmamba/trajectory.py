@@ -195,26 +195,28 @@ def propagate_trajectories(prev, flow, config):
     return TrajectorySet(t, h, w, np.concatenate([centers[None], sampled]))
 
 
+# largest block-matching radius, checked before the frames are padded by it
+MAX_FLOW_RADIUS = 32
+
+
 def block_matching_flow(a, b, radius):
     """Per-pixel SAD block matching from a to b over (2r+1)^2 displacements
     of 8x8 patches.
 
     Ties break by smaller displacement magnitude, then lexicographic (dy, dx)
-    where dy is the row offset.  radius 0 returns zero flow.  The SAD of
-    every pixel's patch is computed for one displacement at a time over the
-    whole frame, as float64 box sums.  Returns a Tensor, whose callers read
-    the [2, H, W] flow at .data.
+    where dy is the row offset; at radius 0 the zero displacement is the only
+    one.  The SAD of every pixel's patch is computed for one displacement at a
+    time over the whole frame, as float64 box sums.  Returns a Tensor, whose
+    callers read the [2, H, W] flow at .data.
     """
     xa = np.asarray(a, dtype=np.float32)
     xb = np.asarray(b, dtype=np.float32)
     if xa.shape != xb.shape:
         raise ValueError("block_matching_flow requires equal dims")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if not 0 <= radius <= MAX_FLOW_RADIUS:
+        raise ValueError(f"radius must lie in [0, {MAX_FLOW_RADIUS}], got {radius}")
     c, h, w = xa.shape
     flow = np.zeros((2, h, w), dtype=np.float32)
-    if radius == 0:
-        return Tensor(flow)
     half = 4
     size = 2 * half               # pixel (r, c)'s patch spans r-half .. r+half-1
     pad = half + radius

@@ -1,5 +1,8 @@
+import importlib
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +15,7 @@ import tsmamba
 from tsmamba import scanorder, ssm
 from tsmamba.cli import main
 from tsmamba.discontinuity import analyze, search_procedures
-from tsmamba.model import TsMambaWeights, set_weight, ts_mamba_forward, weight_map
+from tsmamba.model import TsMambaWeights, ts_mamba_forward, weight_map
 from tsmamba.numerics import ModelConfig, read_pnm, read_tstf, write_pnm, write_tstf
 from tsmamba.scanorder import ScanVariant
 from tsmamba.trajectory import token_centers
@@ -160,15 +163,28 @@ def test_disc_bad_partition_exit_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# one model setting per config file, each far above its bound
+OVERSIZED_CONFIG = {"temporal_window": 10**15, "token_size": 1024, "n2_res_blocks": 10**8,
+                    "state_dim": 10**11, "window_size": 512}
+
 # the sizes that once reached numpy's allocator: 1 PiB in the search's intra
-# mask and the analysis's tiler, 2.18 TiB in grad check's input, and a Hilbert
-# curve doubled until memory runs out
+# mask and the analysis's tiler, 2.18 TiB in grad check's input, a Hilbert
+# curve doubled until memory runs out, the model's trajectories, projection,
+# residual blocks and S6 parameters (2.4 GB of them at window 512), and block
+# matching's padded frames.  "{tmp}" is the test's directory: "one" holds one
+# 16x16 frame, "two" two, "seq.tstf" an ssm input, and "<setting>.json" one
+# oversized config each
 OVERSIZED = [
     ["disc", "search", "--grid", "33554432", "--window", "4"],
     ["disc", "analyze", "--first", "scan1", "--shift", "U1", "--second", "scan3",
      "--grid", "33554432", "--window", "4"],
     ["grad", "check", "--length", "100000000000"],
     ["scan", "gen", "--variant", "scan1", "--size", str(2**50)],
+    *(["model", "forward", "--frames", "{tmp}/one", "--config", "{tmp}/" + f"{key}.json",
+       "--out", "{tmp}/sr.tstf"] for key in OVERSIZED_CONFIG),
+    ["traj", "select", "--frames", "{tmp}/two", "--radius", "3000"],
+    ["ssm", "run", "--input", "{tmp}/seq.tstf", "--state-dim", "100000000000",
+     "--out", "{tmp}/y.tstf"],
 ]
 
 # the child caps its own address space first, so a size that escapes its
@@ -184,7 +200,14 @@ sys.exit(main(sys.argv[1:]))
 
 
 @pytest.mark.parametrize("argv", OVERSIZED)
-def test_oversized_sizes_exit_2_under_a_memory_cap(argv):
+def test_oversized_sizes_exit_2_under_a_memory_cap(argv, tmp_path):
+    for name, n in (("one", 1), ("two", 2)):
+        (tmp_path / name).mkdir()
+        _write_frames(tmp_path / name, n=n, size=16)
+    for key, value in OVERSIZED_CONFIG.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps({key: value}))
+    write_tstf(tmp_path / "seq.tstf", np.ones((4, 2), dtype=np.float32))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     src = str(Path(tsmamba.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -210,6 +233,20 @@ def test_grid_sizes_bounded_at_max_grid_size(tmp_path, capsys):
                   "scan3", "--grid", str(top + 4), "--window", "4"]):
         assert main(argv) == 2
         assert f"at most {top}" in capsys.readouterr().err
+
+
+def test_readme_limits_equal_the_module_constants():
+    """Every `module.NAME` = value limit that README.md states is that
+    tsmamba module's constant, so a stated limit cannot go stale, and every
+    MAX_ constant of the package is stated."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)`\s*=\s*(\d+)", readme)
+    for module, name, value in stated:
+        assert getattr(importlib.import_module(f"tsmamba.{module}"), name) == int(value), name
+    limits = {name for module in pkgutil.iter_modules(tsmamba.__path__)
+              for name in vars(importlib.import_module(f"tsmamba.{module.name}"))
+              if name.startswith("MAX_")}
+    assert {name for _, name, _ in stated} == limits
 
 
 def test_gradient_check_size_bound():
@@ -468,8 +505,9 @@ def test_model_forward_weight_bundle(tmp_path):
     assert main(["model", "forward", "--frames", str(frames), "--config", str(cfg),
                  "--weights", str(tmp_path / "bundle"), "--out", str(out)]) == 0
 
-    for name, arr in weight_map(weights).items():
-        set_weight(weights, name, arr.astype(np.float32).astype(np.float64))
+    # the bundle holds float32 copies, which the loader writes into float64 arrays
+    for arr in weight_map(weights).values():
+        arr[...] = arr.astype(np.float32)
     clip = [read_pnm(p) for p in sorted(frames.iterdir())]
     want = ts_mamba_forward(clip, None, weights, config)
     assert np.array_equal(read_tstf(out), want.data)

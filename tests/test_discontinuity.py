@@ -331,21 +331,28 @@ _SEARCH_SHIFTS = st.one_of(
        st.lists(_SEARCH_SHIFTS, min_size=1, max_size=6),
        st.lists(st.sampled_from(list(ScanVariant)), min_size=1, max_size=4))
 def test_search_matches_composed_elimination(partition, shifts, variants):
-    """Each row equals elimination of its composed procedure, and the rows come
-    in the order of a stable sort of the triples built in loop order."""
+    """Each row, and `analyze` of each triple, equals elimination of its
+    composed procedure, and the rows come in the order of a stable sort of
+    the triples built in loop order."""
     grid, window = partition
     part = WindowPartition(grid, window)
     parsed = [s if isinstance(s, ShiftSpec) else ShiftSpec.parse(s) for s in shifts]
     expected = [(first, shift, second,
                  elimination(compose_scan_shift_scan(first, shift, second, part), part))
                 for first in variants for shift in parsed for second in variants]
-    expected.sort(key=lambda t: (-t[3].delta, -t[3].delta_inter, t[3].procedure))
-    rows = search_procedures(grid, window, shifts=shifts, variants=variants)
-    assert len(rows) == len(expected)
-    for (*triple, got), (*want_triple, want) in zip(rows, expected):
-        assert triple == want_triple and triple[1].name() == want_triple[1].name()
+
+    def check(got, want):
         assert got.procedure == want.procedure
         for name in ("d_first", "d_second", "intra"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert (got.delta_intra, got.delta_inter, got.delta) == (
             want.delta_intra, want.delta_inter, want.delta)
+
+    for first, shift, second, want in expected:
+        check(analyze(first, shift, second, grid, window), want)
+    expected.sort(key=lambda t: (-t[3].delta, -t[3].delta_inter, t[3].procedure))
+    rows = search_procedures(grid, window, shifts=shifts, variants=variants)
+    assert len(rows) == len(expected)
+    for (*triple, got), (*want_triple, want) in zip(rows, expected):
+        assert triple == want_triple and triple[1].name() == want_triple[1].name()
+        check(got, want)

@@ -15,7 +15,6 @@ from tsmamba.model import (
     count_params_macs,
     total_loss,
     trajectory_loss,
-    set_weight,
     ts_mamba_forward,
     untokenize,
     weight_map,
@@ -185,13 +184,12 @@ def test_ssm_work_that_runs_is_counted(ht, wt):
 def test_wcb_weights_change_output():
     cfg, weights, frames = _toy_setup()
     before = ts_mamba_forward(frames, None, weights, cfg)
-    c = weight_map(weights)["tsma.p1_intra.C"]
-    set_weight(weights, "tsma.p1_intra.C", c + 0.5)
+    weight_map(weights)["tsma.p1_intra.C"][...] += 0.5
     after = ts_mamba_forward(frames, None, weights, cfg)
     assert not np.array_equal(before.data, after.data)
 
 
-def test_weight_map_names_and_setter():
+def test_weight_map_names_and_live_arrays():
     cfg = ModelConfig(channels=4, state_dim=2, n1_res_blocks=1, n2_res_blocks=2)
     weights = TsMambaWeights.random(cfg, seed=0)
     layers = weight_map(weights)
@@ -206,32 +204,30 @@ def test_weight_map_names_and_setter():
         + ["r.head_w", "r.head_b", "r.up1_w", "r.up1_b", "r.up2_w", "r.up2_b",
            "r.tail_w", "r.tail_b"]
         + [f"r.res{i}.{p}" for i in range(2) for p in res])
-    new = np.ones_like(layers["r.res1.w2"])
-    set_weight(weights, "r.res1.w2", new)
-    assert weights.r.res[1][2] is new
-    assert weight_map(weights)["r.res1.w2"] is new
-    with pytest.raises(ValueError):
-        set_weight(weights, "r.res1.w2", np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        set_weight(weights, "r.res9.w2", new)
+    # the map holds the model's own arrays, the same objects on every call
+    assert layers["r.res1.w2"] is weights.r.res[1][2]
+    assert layers["tsma.p2_std.dt"] is weights.tsma.block_params["p2_std"].dt
+    assert layers["g.conv_b"] is weights.g.conv_b
+    assert all(array is layers[name] for name, array in weight_map(weights).items())
 
 
-def test_set_weight_writes_in_place():
-    cfg = ModelConfig(channels=4, state_dim=2, n1_res_blocks=1, n2_res_blocks=1)
+def test_weight_map_writes_reach_the_forward_pass():
+    """Writing into three of weight_map's arrays gives the SR of weights whose
+    fields were set to those values directly."""
+    cfg = ModelConfig(**_TOY)
+    frames = _clip(16, 16, 3, seed=4)
     weights = TsMambaWeights.random(cfg, seed=0)
-    block = weights.g.res[0]
-    params = weights.tsma.block_params["p2_std"]
+    before = ts_mamba_forward(frames, None, weights, cfg).data
     layers = weight_map(weights)
-    new = {name: np.full_like(layers[name], 7.0)
-           for name in ("g.res0.b1", "tsma.p2_std.dt", "r.up1_w")}
-    for name, array in new.items():
-        set_weight(weights, name, array)
-    # the residual block and the SSM pack are the same objects, written into
-    assert weights.g.res[0] is block and block[1] is new["g.res0.b1"]
-    assert weights.tsma.block_params["p2_std"] is params
-    assert params.dt is new["tsma.p2_std.dt"]
-    assert weights.r.up1_w is new["r.up1_w"]
-    assert all(weight_map(weights)[name] is array for name, array in new.items())
+    for name in ("g.res0.b1", "tsma.p2_std.dt", "r.up1_w"):
+        layers[name][...] = 0.01
+    want = TsMambaWeights.random(cfg, seed=0)
+    want.g.res[0][1] = np.full_like(want.g.res[0][1], 0.01)
+    want.tsma.block_params["p2_std"].dt = np.full_like(want.tsma.block_params["p2_std"].dt, 0.01)
+    want.r.up1_w = np.full_like(want.r.up1_w, 0.01)
+    after = ts_mamba_forward(frames, None, weights, cfg).data
+    assert not np.array_equal(after, before)
+    assert after.tobytes() == ts_mamba_forward(frames, None, want, cfg).data.tobytes()
 
 
 # --- losses -----------------------------------------------------------------

@@ -60,6 +60,20 @@ def test_model_config_validation():
             ModelConfig(window_size=size).validate()
 
 
+def test_model_config_settings_bounded_by_named_constants():
+    ModelConfig(channels=87, n2_res_blocks=13, temporal_window=15).validate()
+    for name, top in (("n1_res_blocks", numerics.MAX_RES_BLOCKS),
+                      ("n2_res_blocks", numerics.MAX_RES_BLOCKS),
+                      ("channels", numerics.MAX_CHANNELS),
+                      ("token_size", numerics.MAX_TOKEN_SIZE),
+                      ("window_size", tsmamba.scanorder.MAX_GRID_SIZE),
+                      ("temporal_window", numerics.MAX_TEMPORAL_WINDOW),
+                      ("state_dim", numerics.MAX_STATE_DIM)):
+        ModelConfig(**{name: top}).validate()
+        with pytest.raises(ValueError, match=rf"{name} must lie in \[1, {top}\], got {top + 1}"):
+            ModelConfig(**{name: top + 1}).validate()
+
+
 def test_model_config_scale_is_fixed():
     # R's two x2 pixel-shuffle stages fix the upscale; it is not a setting
     assert ModelConfig().scale == 4

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsmamba.model import window_scans_for_grid
-from tsmamba.numerics import ModelConfig, layer_norm
+from tsmamba.numerics import MAX_STATE_DIM, ModelConfig, layer_norm
 from tsmamba.scanorder import ScanVariant
 from tsmamba.ssm import (
     SelectiveScanParams,
@@ -250,6 +250,23 @@ def test_ss3d_gather_scatter_round_trip_100_fields():
         gathered = build_ss3d_sequence(cells, q, v, s)
         back = scatter_current(cells, gathered, s, n)
         assert np.array_equal(back, q)
+
+
+def test_ss3d_without_selection_is_the_current_tokens():
+    """s = 0 gathers an [N, 0, C] selection through the same path: each
+    scan position is its current token."""
+    q = np.random.default_rng(6).normal(0, 1, (16, 3)).astype(np.float32)
+    cells = np.random.default_rng(7).permutation(16).reshape(2, 8)
+    gathered = build_ss3d_sequence(cells, q, np.zeros((16, 0, 3)), 0)
+    assert gathered.tobytes() == q[cells].tobytes()
+    with pytest.raises(ValueError):
+        build_ss3d_sequence(cells, q, np.zeros((16, 1, 3)), 0)
+
+
+def test_state_dim_bounded_before_drawing():
+    assert SelectiveScanParams.init(2, MAX_STATE_DIM, 3).A.shape == (2, MAX_STATE_DIM)
+    with pytest.raises(ValueError, match=f"at most {MAX_STATE_DIM}"):
+        SelectiveScanParams.init(2, 10**11, 3)
 
 
 def test_ss3d_rejects_out_of_range_cell():

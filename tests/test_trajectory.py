@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from tsmamba.numerics import ModelConfig
 from tsmamba.trajectory import (
+    MAX_FLOW_RADIUS,
     GWeights,
     TrajectorySet,
     block_matching_flow,
@@ -346,6 +347,9 @@ def test_block_matching_rejects_mismatch():
         block_matching_flow(a, b, radius=1)
     with pytest.raises(ValueError):
         block_matching_flow(a, a, radius=-1)
+    assert np.all(block_matching_flow(a, a, radius=MAX_FLOW_RADIUS).data == 0)
+    with pytest.raises(ValueError, match=f"radius must lie in \\[0, {MAX_FLOW_RADIUS}\\]"):
+        block_matching_flow(a, a, radius=MAX_FLOW_RADIUS + 1)
 
 
 # --- selection --------------------------------------------------------------
