@@ -2,13 +2,16 @@
 
 Arrays are float32 numpy ndarrays, taken as array-likes and returned as
 ndarrays.  A feature map is [C, H, W] by shape, but the convolutions compute
-channels last: `conv2d` assigns its input into a zero-filled [H+2p, W+2p, C]
-buffer, gathers each receptive field as kh runs of kw*C contiguous floats
-through one read-only strided view of it, and returns the [C, H', W']
-transposed view of its [H', W', C] result.  `pixel_shuffle` and
-`model.untokenize` build their outputs the same way, so G, the TSMA fusion
-conv and R pass channels-last buffers from conv to conv with no added copies,
-and these three return views that are not C-contiguous.
+channels last and return the [C, H', W'] transposed view of an [H', W', C]
+result.  `conv2d` takes one of two decompositions, chosen from the layer's
+shape.  By default it gathers each block of output rows' rows + kh - 1 rows
+of a zero-padded [H+2p, W+2p, C] copy once, as runs of kw*C contiguous
+floats, and sums kh GEMMs of K = kw*C over consecutive gathered rows.  When
+kh*kw*Cout <= Cin it instead takes one GEMM of all tap weights with the
+[C, H*W] view of the channels-last input and adds the shifted tap planes.
+`pixel_shuffle` and `model.untokenize` build channels-last outputs too, so G,
+the TSMA fusion conv and R pass channels-last buffers from conv to conv with
+no added copies, and these three return views that are not C-contiguous.
 
 Only `ts_mamba_forward` and `block_matching_flow` return a `Tensor`, whose
 `.data` is C-contiguous, because the benchmark's workloads read those two
@@ -48,18 +51,22 @@ __all__ = [
 ]
 
 PSNR_CAP_DB = 100.0
-# float32 elements of receptive fields gathered per GEMM in conv2d (1 MiB):
-# large enough for BLAS to run at speed, small enough that a conv never
-# holds more than a sliver of its gathered matrix.
+# float32 elements that conv2d gathers (kernel rows) or multiplies out (tap
+# planes) per block of output rows, 1 MiB: large enough for BLAS to run at
+# speed, small enough that a conv never holds more than a sliver of either.
 _CONV_CHUNK = 1 << 18
 
-# largest value of each ModelConfig setting (window_size: MAX_GRID_SIZE); at its
-# bound a setting draws at most 0.2 GB of weights, window_size 0.6 GB
+# largest value of each ModelConfig setting (window_size: MAX_GRID_SIZE); with
+# the others at their defaults a setting at its bound draws at most 0.2 GB of
+# weights, and MAX_SCAN_TABLE stops the window there before 64 cells
 MAX_CHANNELS = 256
 MAX_RES_BLOCKS = 64
 MAX_TOKEN_SIZE = 32
 MAX_TEMPORAL_WINDOW = 256
 MAX_STATE_DIM = 64
+# largest L*C*N, the size of each of an S6 block's [L, C, N] tables with
+# L = window_size^2 * (s_selected + 1): 32 MiB of float64 at the bound
+MAX_SCAN_TABLE = 1 << 22
 
 
 class Tensor:
@@ -108,23 +115,39 @@ class ModelConfig:
                 raise ValueError(f"{name} must lie in [1, {top}], got {getattr(self, name)}")
         if self.window_size & (self.window_size - 1):
             raise ValueError(f"window_size must be a power of two (got {self.window_size})")
+        table = self.window_size ** 2 * (self.s_selected + 1) * self.channels * self.state_dim
+        if table > MAX_SCAN_TABLE:
+            raise ValueError("window_size^2 * (s_selected + 1) * channels * state_dim, the size "
+                             f"of an S6 block's tables, must be at most {MAX_SCAN_TABLE}, got {table}")
         return self
 
 
 def conv2d(inp, weights, bias=None, *, padding=0):
     """Cross-correlation of [Cin,H,W] with [Cout,Cin,kh,kw] -> [Cout,H',W'].
 
-    The conv computes channels last.  It assigns the input into the
-    interior of one zero-filled [H+2p, W+2p, Cin] buffer, so each of a
-    receptive field's kh rows is kw*Cin contiguous floats, and views every
-    field at once through explicit strides.  Output rows are taken in blocks
-    whose [rows*W', kh*kw*Cin] gathered matrix holds about _CONV_CHUNK floats
-    (one buffer serves every block), and each block is one float32 product
-    with the [kh*kw*Cin, Cout] weights, written into an [H', W', Cout] buffer
-    and given its bias by broadcasting.  The result is that buffer's
-    [Cout,H',W'] transposed view, so it is not C-contiguous; the next conv
-    reads it back into its padded buffer with one contiguous copy.  The
-    bytes do not depend on the input's memory layout or the BLAS thread
+    The conv computes channels last, by one of two decompositions chosen
+    from the layer's shape.  Both take output rows in blocks sized from
+    _CONV_CHUNK, so memory stays chunked, and both write an [H', W', Cout]
+    buffer whose [Cout,H',W'] transposed view is the result (not
+    C-contiguous; the next conv reads it back with one contiguous copy).
+
+    Per kernel row (the default): the input is assigned into the interior of
+    one zero-filled [H+2p, W+2p, Cin] buffer, and a block of output rows
+    gathers its rows + kh - 1 padded rows once, as [rows+kh-1, W', kw*Cin]
+    (3x the input, where a whole-field gather writes kh*kw x).  Kernel row i
+    is then one float32 GEMM of the [rows*W', kw*Cin] slice that starts at
+    gathered row i with that row's [kw*Cin, Cout] weights; the kh products
+    are summed into the block in kernel-row order, then the bias is added.
+
+    Tap planes, when kh*kw*Cout <= Cin (the per-pixel tap planes are no
+    larger than the input, as in a C->3 tail or a pointwise fusion): one
+    GEMM [kh*kw*Cout, Cin] @ [Cin, rows_in*W] over the [Cin, H*W] view of a
+    channels-last copy of the input (no padding, no gather) gives every
+    tap's channels-first plane, and the kh*kw planes, shifted and clipped at
+    the border, are added in tap order to a bias-filled [Cout, rows, W']
+    block that is then written out channels last.
+
+    The bytes do not depend on the input's memory layout or the BLAS thread
     count on the same numpy/BLAS build, and differ from a tap-by-tap float32
     sum only by reordering (about 1e-6).
     """
@@ -138,31 +161,74 @@ def conv2d(inp, weights, bias=None, *, padding=0):
         raise ValueError(f"channel mismatch: input {cin} vs weights {cin_w}")
     if h + 2 * padding < kh or wdt + 2 * padding < kw:
         raise ValueError("kernel does not fit inside the padded input")
+    b = None if bias is None else np.asarray(bias, dtype=np.float32)
+    conv = _conv2d_tap_planes if kh * kw * cout <= cin else _conv2d_kernel_rows
+    return conv(x, w, b, padding).transpose(2, 0, 1)
+
+
+def _conv2d_kernel_rows(x, w, b, padding):
+    """[H', W', Cout] conv as kh GEMMs of K = kw*Cin per block of output rows."""
+    cin, h, wdt = x.shape
+    cout, _, kh, kw = w.shape
     hp, wp = h + 2 * padding, wdt + 2 * padding
     xp = np.zeros((hp, wp, cin), dtype=np.float32)
     xp[padding:padding + h, padding:padding + wdt] = x.transpose(1, 2, 0)
     ho, wo = hp - kh + 1, wp - kw + 1
-    # [H', W', kh, kw*Cin] read-only view of every receptive field: a field's
-    # row is kw*Cin contiguous floats of xp; nothing is copied yet
+    k = kw * cin
+    # [H+2p, W', kw*Cin] read-only view: the kw*Cin contiguous floats of xp
+    # that each kernel row reads at each output column; nothing is copied yet
     row, item = xp.strides[:2]
-    win = as_strided(xp, (ho, wo, kh, kw * cin), (row, item, row, xp.itemsize),
-                     writeable=False)
-    k = kh * kw * cin
-    wmat = w.transpose(2, 3, 1, 0).reshape(k, cout)
-    b = None if bias is None else np.asarray(bias, dtype=np.float32)
+    runs = as_strided(xp, (hp, wo, k), (row, item, xp.itemsize), writeable=False)
+    wrows = w.transpose(2, 3, 1, 0).reshape(kh, k, cout)
     out = np.empty((ho, wo, cout), dtype=np.float32)
-    rows = min(ho, max(1, _CONV_CHUNK // (k * wo)))
-    # one gather buffer for every row block: reused memory stays in cache
-    cols = np.empty((rows, wo, kh, kw * cin), dtype=np.float32)
+    rows = min(ho, max(1, _CONV_CHUNK // (wo * k)))
+    # one gather buffer and one product buffer for every row block
+    gathered = np.empty((rows + kh - 1, wo, k), dtype=np.float32)
+    part = np.empty((rows * wo, cout), dtype=np.float32)
     for r0 in range(0, ho, rows):
-        r1 = min(r0 + rows, ho)
-        fields = cols[:r1 - r0]
-        np.copyto(fields, win[r0:r1])          # the gather, in (kh, kw, cin) order
-        blk = out[r0:r1]
-        np.matmul(fields.reshape(-1, k), wmat, out=blk.reshape(-1, cout))
+        n = min(rows, ho - r0)
+        g = gathered[:n + kh - 1]
+        np.copyto(g, runs[r0:r0 + n + kh - 1])
+        blk = out[r0:r0 + n].reshape(n * wo, cout)
+        np.matmul(g[:n].reshape(n * wo, k), wrows[0], out=blk)
+        for i in range(1, kh):
+            np.matmul(g[i:i + n].reshape(n * wo, k), wrows[i], out=part[:n * wo])
+            blk += part[:n * wo]
         if b is not None:
             blk += b
-    return out.transpose(2, 0, 1)
+    return out
+
+
+def _conv2d_tap_planes(x, w, b, padding):
+    """[H', W', Cout] conv as one [kh*kw*Cout, Cin] GEMM per block of output
+    rows, then kh*kw shifted plane adds."""
+    cin, h, wdt = x.shape
+    cout, _, kh, kw = w.shape
+    ho, wo = h + 2 * padding - kh + 1, wdt + 2 * padding - kw + 1
+    # the [Cin, H*W] view of a channels-last copy, so BLAS reads one layout
+    # whatever the input's; a channels-last input is not copied
+    xcl = np.ascontiguousarray(x.transpose(1, 2, 0)).reshape(h * wdt, cin).T
+    taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+    out = np.empty((ho, wo, cout), dtype=np.float32)
+    rows = min(ho, max(1, _CONV_CHUNK // (kh * kw * cout * wdt)))
+    block = np.empty((cout, rows, wo), dtype=np.float32)
+    for r0 in range(0, ho, rows):
+        r1 = min(r0 + rows, ho)
+        # the input rows that the block's taps read
+        in0, in1 = (min(max(r - padding, 0), h) for r in (r0, r1 + kh - 1))
+        planes = np.matmul(taps, xcl[:, in0 * wdt:in1 * wdt]).reshape(kh, kw, cout, in1 - in0, wdt)
+        blk = block[:, :r1 - r0]
+        blk[...] = 0.0 if b is None else b[:, None, None]
+        for i in range(kh):
+            y0, y1 = max(r0, padding - i), min(r1, h + padding - i)
+            for j in range(kw):
+                x0, x1 = max(0, padding - j), min(wo, wdt + padding - j)
+                if y0 < y1 and x0 < x1:
+                    blk[:, y0 - r0:y1 - r0, x0:x1] += planes[
+                        i, j, :, y0 + i - padding - in0:y1 + i - padding - in0,
+                        x0 + j - padding:x1 + j - padding]
+        out[r0:r1] = blk.transpose(1, 2, 0)
+    return out
 
 
 def relu(x):
@@ -231,7 +297,17 @@ def _bicubic_axis_weights(n_in, scale):
 
 
 def bicubic_upsample(inp, scale):
-    """Separable cubic-convolution upsampling, a=-0.5, edge replicate."""
+    """Separable cubic-convolution upsampling, a=-0.5, edge replicate.
+
+    The tap tables are periodic: output row q*scale + p reads input rows
+    q + o_p - 1 .. q + o_p + 2, with o_p = floor((p + 0.5)/scale - 0.5), so
+    each tap of each output phase p is one slice of a copy edge-padded by 2.
+    The weights are read per output row from `_bicubic_axis_weights`, since
+    their rounding is not periodic at every scale.  Rows first, then
+    columns, in float64, each pass adding its four taps to zeros in tap
+    order; phases are kept on leading axes and interleaved once, by the
+    float32 rounding at the end.
+    """
     if int(scale) != scale or scale < 1:
         raise ValueError("scale must be a positive integer")
     scale = int(scale)
@@ -241,18 +317,22 @@ def bicubic_upsample(inp, scale):
     if x.ndim != 3:
         raise ValueError("bicubic_upsample expects [C,H,W]")
     c, h, w = x.shape
-    ridx, rwts = _bicubic_axis_weights(h, scale)
-    cidx, cwts = _bicubic_axis_weights(w, scale)
-    # rows first, then columns; float64 intermediates, rounded once at the end.
-    # Each pass adds its four gathered taps to zeros in k order.
-    xd = x.astype(np.float64)
-    tmp = np.zeros((c, h * scale, w), dtype=np.float64)
-    for k in range(4):
-        tmp += rwts[:, k, None] * xd[:, ridx[:, k], :]
-    out = np.zeros((c, h * scale, w * scale), dtype=np.float64)
-    for k in range(4):
-        out += cwts[:, k] * tmp[:, :, cidx[:, k]]
-    return out.astype(np.float32)
+    _, rwts = _bicubic_axis_weights(h, scale)
+    _, cwts = _bicubic_axis_weights(w, scale)
+    starts = [math.floor((p + 0.5) / scale - 0.5) + 1 for p in range(scale)]
+    xp = np.pad(x.astype(np.float64), ((0, 0), (2, 2), (2, 2)), mode="edge")
+    # rows: [scale, C, H, W+4], still edge-padded along W for the column pass
+    tmp = np.zeros((scale, c, h, w + 4), dtype=np.float64)
+    for p, o in enumerate(starts):
+        for k in range(4):
+            tmp[p] += rwts[p::scale, k, None] * xp[:, o + k:o + k + h]
+    # columns: [row phase, column phase, C, H, W]
+    out = np.zeros((scale, scale, c, h, w), dtype=np.float64)
+    for p, o in enumerate(starts):
+        for k in range(4):
+            out[:, p] += cwts[p::scale, k] * tmp[..., o + k:o + k + w]
+    sr = np.ascontiguousarray(out.transpose(2, 3, 0, 4, 1), dtype=np.float32)
+    return sr.reshape(c, h * scale, w * scale)
 
 
 def layer_norm(inp, gamma=None, beta=None):

@@ -79,6 +79,35 @@ def test_traced_keyframe_op_records_scans_and_changes_nothing():
     assert table["work"][scans].tolist() == [256 * 128 * 8] * 6
 
 
+def test_traced_keyframe_convs_match_the_modelled_stages(monkeypatch):
+    """Every conv of a keyframe op, the tap-plane tail and fusion included,
+    runs through the public conv2d under its stage's weights: 36 calls, and
+    each conv stage's observed MACs equal count_params_macs' for one pass."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))     # layers.py imports spans by name
+    spans, layers = _load("spans"), _load("layers")
+    wl = _load("workloads").WORKLOADS["keyframe"]()
+    wl.setup()
+    client = wl.client()
+    frame = next(wl.inputs(0))
+    recorder = spans.SpanRecorder()
+    uninstall = spans.install(recorder)
+    try:
+        root = recorder.begin_op(0)
+        client.step(frame)
+        recorder.finish(root)
+    finally:
+        uninstall()
+    metrics, accounting = layers.layer_metrics(recorder, [1.0], wl.stage_keys(), wl.config,
+                                               wl.lr_dims)
+    assert metrics["numerics.conv2d.calls"] == 36
+    conv_stages = [stage for stage, (unit, _) in layers.STAGE_UNITS.items() if unit == "conv"]
+    assert {"r.tail", "tsma.fusion"} <= set(conv_stages)
+    for stage in conv_stages:
+        row = accounting[stage]
+        assert row["forward_passes_per_op"] == 1, stage
+        assert row["macs_observed_per_op"] == row["macs_modelled_per_op"] > 0, stage
+
+
 def _traced_call_counts(name, n_ops):
     """Calls of each traced function in each of a workload's first n_ops ops,
     as perfbench/counts.py tallies them."""

@@ -167,13 +167,19 @@ def test_disc_bad_partition_exit_2(argv, capsys):
 OVERSIZED_CONFIG = {"temporal_window": 10**15, "token_size": 1024, "n2_res_blocks": 10**8,
                     "state_dim": 10**11, "window_size": 512}
 
+# settings each inside its own bound whose S6 tables are not: 512 MiB of
+# [L, C, N] float64 per table at a window of 256
+OVERSIZED_TABLES = {"window256": {"window_size": 256},
+                    "window256_state64": {"window_size": 256, "state_dim": 64}}
+
 # the sizes that once reached numpy's allocator: 1 PiB in the search's intra
 # mask and the analysis's tiler, 2.18 TiB in grad check's input, a Hilbert
 # curve doubled until memory runs out, the model's trajectories, projection,
-# residual blocks and S6 parameters (2.4 GB of them at window 512), and block
-# matching's padded frames.  "{tmp}" is the test's directory: "one" holds one
-# 16x16 frame, "two" two, "seq.tstf" an ssm input, and "<setting>.json" one
-# oversized config each
+# residual blocks and S6 parameters (2.4 GB of them at window 512), block
+# matching's padded frames, and the S6 tables.  "{tmp}" is the test's
+# directory: "one" holds one 16x16 frame, "two" two, "seq.tstf" an ssm input,
+# "<setting>.json" one oversized config each, and "<name>.json" each
+# OVERSIZED_TABLES config
 OVERSIZED = [
     ["disc", "search", "--grid", "33554432", "--window", "4"],
     ["disc", "analyze", "--first", "scan1", "--shift", "U1", "--second", "scan3",
@@ -185,6 +191,8 @@ OVERSIZED = [
     ["traj", "select", "--frames", "{tmp}/two", "--radius", "3000"],
     ["ssm", "run", "--input", "{tmp}/seq.tstf", "--state-dim", "100000000000",
      "--out", "{tmp}/y.tstf"],
+    *(["model", "forward", "--frames", "{tmp}/one", "--config", "{tmp}/" + f"{name}.json",
+       "--out", "{tmp}/sr.tstf"] for name in OVERSIZED_TABLES),
 ]
 
 # the child caps its own address space first, so a size that escapes its
@@ -206,6 +214,8 @@ def test_oversized_sizes_exit_2_under_a_memory_cap(argv, tmp_path):
         _write_frames(tmp_path / name, n=n, size=16)
     for key, value in OVERSIZED_CONFIG.items():
         (tmp_path / f"{key}.json").write_text(json.dumps({key: value}))
+    for name, config in OVERSIZED_TABLES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
     write_tstf(tmp_path / "seq.tstf", np.ones((4, 2), dtype=np.float32))
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     src = str(Path(tsmamba.__file__).resolve().parents[1])

@@ -69,9 +69,27 @@ def test_model_config_settings_bounded_by_named_constants():
                       ("window_size", tsmamba.scanorder.MAX_GRID_SIZE),
                       ("temporal_window", numerics.MAX_TEMPORAL_WINDOW),
                       ("state_dim", numerics.MAX_STATE_DIM)):
-        ModelConfig(**{name: top}).validate()
+        # the window's top is inside the S6 table bound only with small tables
+        others = dict(channels=1, state_dim=1, s_selected=0) if name == "window_size" else {}
+        ModelConfig(**others, **{name: top}).validate()
         with pytest.raises(ValueError, match=rf"{name} must lie in \[1, {top}\], got {top + 1}"):
-            ModelConfig(**{name: top + 1}).validate()
+            ModelConfig(**others, **{name: top + 1}).validate()
+
+
+def test_model_config_bounds_the_s6_tables():
+    """L*C*N with L = w^2 (s+1) is bounded before any weight is drawn: at the
+    defaults the bound admits a 64-token window exactly, and every config the
+    tests, workloads and README run lies inside it."""
+    assert 64 ** 2 * 4 * 32 * 8 == numerics.MAX_SCAN_TABLE
+    for config in (dict(window_size=64), dict(), dict(channels=87), dict(window_size=16),
+                   dict(channels=numerics.MAX_CHANNELS), dict(state_dim=numerics.MAX_STATE_DIM),
+                   dict(window_size=32, state_dim=16)):
+        ModelConfig(**config).validate()
+    for config in (dict(window_size=128), dict(window_size=256),
+                   dict(window_size=256, state_dim=64), dict(window_size=64, s_selected=4),
+                   dict(window_size=64, channels=33)):
+        with pytest.raises(ValueError, match="S6 block's tables, must be at most 4194304"):
+            ModelConfig(**config).validate()
 
 
 def test_model_config_scale_is_fixed():
@@ -151,7 +169,22 @@ CONV_CASES = [
     (3, 4, 3, 1, 2, 9, 11),        # padding wider than the kernel's reach
     (4, 5, 1, 1, 1, 7, 6),         # a 1x1 kernel over a zero border
     (3, 2, 5, 1, 1, 3, 4),         # the kernel as tall as the padded input: H' = 1
+    # kh*kw*Cout <= Cin takes the tap-plane path; the rows above with Cin 192 do too
+    (40, 4, 3, 1, 2, 9, 11),       # tap planes, padding wider than the kernel's reach
+    (12, 5, 1, 1, 1, 7, 6),        # tap planes of a 1x1 kernel over a zero border
+    (64, 3, 3, 1, 1, 200, 300),    # tap planes over several row blocks
+    (16, 16, 1, 1, 3, 3, 16400),   # one-row tap-plane blocks, six wholly in the border
+    (16, 16, 3, 1, 1, 120, 200),   # kernel rows over several row blocks
+    (100, 12, 3, 1, 1, 6, 900),    # one-row kernel-row blocks
 ]
+
+
+def _conv_path_rows(cin, cout, k, padding, w):
+    """conv2d's path for a shape (True: tap planes) and its output rows per block."""
+    if k * k * cout <= cin:
+        return True, max(1, numerics._CONV_CHUNK // (k * k * cout * w))
+    wo = w + 2 * padding - k + 1
+    return False, max(1, numerics._CONV_CHUNK // (wo * k * cin))
 
 
 def _channels_last(x):
@@ -221,27 +254,34 @@ def test_conv2d_chain_bytes_independent_of_input_layout():
 
 
 def test_conv2d_cases_cross_row_blocks():
-    for cin, _, k, _, padding, h, w in (CONV_CASES[9], CONV_CASES[10]):
-        wo = w + 2 * padding - k + 1
-        ho = h + 2 * padding - k + 1
-        rows = max(1, numerics._CONV_CHUNK // (cin * k * k * wo))
-        assert ho > 2 * rows
+    """Each path has oracle cases over three or more of its own row blocks,
+    one of them with single-row blocks."""
+    crossing = {True: [], False: []}
+    for cin, cout, k, _, padding, h, w in CONV_CASES:
+        planes, rows = _conv_path_rows(cin, cout, k, padding, w)
+        if h + 2 * padding - k + 1 > 2 * rows:
+            crossing[planes].append(rows)
+    for rows in crossing.values():
+        assert len(rows) >= 2 and 1 in rows
 
 
 def test_conv2d_peak_memory_is_chunked():
-    """The column matrix is gathered in blocks, never whole: a full im2col of
-    this input would take 72 MiB."""
+    """Gathered rows and tap planes are held a block at a time, never whole:
+    beyond the padded input and the output, a conv holds under 4 MiB.  Whole,
+    the C->3 tail's 27 tap planes would take 7 MiB, and the C->C conv's
+    kernel-row gather at the paper's 180x320, C = 87, 58 MiB."""
     rng = np.random.default_rng(3)
-    x = rng.random((32, 256, 256), dtype=np.float32)
-    w = rng.normal(0, 0.05, (3, 32, 3, 3)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        out = conv2d(x, w, padding=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    padded = 32 * 258 * 258 * 4
-    assert peak < padded + out.nbytes + 4 * 2**20
+    for cin, cout, h, w in ((32, 3, 256, 256), (87, 87, 180, 320), (32, 128, 128, 128)):
+        x = rng.random((cin, h, w), dtype=np.float32)
+        wts = rng.normal(0, 0.05, (cout, cin, 3, 3)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = conv2d(x, wts, padding=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded = cin * (h + 2) * (w + 2) * 4
+        assert peak < padded + out.nbytes + 4 * 2**20, (cin, cout, h, w)
 
 
 _CONV_DIGEST = """
