@@ -117,8 +117,8 @@ class ModelConfig:
             raise ValueError(f"window_size must be a power of two (got {self.window_size})")
         table = self.window_size ** 2 * (self.s_selected + 1) * self.channels * self.state_dim
         if table > MAX_SCAN_TABLE:
-            raise ValueError("window_size^2 * (s_selected + 1) * channels * state_dim, the size "
-                             f"of an S6 block's tables, must be at most {MAX_SCAN_TABLE}, got {table}")
+            raise ValueError(f"window_size^2 * (s_selected + 1) * channels * state_dim = {table}, "
+                             f"the size of an S6 block's tables, must be at most {MAX_SCAN_TABLE}")
         return self
 
 
@@ -274,26 +274,21 @@ def _cubic_kernel(t, a=-0.5):
 
 @functools.lru_cache(maxsize=64)
 def _bicubic_axis_weights(n_in, scale):
-    """Sample positions (align_corners=false) and 4-tap weights per output row.
+    """4-tap weights per output row, [n_in*scale, 4] (align_corners=false).
 
-    Returns (idx, wts), both [n_in*scale, 4]: tap k reads input row idx[:, k]
-    with weight wts[:, k], for k = -1, 0, 1, 2 around the sample's floor.
-    The tables are built once per (n_in, scale) and shared read-only.
+    Output row i samples src = (i + 0.5)/scale - 0.5, and its tap k weights
+    input row floor(src) + k - 1, edge replicated, for k = 0..3.  The table
+    is built once per (n_in, scale) and shared read-only.
     """
-    idx = []
     wts = []
     for i_out in range(n_in * scale):
         src = (i_out + 0.5) / scale - 0.5
-        base = math.floor(src)
-        frac = src - base
-        taps = [_cubic_kernel(frac - k) for k in range(-1, 3)]
+        taps = [_cubic_kernel(src - math.floor(src) - k) for k in range(-1, 3)]
         s = sum(taps)
-        idx.append([min(max(base + k, 0), n_in - 1) for k in range(-1, 3)])  # edge replicate
         wts.append([t / s for t in taps])
-    tables = np.array(idx, dtype=np.intp), np.array(wts, dtype=np.float64)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    table = np.array(wts, dtype=np.float64)
+    table.flags.writeable = False
+    return table
 
 
 def bicubic_upsample(inp, scale):
@@ -317,8 +312,8 @@ def bicubic_upsample(inp, scale):
     if x.ndim != 3:
         raise ValueError("bicubic_upsample expects [C,H,W]")
     c, h, w = x.shape
-    _, rwts = _bicubic_axis_weights(h, scale)
-    _, cwts = _bicubic_axis_weights(w, scale)
+    rwts = _bicubic_axis_weights(h, scale)
+    cwts = _bicubic_axis_weights(w, scale)
     starts = [math.floor((p + 0.5) / scale - 0.5) + 1 for p in range(scale)]
     xp = np.pad(x.astype(np.float64), ((0, 0), (2, 2), (2, 2)), mode="edge")
     # rows: [scale, C, H, W+4], still edge-padded along W for the column pass

@@ -164,8 +164,8 @@ CONV_CASES = [
     (192, 4, 3, 1, 1, 12, 10),
     (192, 3, 1, 1, 0, 8, 8),
     (3, 2, 3, 1, 1, 200, 40),
-    (192, 4, 3, 1, 1, 40, 10),     # deep reduction over several row blocks
-    (3, 2, 3, 1, 1, 600, 40),      # tall frame: several row blocks
+    (192, 4, 3, 1, 1, 40, 10),     # deep reduction
+    (3, 2, 3, 1, 1, 600, 40),      # tall frame
     (3, 4, 3, 1, 2, 9, 11),        # padding wider than the kernel's reach
     (4, 5, 1, 1, 1, 7, 6),         # a 1x1 kernel over a zero border
     (3, 2, 5, 1, 1, 3, 4),         # the kernel as tall as the padded input: H' = 1
@@ -215,7 +215,7 @@ def test_conv2d_matches_loop_oracle(cin, cout, k, stride, padding, h, w):
 
 
 def test_conv2d_leaves_input_unchanged_and_reads_a_read_only_view(monkeypatch):
-    """The receptive fields are a view of conv2d's own padded copy, never of
+    """The kernel-row runs are a view of conv2d's own padded copy, never of
     the input, and that view cannot be written through."""
     views = []
     as_strided = numerics.as_strided
@@ -373,16 +373,16 @@ def test_pixel_shuffle_rejects_bad_channels():
 def _bicubic_upsample_loop(x, scale):
     """Oracle: row by row, then column by column, adding taps in k order."""
     c, h, w = x.shape
-    ridx, rwts = numerics._bicubic_axis_weights(h, scale)
-    cidx, cwts = numerics._bicubic_axis_weights(w, scale)
+    (ridx, _), rwts = _cubic_taps_loop(h, scale), numerics._bicubic_axis_weights(h, scale)
+    (cidx, _), cwts = _cubic_taps_loop(w, scale), numerics._bicubic_axis_weights(w, scale)
     xd = x.astype(np.float64)
     tmp = np.zeros((c, h * scale, w), dtype=np.float64)
     for i_out in range(h * scale):
-        for j, wt in zip(ridx[i_out].tolist(), rwts[i_out].tolist()):
+        for j, wt in zip(ridx[i_out], rwts[i_out].tolist()):
             tmp[:, i_out, :] += wt * xd[:, j, :]
     out = np.zeros((c, h * scale, w * scale), dtype=np.float64)
     for j_out in range(w * scale):
-        for j, wt in zip(cidx[j_out].tolist(), cwts[j_out].tolist()):
+        for j, wt in zip(cidx[j_out], cwts[j_out].tolist()):
             out[:, :, j_out] += wt * tmp[:, :, j]
     return out.astype(np.float32)
 
@@ -414,18 +414,14 @@ def test_bicubic_matches_loop_oracle_bytes(scale):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     for n in (7, 9):
-        idx, wts = numerics._bicubic_axis_weights(n, scale)
-        want_idx, want_wts = _cubic_taps_loop(n, scale)
-        assert idx.tolist() == want_idx and wts.tolist() == want_wts
+        assert numerics._bicubic_axis_weights(n, scale).tolist() == _cubic_taps_loop(n, scale)[1]
 
 
 def test_bicubic_axis_weights_cached_read_only():
-    idx, wts = numerics._bicubic_axis_weights(13, 4)
-    again = numerics._bicubic_axis_weights(13, 4)
-    assert again[0] is idx and again[1] is wts        # built once per (n_in, scale)
-    for table in (idx, wts):
-        with pytest.raises(ValueError):
-            table[0, 0] = 1
+    wts = numerics._bicubic_axis_weights(13, 4)
+    assert numerics._bicubic_axis_weights(13, 4) is wts     # built once per (n_in, scale)
+    with pytest.raises(ValueError):
+        wts[0, 0] = 1
 
 
 def test_bicubic_constant_preserved():
