@@ -294,7 +294,7 @@ def _bicubic_axis_weights(n_in, scale):
 def bicubic_upsample(inp, scale):
     """Separable cubic-convolution upsampling, a=-0.5, edge replicate.
 
-    The tap tables are periodic: output row q*scale + p reads input rows
+    Tap positions are periodic: output row q*scale + p reads input rows
     q + o_p - 1 .. q + o_p + 2, with o_p = floor((p + 0.5)/scale - 0.5), so
     each tap of each output phase p is one slice of a copy edge-padded by 2.
     The weights are read per output row from `_bicubic_axis_weights`, since
