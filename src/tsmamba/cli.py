@@ -92,7 +92,9 @@ def _write_text(text, path=None):
 
 
 def _emit(obj, out_path=None):
-    _write_text(json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n", out_path)
+    # strict JSON: a NaN or inf raises ValueError (exit 2) before the file opens
+    text = json.dumps(obj, separators=(",", ":"), sort_keys=True, allow_nan=False)
+    _write_text(text + "\n", out_path)
 
 
 # --- scan -------------------------------------------------------------------

@@ -307,10 +307,10 @@ def bicubic_upsample(inp, scale):
         raise ValueError("scale must be a positive integer")
     scale = int(scale)
     x = np.asarray(inp, dtype=np.float32)
-    if scale == 1:
-        return x.copy()
     if x.ndim != 3:
         raise ValueError("bicubic_upsample expects [C,H,W]")
+    if scale == 1:
+        return x.copy()
     c, h, w = x.shape
     rwts = _bicubic_axis_weights(h, scale)
     cwts = _bicubic_axis_weights(w, scale)

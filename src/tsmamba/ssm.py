@@ -18,6 +18,11 @@ multiply, straight into the state cache; the loop then takes two ufuncs per
 step, Abar_l * h_{l-1} into a step-sized temporary and that added in place to
 the cached input term.  The first step adds its input term to the zero
 state's 0.0, so a -0.0 term is kept as +0.0, as a zero-state step gives it.
+
+The backward runs the same recurrence in reverse over the recomputed states:
+one loop of two ufuncs per step fills d loss / d h_l, and each gradient is
+then one array expression over it and the forward's cache (the per-step loop
+that accumulated them is the tests' oracle).
 """
 
 from __future__ import annotations
@@ -135,44 +140,30 @@ def selective_scan_forward(params, sequence, windows=1):
 
 
 def selective_scan_backward(params, sequence, upstream):
-    """Exact reverse-mode gradients of the recurrence (reruns the forward pass).
+    """Exact reverse-mode gradients of the recurrence (reruns the forward pass),
+    from gh[l] = d loss / d h_l = g_l * C_l + Abar_{l+1} * gh[l+1].
 
     Returns a dict with gradients for 'u', 'A', 'D', 'dt', 'B', 'C'.
     """
     u = np.asarray(sequence, dtype=np.float64)
     _, (delta, abar, hs) = _recurrence(params, u)
     g = np.asarray(upstream, dtype=np.float64)
-    L, C = u.shape
-    N = params.A.shape[1]
-    if g.shape != (L, C):
+    if g.shape != u.shape:
         raise ValueError("upstream gradient shape mismatch")
-
-    gu = np.zeros((L, C))
-    gA = np.zeros((C, N))
-    gD = np.zeros(C)
-    gdelta = np.zeros((L, C))
-    gB = np.zeros((L, N))
-    gC = np.zeros((L, N))
-
-    gh = np.zeros((C, N))          # d loss / d h_l, accumulated backwards
-    for l in range(L - 1, -1, -1):
-        # y_l = hs[l] @ C_l + D * u_l
-        gC[l] = (g[l][:, None] * hs[l]).sum(axis=0)
-        gD += g[l] * u[l]
-        gu[l] += g[l] * params.D
-        gh += g[l][:, None] * params.C[l][None, :]
-        # h_l = abar_l * h_{l-1} + delta_l * B_l * u_l
-        hprev = hs[l - 1] if l > 0 else np.zeros((C, N))
-        gabar = gh * hprev
-        gdelta[l] += (gabar * params.A * abar[l]).sum(axis=1)   # via abar = exp(delta*A)
-        gA += gabar * delta[l][:, None] * abar[l]
-        gbin = gh                                               # d h / d (delta*B*u)
-        gdelta[l] += (gbin * params.B[l][None, :] * u[l][:, None]).sum(axis=1)
-        gB[l] += (gbin * delta[l][:, None] * u[l][:, None]).sum(axis=0)
-        gu[l] += (gbin * delta[l][:, None] * params.B[l][None, :]).sum(axis=1)
-        gh = gh * abar[l]
-    gdt = gdelta * sigmoid(params.dt)               # softplus' = sigmoid
-    return {"u": gu, "A": gA, "D": gD, "dt": gdt, "B": gB, "C": gC}
+    gh = g[:, :, None] * params.C[:, None, :]        # [L, C, N]
+    for l in range(len(gh) - 2, -1, -1):
+        gh[l] += abar[l + 1] * gh[l + 1]
+    hprev = np.concatenate([np.zeros_like(hs[:1]), hs[:-1]])    # h_{l-1}, h_{-1} = 0
+    gexp = gh * hprev * abar                         # d loss / d (delta * A)
+    ghb = np.matmul(gh, params.B[:, :, None])[..., 0]   # d loss / d (delta * u)
+    return {
+        "u": g * params.D + delta * ghb,
+        "A": np.einsum("lcn,lc->cn", gexp, delta),
+        "D": (g * u).sum(axis=0),
+        "dt": ((gexp * params.A).sum(axis=2) + u * ghb) * sigmoid(params.dt),
+        "B": np.einsum("lcn,lc->ln", gh, delta * u),
+        "C": np.einsum("lc,lcn->ln", g, hs),
+    }
 
 
 # values gradient_check perturbs, two forward passes each: the check's time

@@ -166,8 +166,10 @@ def propagate_trajectories(prev, flow, config):
     token), so each bilinear corner reads its token's coordinates directly.
     """
     f = np.asarray(flow, dtype=np.float32)
-    if f.shape[0] != 2 or f.shape[1] != prev.height or f.shape[2] != prev.width:
+    if f.shape != (2, prev.height, prev.width):
         raise ValueError(f"flow dims {f.shape} do not match {prev.height}x{prev.width}")
+    if not np.isfinite(f).all():
+        raise ValueError("flow holds non-finite values")
     h, w = prev.height, prev.width
     t = prev.token_size
     ht, wt = prev.grid

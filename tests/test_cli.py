@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tsmamba
 from tsmamba import scanorder, ssm
@@ -312,6 +315,23 @@ def test_traj_select_zero_flows_match_radius_0(tmp_path):
                  "--out", str(b)]) == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_traj_select_non_finite_flow_exit_2(tmp_path, capsys, bad):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    _write_frames(frames, n=2, size=8)
+    flows = tmp_path / "flows"
+    flows.mkdir()
+    flow = np.zeros((2, 8, 8))
+    flow[0, 2, 2] = bad
+    write_tstf(flows / "flow_0001.tstf", flow)
+    out = tmp_path / "sel.json"
+    assert main(["traj", "select", "--frames", str(frames), "--flows", str(flows),
+                 "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("s,code", [("-1", 2), ("0", 0), ("14", 0), ("15", 2)])
 def test_traj_select_s_must_fit_config(tmp_path, capsys, s, code):
     """--s runs through ModelConfig.validate: 0 <= s <= T - 1 (T = 15)."""
@@ -556,6 +576,22 @@ def test_loss_eval_fixed_point(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("epsilon,sr_nan", [("nan", False), ("inf", False), ("1e-4", True)])
+def test_json_output_rejects_non_finite_values(tmp_path, capsys, epsilon, sr_nan):
+    """A report that would hold NaN or inf is not JSON: exit 2, no file."""
+    hr = np.random.default_rng(2).random((3, 8, 8)).astype(np.float32)
+    sr = hr.copy()
+    if sr_nan:
+        sr[1, 2, 3] = np.nan
+    write_tstf(tmp_path / "sr.tstf", sr)
+    write_tstf(tmp_path / "hr.tstf", hr)
+    out = tmp_path / "loss.json"
+    assert main(["loss", "eval", "--sr", str(tmp_path / "sr.tstf"), "--hr",
+                 str(tmp_path / "hr.tstf"), "--epsilon", epsilon, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_loss_eval_trajectories_need_lr_size(tmp_path, capsys):
     sr = tmp_path / "sr.tstf"
     write_tstf(sr, np.zeros((3, 8, 8), dtype=np.float32))
@@ -590,3 +626,151 @@ def test_loss_eval_trajectories_need_lr_size(tmp_path, capsys):
         write_tstf(hr, hr_bad)
         assert main(args + ["--lr-height", "8", "--lr-width", "32"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+# --- fuzz: every subcommand on valid, boundary and malformed arguments --------
+
+FUZZ_CONFIG = {"channels": 4, "state_dim": 2, "n2_res_blocks": 1}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """The files FUZZ_CALLS and FUZZ_WRONG name: valid inputs, and malformed
+    ones (truncated TSTF and PNM, non-object JSON, tensors of the wrong
+    shape or rank, frames of mixed sizes, NaN flows)."""
+    d = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(0)
+    for name in ("frames", "frames_trunc", "frames_rank", "frames_empty", "frames_mixed",
+                 "frames_gray", "flows", "flows_shape", "flows_rank", "flows_trunc",
+                 "flows_nan", "bundle_list"):
+        (d / name).mkdir()
+    _write_frames(d / "frames", n=2, size=16)
+    _write_frames(d / "frames_mixed", n=1, size=16)
+    write_pnm(d / "frames_mixed" / "frame_001.ppm", rng.random((3, 10, 14)).astype(np.float32))
+    write_pnm(d / "frames_gray" / "frame_000.pgm", rng.random((1, 16, 16)).astype(np.float32))
+    write_pnm(d / "frame.ppm", rng.random((3, 16, 16)).astype(np.float32))
+    (d / "trunc.ppm").write_bytes((d / "frame.ppm").read_bytes()[:40])
+    (d / "frames_trunc" / "frame_000.ppm").write_bytes((d / "trunc.ppm").read_bytes())
+    write_tstf(d / "frames_rank" / "frame_000.tstf", np.zeros((16, 16)))
+    write_tstf(d / "seq.tstf", rng.normal(0, 1, (6, 2)))
+    (d / "trunc.tstf").write_bytes((d / "seq.tstf").read_bytes()[:30])
+    write_tstf(d / "rank.tstf", np.zeros(5))
+    write_tstf(d / "flows" / "flow_0001.tstf", rng.normal(0, 1, (2, 16, 16)))
+    write_tstf(d / "flows_shape" / "flow_0001.tstf", np.zeros((2, 4, 4)))
+    write_tstf(d / "flows_rank" / "flow_0001.tstf", np.zeros((2, 16)))
+    (d / "flows_trunc" / "flow_0001.tstf").write_bytes((d / "trunc.tstf").read_bytes())
+    write_tstf(d / "flows_nan" / "flow_0001.tstf", np.full((2, 16, 16), np.nan))
+    # A, D, dt, B, C of a 2-channel, state-dim-2 scan over the 6 steps of seq
+    write_tstf(d / "params.tstf", rng.normal(0, 0.5, 2 * 2 + 2 + 6 * 2 + 2 * 6 * 2))
+    main(["scan", "gen", "--variant", "scan3", "--size", "4", "--out", str(d / "scan.json")])
+    (d / "broken.json").write_text(json.dumps({"size": 2, "order": [[0, 0], [0, 0],
+                                                                    [1, 0], [1, 1]]}))
+    (d / "list.json").write_text("[1, 2]")
+    (d / "bundle_list" / "manifest.json").write_text("[1, 2]")
+    (d / "trunc.json").write_text('{"size": 2, "ord')
+    (d / "config.json").write_text(json.dumps(FUZZ_CONFIG))
+    _write_bundle(d / "bundle", TsMambaWeights.random(ModelConfig(**FUZZ_CONFIG), seed=1))
+    hr = rng.random((3, 8, 8))
+    write_tstf(d / "hr.tstf", hr)
+    write_tstf(d / "sr.tstf", hr + rng.normal(0, 0.01, hr.shape))
+    hr_coords = np.stack([token_centers(4, 16, 4)] * 2)
+    write_tstf(d / "hr_traj.tstf", hr_coords)
+    write_tstf(d / "lr_traj.tstf", hr_coords.reshape(2, 4, 16, 2)[:, ::2, ::2].reshape(2, 16, 2) / 2)
+    return d
+
+# valid calls of each subcommand, as (flag, kind, value) slots; the values of
+# every kind but "int", "float" and "str" name entries of fuzz_dir
+FUZZ_CALLS = {
+    "scan gen": [[("--variant", "str", "scan4"), ("--size", "int", "8")]],
+    "scan check": [[(None, "file", "scan.json")], [(None, "file", "broken.json")]],
+    "disc analyze": [[("--first", "str", "scan1"), ("--shift", "str", "UL3"),
+                      ("--second", "str", "scan3"), ("--grid", "int", "8"),
+                      ("--window", "int", "4")]],
+    "disc search": [[("--grid", "int", "8"), ("--window", "int", "4")]],
+    "traj select": [[("--frames", "frames", "frames"), ("--radius", "int", "1"),
+                     ("--s", "int", "3"), ("--seed", "int", "7")],
+                    [("--frames", "frames", "frames"), ("--flows", "flows", "flows")]],
+    "ssm run": [[("--input", "file", "seq.tstf"), ("--state-dim", "int", "3"),
+                 ("--seed", "int", "7")],
+                [("--input", "file", "seq.tstf"), ("--params", "file", "params.tstf"),
+                 ("--state-dim", "int", "2")]],
+    "grad check": [[("--length", "int", "3"), ("--channels", "int", "2"),
+                    ("--state-dim", "int", "2"), ("--tol", "float", "1e-5"),
+                    ("--seed", "int", "7")]],
+    "model forward": [[("--frames", "frames", "frames"), ("--config", "file", "config.json"),
+                       ("--seed", "int", "7")],
+                      [("--frames", "frames", "frames"), ("--config", "file", "config.json"),
+                       ("--weights", "weights", "bundle")]],
+    "model count": [[("--channels", "int", "16"), ("--height", "int", "32"),
+                     ("--width", "int", "48")]],
+    "loss eval": [[("--sr", "file", "sr.tstf"), ("--hr", "file", "hr.tstf"),
+                   ("--epsilon", "float", "1e-4")],
+                  [("--sr", "file", "sr.tstf"), ("--hr", "file", "sr.tstf"),
+                   ("--lr-traj", "file", "lr_traj.tstf"), ("--hr-traj", "file", "hr_traj.tstf"),
+                   ("--lr-height", "int", "8"), ("--lr-width", "int", "32"),
+                   ("--scale", "int", "2"), ("--lam", "float", "0.1")]],
+}
+
+# the values a slot of each kind may take instead; None leaves the flag out
+FUZZ_WRONG = {
+    "int": [None, "0", "-1", "1", "2", "4", "8"],
+    "float": [None, "0", "-1", "nan", "inf", "-inf"],
+    "str": [None, "bogus"],
+    "file": [None, "trunc.tstf", "trunc.ppm", "list.json", "trunc.json", "broken.json",
+             "rank.tstf", "seq.tstf", "missing.tstf"],
+    "frames": [None, "frames_trunc", "frames_rank", "frames_empty", "frames_mixed",
+               "frames_gray", "flows", "missing"],
+    "flows": [None, "flows_shape", "flows_rank", "flows_trunc", "flows_nan", "frames",
+              "missing"],
+    "weights": [None, "bundle_list", "frames", "missing"],
+}
+
+# the file each subcommand writes besides stdout
+FUZZ_OUTPUTS = {"scan gen": "out.json", "disc analyze": "out.json", "disc search": "out.csv",
+                "traj select": "out.json", "ssm run": "out.tstf", "model forward": "out.tstf",
+                "model count": "out.json", "loss eval": "out.json"}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_CALLS))
+@settings(max_examples=80)
+@given(data=st.data())
+def test_fuzz_every_subcommand_exits_0_or_2(fuzz_dir, command, data):
+    """A valid call with at most two of its arguments swapped for boundary or
+    malformed values, or left out: main returns 0 or 2 and no exception
+    escapes; 1 only for a grad check FAIL or a scan check of a non-bijective
+    order.  Every JSON written parses with NaN and Infinity rejected."""
+    call = data.draw(st.sampled_from(FUZZ_CALLS[command]))
+    wrong = data.draw(st.sets(st.sampled_from(range(len(call))), max_size=2))
+    argv = command.split()
+    for i, (flag, kind, value) in enumerate(call):
+        if i in wrong:
+            value = data.draw(st.sampled_from(FUZZ_WRONG[kind]))
+        if value is None:
+            continue
+        if kind not in ("int", "float", "str"):
+            value = str(fuzz_dir / value)
+        # "--flag=value", so argparse reads a value such as "-inf" as the value
+        argv.append(f"{flag}={value}" if flag else value)
+    out = fuzz_dir / FUZZ_OUTPUTS.get(command, "none")
+    if command in FUZZ_OUTPUTS:
+        argv += ["--out", str(out)]
+        out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    text = stdout.getvalue()
+    allowed = {0, 2}
+    if (command == "grad check" and "FAIL" in text) or (
+            command == "scan check" and '"bijective":false' in text):
+        allowed.add(1)
+    assert code in allowed, (argv, stderr.getvalue())
+    if code == 2:
+        assert stderr.getvalue().startswith("error:") or "usage:" in stderr.getvalue()
+    if command in ("scan check", "ssm run") and text:
+        json.loads(text, parse_constant=_reject_constant)
+    if out.suffix == ".json" and out.exists():
+        json.loads(out.read_text(), parse_constant=_reject_constant)

@@ -417,6 +417,13 @@ def test_bicubic_matches_loop_oracle_bytes(scale):
         assert numerics._bicubic_axis_weights(n, scale).tolist() == _cubic_taps_loop(n, scale)[1]
 
 
+def test_bicubic_rejects_bad_shape_and_scale():
+    for x, scale in [(np.zeros((4, 4)), 1), (np.zeros((4, 4)), 2),
+                     (np.zeros((1, 4, 4)), 0), (np.zeros((1, 4, 4)), 1.5)]:
+        with pytest.raises(ValueError):
+            bicubic_upsample(x, scale)
+
+
 def test_bicubic_axis_weights_cached_read_only():
     wts = numerics._bicubic_axis_weights(13, 4)
     assert numerics._bicubic_axis_weights(13, 4) is wts     # built once per (n_in, scale)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tsmamba.model import TsMambaWeights, ts_mamba_forward
 from tsmamba.numerics import ModelConfig
 from tsmamba.trajectory import (
     MAX_FLOW_RADIUS,
@@ -265,8 +266,25 @@ def test_propagate_clamps_to_bounds():
 def test_propagate_rejects_bad_flow_dims():
     cfg = ModelConfig()
     traj = initial_trajectories(cfg, 8, 8)
-    with pytest.raises(ValueError):
-        propagate_trajectories(traj, np.zeros((2, 4, 4)), cfg)
+    for dims in ((2, 4, 4), (2, 8), (2, 8, 8, 1), (2,)):
+        with pytest.raises(ValueError, match="flow dims"):
+            propagate_trajectories(traj, np.zeros(dims), cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_flow_rejected(bad):
+    """One non-finite flow value is a ValueError in propagation and in the
+    forward pass.  Token size 3 puts each center on a pixel, so pixel (2, 2)
+    enters the first token's flow sample with weight 0, where 0 * inf is NaN."""
+    cfg = ModelConfig(channels=4, token_size=3, window_size=2, s_selected=1,
+                      temporal_window=3, n1_res_blocks=1, n2_res_blocks=1, state_dim=2)
+    flow = np.zeros((2, 6, 6), dtype=np.float32)
+    flow[0, 2, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        propagate_trajectories(initial_trajectories(cfg, 6, 6), flow, cfg)
+    frames = [np.zeros((3, 6, 6), dtype=np.float32)] * 2
+    with pytest.raises(ValueError, match="non-finite"):
+        ts_mamba_forward(frames, [flow], TsMambaWeights.random(cfg, seed=0), cfg)
 
 
 def _flow_chain(rng, h, w):
