@@ -161,7 +161,7 @@ def _load_frames(directory):
 
 def cmd_traj_select(args):
     paths, frames = _load_frames(args.frames)
-    config = ModelConfig(s_selected=args.s).validate()
+    config = ModelConfig(s_selected=args.s)
     rng = np.random.default_rng(args.seed)
     weights = GWeights.random(config, rng, c_in=frames[0].shape[0])
     flow_paths = []
@@ -230,7 +230,7 @@ def cmd_grad_check(args):
 
 def cmd_model_forward(args):
     paths, frames = _load_frames(args.frames)
-    config = ModelConfig()
+    overrides = {}
     if args.config:
         with open(args.config) as f:
             overrides = json.load(f)
@@ -242,8 +242,7 @@ def cmd_model_forward(args):
                 raise CliError(f"unknown config key {k!r}")
             if type(v) is not int:
                 raise CliError(f"config key {k!r} must be an integer, got {v!r}")
-            setattr(config, k, v)
-        config.validate()
+    config = ModelConfig(**overrides)
     if args.weights:
         weights = _load_weight_bundle(args.weights, config)
     else:
@@ -280,7 +279,7 @@ def _load_weight_bundle(directory, config):
 
 
 def cmd_model_count(args):
-    config = ModelConfig(channels=args.channels).validate()
+    config = ModelConfig(channels=args.channels)
     counts = count_params_macs(config, (args.height, args.width))
     _emit(_envelope("model count", [], counts), args.out)
     return 0
@@ -297,8 +296,8 @@ def cmd_loss_eval(args):
         raise CliError("--lr-traj and --hr-traj must be given together")
     if args.lr_traj:
         h, w = args.lr_height, args.lr_width
-        if h < 1 or w < 1 or args.scale < 1:
-            raise CliError("--lr-traj/--hr-traj need positive --lr-height, --lr-width and --scale")
+        if h < 1 or w < 1:
+            raise CliError("--lr-traj/--hr-traj need positive --lr-height and --lr-width")
         lt, ht = (read_tstf(p).astype(np.float64) for p in (args.lr_traj, args.hr_traj))
         if any(a.ndim != 3 or 0 in a.shape or a.shape[2] != 2 for a in (lt, ht)):
             raise CliError(f"trajectory stacks must be [depth >= 1, N >= 1, 2], got "
@@ -309,8 +308,9 @@ def cmd_loss_eval(args):
         if t * t * n != h * w or h % t or w % t:
             raise CliError(f"{n} LR trajectories do not tile a {h}x{w} frame with square tokens")
         lr_set = TrajectorySet(t, h, w, lt)
-        hr_set = TrajectorySet(t, h * args.scale, w * args.scale, ht)
-        trj = trajectory_loss(lr_set, hr_set, args.scale)
+        scale = ModelConfig.scale
+        hr_set = TrajectorySet(t, h * scale, w * scale, ht)
+        trj = trajectory_loss(lr_set, hr_set, scale)
         payload["trajectory"] = trj
         payload["total"] = total_loss(spa, trj, lam=args.lam)
     inputs = [args.sr, args.hr] + [p for p in (args.lr_traj, args.hr_traj) if p]
@@ -328,6 +328,9 @@ def positive_int(text):
 
 
 def build_parser():
+    # Each exclusive pair is an input and the flag that makes one up when it
+    # is absent.  Their defaults are strings, which argparse converts, so an
+    # explicit value equal to the default still counts as given.
     p = argparse.ArgumentParser(prog="tsm", description=__doc__)
     sub = p.add_subparsers(dest="group", required=True)
 
@@ -361,8 +364,9 @@ def build_parser():
     traj = sub.add_parser("traj").add_subparsers(dest="cmd", required=True)
     t = traj.add_parser("select")
     t.add_argument("--frames", required=True)
-    t.add_argument("--flows")
-    t.add_argument("--radius", type=int, default=2)
+    motion = t.add_mutually_exclusive_group()
+    motion.add_argument("--flows")
+    motion.add_argument("--radius", type=int, default="2")
     t.add_argument("--s", type=int, default=3)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out")
@@ -372,9 +376,10 @@ def build_parser():
     ssm = sub.add_parser("ssm").add_subparsers(dest="cmd", required=True)
     r = ssm.add_parser("run")
     r.add_argument("--input", required=True)
-    r.add_argument("--params")
+    source = r.add_mutually_exclusive_group()
+    source.add_argument("--params")
+    source.add_argument("--seed", type=int, default="0")
     r.add_argument("--state-dim", type=positive_int, default=8)
-    r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_ssm_run)
 
@@ -390,9 +395,10 @@ def build_parser():
     model = sub.add_parser("model").add_subparsers(dest="cmd", required=True)
     f = model.add_parser("forward")
     f.add_argument("--frames", required=True)
-    f.add_argument("--weights")
+    source = f.add_mutually_exclusive_group()
+    source.add_argument("--weights")
+    source.add_argument("--seed", type=int, default="0")
     f.add_argument("--config")
-    f.add_argument("--seed", type=int, default=0)
     f.add_argument("--out", required=True)
     f.set_defaults(func=cmd_model_forward)
     mc = model.add_parser("count")
@@ -410,7 +416,6 @@ def build_parser():
     le.add_argument("--hr-traj")
     le.add_argument("--lr-height", type=int, default=0)
     le.add_argument("--lr-width", type=int, default=0)
-    le.add_argument("--scale", type=int, default=4)
     le.add_argument("--epsilon", type=float, default=1e-4)
     le.add_argument("--lam", type=float, default=0.1)
     le.add_argument("--out")

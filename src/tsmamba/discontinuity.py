@@ -45,7 +45,6 @@ __all__ = [
     "report_to_json",
     "report_to_svg",
     "search_to_csv",
-    "pin_report",
 ]
 
 
@@ -253,22 +252,3 @@ def search_to_csv(results):
                          rep.delta_intra, rep.delta_inter, rep.delta])
     return buf.getvalue()
 
-
-def pin_report(grid_size=8, window_size=4):
-    """(delta, delta_intra, delta_inter) of the named reference procedures
-    under the pinned orientations, keyed 'scan1->U1->scan3'; acceptance
-    criteria 1-3 read their totals from it."""
-    named = [
-        (ScanVariant.Scan1, "U1", ScanVariant.Scan3),
-        (ScanVariant.Scan2, "L1", ScanVariant.Scan4),
-        (ScanVariant.Scan3, "D1", ScanVariant.Scan1),
-        (ScanVariant.Scan4, "R1", ScanVariant.Scan2),
-        (ScanVariant.Scan1, "UL3", ScanVariant.Scan3),
-        (ScanVariant.Scan1, "UR3", ScanVariant.Scan3),
-    ]
-    out = {}
-    for first, shift, second in named:
-        rep = analyze(first, shift, second, grid_size, window_size)
-        out[f"{first.value}->{shift}->{second.value}"] = (
-            rep.delta, rep.delta_intra, rep.delta_inter)
-    return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numerics import ModelConfig, Tensor, bicubic_upsample, conv2d, pixel_shuffle, residual_block
+from .numerics import Tensor, bicubic_upsample, conv2d, pixel_shuffle, residual_block
 from .scanorder import ScanVariant, ShiftSpec, generate_scan, tile_windows
 from .ssm import SelectiveScanParams, ssm_block
 from .trajectory import GWeights, select_along_trajectories
@@ -113,9 +113,8 @@ def tsma_forward(q_grid, selection, weights, config):
     ht, wt, c = q_grid.shape
     n = ht * wt
     q = q_grid.reshape(n, c)
-    s = config.s_selected
     # concatenate Q with V_s along channels and project back to width C
-    v = selection.selected.reshape(n, s * c)
+    v = selection.selected.reshape(n, -1)
     merged = np.concatenate([q, v], axis=1) @ weights.concat_proj_w.T.astype(np.float32)
     merged = merged + weights.concat_proj_b.astype(np.float32)
 
@@ -132,7 +131,7 @@ def tsma_forward(q_grid, selection, weights, config):
 
     def run_block(tokens, name, shift, variant):
         scans = window_scans_for_grid(hp, wp, config, variant, shift)
-        return ssm_block(tokens, scans, v_pad, s, weights.block_params[name],
+        return ssm_block(tokens, scans, v_pad, weights.block_params[name],
                          gamma=weights.ln_gamma, beta=weights.ln_beta)
 
     x = pad(merged)
@@ -195,7 +194,7 @@ def untokenize(grid, config, proj_w):
     return feature.transpose(2, 0, 1)
 
 
-def reconstruct(feature, rw, config):
+def reconstruct(feature, rw):
     """R(.): conv -> N2 residual blocks -> two x2 pixel-shuffle stages -> conv."""
     x = conv2d(feature, rw.head_w, rw.head_b, padding=1)
     for (w1, b1, w2, b2) in rw.res:
@@ -254,13 +253,12 @@ def ts_mamba_forward(frames, flows, weights, config):
              entries) or None for a static scene.
     Returns a Tensor, whose callers read the [3, sH, sW] SR array at .data.
     """
-    config.validate()
     if any(np.shape(f)[0] != 3 for f in frames):
         raise ValueError("frames must have 3 channels")
     q_grid, selection = select_along_trajectories(frames, flows, weights.g, config)
     agg = tsma_forward(q_grid, selection, weights.tsma, config)
     feature = untokenize(agg, config, weights.g.proj_w)
-    residual = reconstruct(feature, weights.r, config)
+    residual = reconstruct(feature, weights.r)
     skip = bicubic_upsample(frames[-1], config.scale)
     return Tensor(residual + skip)
 
@@ -269,6 +267,8 @@ def ts_mamba_forward(frames, flows, weights, config):
 
 def charbonnier_loss(sr, hr, epsilon=1e-4):
     """Mean over elements of sqrt(diff^2 + eps^2); equals eps at sr == hr."""
+    if not epsilon >= 0:                  # written so that NaN fails too
+        raise ValueError(f"epsilon must not be negative, got {epsilon}")
     # float64 throughout, so finite-difference checks stay exact
     x, y = np.asarray(sr, dtype=np.float64), np.asarray(hr, dtype=np.float64)
     if x.shape != y.shape:
@@ -301,6 +301,8 @@ def trajectory_loss(lr, hr, scale):
 
 
 def total_loss(spa, trj, lam=0.1):
+    if not lam >= 0:                      # written so that NaN fails too
+        raise ValueError(f"lambda must not be negative, got {lam}")
     return float(spa + lam * trj)
 
 
@@ -364,15 +366,3 @@ def count_params_macs(config, lr_dims):
     macs = sum(v["macs"] for v in breakdown.values())
     return {"params": params, "macs": macs, "breakdown": breakdown}
 
-
-def calibrate_channels():
-    """Sweep C = 16..128 for the width whose params are closest to the reference
-    design's 3.0M; report its counts at the paper's 180x320 LR size."""
-    best = None
-    for c in range(16, 129):
-        counts = count_params_macs(ModelConfig(channels=c), (180, 320))
-        gap = abs(counts["params"] - 3_000_000)
-        if best is None or gap < best["gap"]:
-            best = {"channels": c, "gap": gap, **counts}
-    best.pop("breakdown", None)
-    return best

@@ -84,9 +84,10 @@ class Tensor:
         return np.array(self.data, dtype=dtype, copy=copy)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Architecture constants; defaults follow the experimental setup."""
+    """Architecture constants; defaults follow the experimental setup.
+    Every setting is checked once, when the config is created."""
 
     n1_res_blocks: int = 2
     n2_res_blocks: int = 13
@@ -99,7 +100,7 @@ class ModelConfig:
     # not a setting: R's two x2 pixel-shuffle stages fix the upscale at 4
     scale: ClassVar[int] = 4
 
-    def validate(self):
+    def __post_init__(self):
         if self.s_selected < 0:
             raise ValueError(f"s_selected must not be negative (got s={self.s_selected})")
         if self.s_selected > self.temporal_window - 1:
@@ -119,7 +120,6 @@ class ModelConfig:
         if table > MAX_SCAN_TABLE:
             raise ValueError(f"window_size^2 * (s_selected + 1) * channels * state_dim = {table}, "
                              f"the size of an S6 block's tables, must be at most {MAX_SCAN_TABLE}")
-        return self
 
 
 def conv2d(inp, weights, bias=None, *, padding=0):

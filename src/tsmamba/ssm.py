@@ -217,15 +217,14 @@ def gradient_check(params, sequence, rng=None):
 
 # --- SS3D sequence building -------------------------------------------------
 
-def build_ss3d_sequence(scan_cells, q, v, s):
+def build_ss3d_sequence(scan_cells, q, v):
     """Gather the interleaved SS3D sequences of one or more windows.
 
     scan_cells : int array [..., K] of token indices (into the token grid) in
                  each window's scan order.
     q          : [N, C] current-frame tokens.
-    v          : [N, s, C] selected tokens (ascending frame index);
-                 [N, 0, C] when s == 0.
-    s          : number of selected tokens per site.
+    v          : [N, s, C] the s selected tokens per site (ascending frame
+                 index); [N, 0, C] when s == 0.
 
     Returns a float32 [..., K*(s+1), C] array: position k is slot k % (s+1) of cell
     k // (s+1), where slots 0..s-1 are the selected tokens and slot s is the
@@ -237,22 +236,24 @@ def build_ss3d_sequence(scan_cells, q, v, s):
     if bad.any():
         raise ValueError(f"token index {int(cells[bad][0])} outside grid")
     v = np.asarray(v, dtype=np.float32)
-    if v.ndim != 3 or v.shape[1] != s:
-        raise ValueError(f"v_selected must be [N, {s}, C]")
+    if v.ndim != 3 or v.shape[::2] != q.shape:
+        raise ValueError(f"v_selected {v.shape} must be [N, s, C] over the {q.shape} tokens")
     gathered = np.concatenate([v, q[:, None]], axis=1)[cells]    # [..., K, s+1, C]
     return gathered.reshape(*cells.shape[:-1], -1, q.shape[1])
 
 
-def scatter_current(scan_cells, outputs, s, n_tokens):
+def scatter_current(scan_cells, outputs, n_tokens):
     """Scatter the current-token slots of [..., K*(s+1), C] outputs back to
     [N, C]; tokens in no window stay zero."""
     y = np.asarray(outputs, dtype=np.float32)
+    cells = np.asarray(scan_cells, dtype=np.intp)
+    slots = y.shape[-2] // cells.shape[-1]           # s + 1 per scanned cell
     out = np.zeros((n_tokens, y.shape[-1]), dtype=np.float32)
-    out[np.asarray(scan_cells, dtype=np.intp)] = y[..., s::s + 1, :]
+    out[cells] = y[..., slots - 1::slots, :]
     return out
 
 
-def ssm_block(tokens_in, window_scans, v_selected, s, params, gamma=None, beta=None):
+def ssm_block(tokens_in, window_scans, v_selected, params, gamma=None, beta=None):
     """LN -> SS3D gather -> one selective scan -> scatter -> residual.
 
     window_scans : int array [W, K] of per-window token indices in scan order.
@@ -266,8 +267,8 @@ def ssm_block(tokens_in, window_scans, v_selected, s, params, gamma=None, beta=N
     n, c = x.shape
     normed = layer_norm(x, gamma, beta)
     normed_v = layer_norm(v_selected, gamma, beta)
-    gathered = build_ss3d_sequence(window_scans, normed, normed_v, s)   # [W, L, C]
+    gathered = build_ss3d_sequence(window_scans, normed, normed_v)   # [W, L, C]
     w, length, _ = gathered.shape
     y = selective_scan_forward(params, gathered.transpose(1, 0, 2).reshape(length, w * c), w)
     y = y.reshape(length, w, c).transpose(1, 0, 2)
-    return x + scatter_current(window_scans, y, s, n)
+    return x + scatter_current(window_scans, y, n)

@@ -53,7 +53,7 @@ class TrajectorySet:
 class SelectionResult:
     """Per-token selected temporal offsets, scores, and gathered tokens.
 
-    indices[i, j] is the j-th chosen frame offset h_j in [1, T-1] (1 = the
+    indices[i, j] is the j-th chosen frame offset h_j in [1, T] (1 = the
     most recent previous frame); scores sorted non-increasing per token.
     """
 
@@ -299,9 +299,10 @@ def select_tokens(q_grid, pool, traj, s):
 
 
 def select_along_trajectories(frames, flows, g_weights, config):
-    """Front end of the forward pass: G(.) on every frame, trajectory
-    propagation, and top-s selection (s = config.s_selected) over the
-    previous frames' tokens.
+    """Front end of the forward pass: G(.) on the last T+1 frames (T =
+    config.temporal_window, as far back as trajectories reach), propagation
+    along the last T flows, and top-s selection (s = config.s_selected) over
+    the previous frames' tokens.
 
     frames : list of [C, H, W] arrays, oldest first, last entry is frame t.
     flows  : list of [2, H, W] flows from frame k to k-1 (len(frames)-1
@@ -314,14 +315,15 @@ def select_along_trajectories(frames, flows, g_weights, config):
     dims = np.shape(frames[0])
     if any(np.shape(f) != dims for f in frames):
         raise ValueError("all frames must share dims [C,H,W]")
+    if flows is not None and len(flows) != len(frames) - 1:
+        raise ValueError(f"{len(frames)} frames need {len(frames) - 1} flows, got {len(flows)}")
+    window = config.temporal_window
+    frames = frames[-(window + 1):]
     grids = np.stack([generate_tokens(frame, config, g_weights) for frame in frames])
 
     traj = initial_trajectories(config, dims[1], dims[2])
     if flows is not None:
-        if len(flows) != len(frames) - 1:
-            raise ValueError(f"{len(frames)} frames need {len(frames) - 1} flows, "
-                             f"got {len(flows)}")
-        for flow in flows:
+        for flow in flows[-window:]:
             traj = propagate_trajectories(traj, flow, config)
 
     # candidate pool: offset h = 1, 2, ... reads frame F-1-h; offsets past the

@@ -21,14 +21,12 @@ from tsmamba.discontinuity import (
     DEFAULT_SHIFTS,
     analyze,
     enumerate_regions,
-    pin_report,
     region_degree,
     report_to_json,
     search_procedures,
 )
 from tsmamba.model import (
     TsMambaWeights,
-    calibrate_channels,
     charbonnier_loss,
     count_params_macs,
     total_loss,
@@ -182,25 +180,23 @@ def _records(report):
             for g in json.loads(report_to_json(report))["regions"]]
 
 
-def _matches_oracle(report, totals, first, shift, second):
+def _totals(report):
+    return report.delta, report.delta_intra, report.delta_inter
+
+
+def _matches_oracle(report, first, shift, second):
     """Program records and totals equal the oracle's, region by region."""
     want_records, want_totals = _oracle_named(first, shift, second)
-    return (_records(report) == want_records
-            and (report.delta, report.delta_intra, report.delta_inter) == want_totals
-            and totals == want_totals)
-
-
-def _pin_key(first, shift, second):
-    return f"{first.value}->{shift}->{second.value}"
+    return _records(report) == want_records and _totals(report) == want_totals
 
 
 def test_criterion_1_delta_reproduction(capfd):
     named = (ScanVariant.Scan1, "U1", ScanVariant.Scan3)
     t0 = time.monotonic()
     rep = analyze(*named, GRID, WINDOW)
-    got = pin_report(GRID, WINDOW)[_pin_key(*named)]
+    got = _totals(rep)
     elapsed = time.monotonic() - t0
-    match = _matches_oracle(rep, got, *named)
+    match = _matches_oracle(rep, *named)
     published_reachable = PUBLISHED_U1 in _reachable("U1")
     ok = match and not published_reachable and elapsed < 1.0
     _report(capfd, 1, ok, f"got {got}, oracle match {match}, published "
@@ -213,7 +209,6 @@ def test_criterion_2_inter_window_optimum(capfd):
     t0 = time.monotonic()
     ul = analyze(*ul_named, GRID, WINDOW)
     ur = analyze(*ur_named, GRID, WINDOW)
-    pins = pin_report(GRID, WINDOW)
     elapsed = time.monotonic() - t0
 
     def mirrored(rep):
@@ -222,12 +217,10 @@ def test_criterion_2_inter_window_optimum(capfd):
 
     sym = mirrored(ul) == sorted(
         (anchor, kind, elim) for anchor, kind, _, _, elim in _records(ur))
-    ul_inter = pins[_pin_key(*ul_named)][2]
-    ur_inter = pins[_pin_key(*ur_named)][2]
+    ul_inter, ur_inter = ul.delta_inter, ur.delta_inter
     best_inter = max(_oracle_named(ScanVariant.Scan1, s, ScanVariant.Scan3)[1][2]
                      for s in DEFAULT_SHIFTS)
-    match = (_matches_oracle(ul, pins[_pin_key(*ul_named)], *ul_named)
-             and _matches_oracle(ur, pins[_pin_key(*ur_named)], *ur_named))
+    match = _matches_oracle(ul, *ul_named) and _matches_oracle(ur, *ur_named)
     published_reachable = any(totals[2] == PUBLISHED_DIAGONAL_INTER
                               for s in ("UL3", "UR3") for totals in _reachable(s))
     ok = (ul_inter == ur_inter == best_inter and sym and match
@@ -247,14 +240,12 @@ def test_criterion_3_symmetric_best_procedures(capfd):
     ]
     t0 = time.monotonic()
     reports = [analyze(*chain, GRID, WINDOW) for chain in chains]
-    pins = pin_report(GRID, WINDOW)
     results = search_procedures(GRID, WINDOW)
     elapsed = time.monotonic() - t0
-    totals = [pins[_pin_key(*chain)] for chain in chains]
+    totals = [_totals(rep) for rep in reports]
     max_intra = max(r[3].delta_intra for r in results)
     equal = len(set(totals)) == 1
-    match = all(_matches_oracle(rep, tot, *chain)
-                for rep, tot, chain in zip(reports, totals, chains))
+    match = all(_matches_oracle(rep, *chain) for rep, chain in zip(reports, chains))
     published_reachable = any(tot[1] == PUBLISHED_BEST_INTRA
                               for s in DEFAULT_SHIFTS for tot in _reachable(s))
     ok = (equal and totals[0][1] == max_intra and match
@@ -428,7 +419,7 @@ def test_criterion_11_ss3d_structure(capfd):
     n, s, c = 64, 3, 4
     q = rng.normal(0, 1, (n, c)).astype(np.float32)
     v = rng.normal(0, 1, (n, s, c)).astype(np.float32)
-    gathered = build_ss3d_sequence(np.arange(n), q, v, s)
+    gathered = build_ss3d_sequence(np.arange(n), q, v)
     ok = gathered.shape == (256, c)
     ok &= all(np.array_equal(gathered[k * (s + 1) + j],
                              v[k, j] if j < s else q[k])
@@ -439,8 +430,8 @@ def test_criterion_11_ss3d_structure(capfd):
         qq = rng.normal(0, 1, (nn, cc)).astype(np.float32)
         vv = rng.normal(0, 1, (nn, s, cc)).astype(np.float32)
         cells = rng.permutation(nn)
-        g = build_ss3d_sequence(cells, qq, vv, s)
-        ok &= np.array_equal(scatter_current(cells, g, s, nn), qq)
+        g = build_ss3d_sequence(cells, qq, vv)
+        ok &= np.array_equal(scatter_current(cells, g, nn), qq)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0
     _report(capfd, 11, ok, f"L=256, 100 round-trips, {elapsed:.2f}s")
@@ -450,10 +441,13 @@ def test_criterion_12_non_reproducibility_statement(capfd):
     # Table 1 PSNR/SSIM (e.g., 30.73 dB on REDS4), runtime/FPS, and the
     # ablation deltas require full training on REDS/Vimeo-90K and are NOT
     # reproduced here; criteria 1-11 substitute property-based acceptance.
-    best = calibrate_channels()
-    counts = count_params_macs(ModelConfig(channels=best["channels"]), (180, 320))
-    ok = counts["params"] == best["params"] and abs(best["params"] - 3_000_000) < 100_000
+    # calibration: the width in 16..128 whose params at 180x320 are closest to 3.0M
+    counts = {c: count_params_macs(ModelConfig(channels=c), (180, 320))
+              for c in range(16, 129)}
+    best = min(counts, key=lambda c: abs(counts[c]["params"] - 3_000_000))
+    params, macs = counts[best]["params"], counts[best]["macs"]
+    ok = abs(params - 3_000_000) < 100_000
     _report(capfd, 12, ok,
-            f"calibration C={best['channels']} -> {best['params']/1e6:.3f}M params, "
-            f"{best['macs']/1e9:.0f} GMACs at 180x320 (reference: 3.0M / 112G, "
+            f"calibration C={best} -> {params/1e6:.3f}M params, "
+            f"{macs/1e9:.0f} GMACs at 180x320 (reference: 3.0M / 112G, "
             "diagnostic only)")

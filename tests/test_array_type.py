@@ -67,16 +67,16 @@ CASES = {
     "layer_norm": lambda _: layer_norm(Q, np.ones(4), np.zeros(4)),
     "read_tstf": _read_tstf,
     "read_pnm": _read_pnm,
-    "build_ss3d_sequence": lambda _: build_ss3d_sequence(CELLS, Q, V, 2),
+    "build_ss3d_sequence": lambda _: build_ss3d_sequence(CELLS, Q, V),
     "scatter_current": lambda _: scatter_current(
-        CELLS, build_ss3d_sequence(CELLS, Q, V, 2), 2, 64),
-    "ssm_block": lambda _: ssm_block(Q, CELLS, V, 2, SelectiveScanParams.init(4, 2, 48)),
+        CELLS, build_ss3d_sequence(CELLS, Q, V), 64),
+    "ssm_block": lambda _: ssm_block(Q, CELLS, V, SelectiveScanParams.init(4, 2, 48)),
     "selective_scan_forward": lambda _: selective_scan_forward(
         SelectiveScanParams.init(4, 2, 48), Q[:48]),
     "generate_tokens": lambda _: generate_tokens(FRAMES[0], CFG, W.g),
     "SelectionResult.selected": lambda _: SELECTION.selected,
     "untokenize": lambda _: untokenize(GRID, CFG, W.g.proj_w),
-    "reconstruct": lambda _: reconstruct(X, W.r, CFG),
+    "reconstruct": lambda _: reconstruct(X, W.r),
     "tsma_forward": lambda _: tsma_forward(GRID, SELECTION, W.tsma, CFG),
 }
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import io
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import tsmamba
 from tsmamba import scanorder, ssm
-from tsmamba.cli import main
+from tsmamba.cli import build_parser, main
 from tsmamba.discontinuity import analyze, search_procedures
 from tsmamba.model import TsMambaWeights, ts_mamba_forward, weight_map
 from tsmamba.numerics import ModelConfig, read_pnm, read_tstf, write_pnm, write_tstf
@@ -334,7 +335,7 @@ def test_traj_select_non_finite_flow_exit_2(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("s,code", [("-1", 2), ("0", 0), ("14", 0), ("15", 2)])
 def test_traj_select_s_must_fit_config(tmp_path, capsys, s, code):
-    """--s runs through ModelConfig.validate: 0 <= s <= T - 1 (T = 15)."""
+    """--s is checked when its ModelConfig is created: 0 <= s <= T - 1 (T = 15)."""
     frames = tmp_path / "frames"
     frames.mkdir()
     _write_frames(frames, n=2, size=8)
@@ -592,23 +593,30 @@ def test_json_output_rejects_non_finite_values(tmp_path, capsys, epsilon, sr_nan
     assert not out.exists()
 
 
+def _trajectory_stacks():
+    """Matched 2-deep stacks: an LR 8x32 frame (2x8 tokens of 4x4) and its
+    HR 32x128 frame (8x32 tokens) at the model's x4 upscale."""
+    hr_coords = np.stack([token_centers(8, 32, 4)] * 2)
+    lr_coords = hr_coords.reshape(2, 8, 32, 2)[:, ::4, ::4].reshape(2, 16, 2) / 4
+    return lr_coords, hr_coords
+
+
 def test_loss_eval_trajectories_need_lr_size(tmp_path, capsys):
     sr = tmp_path / "sr.tstf"
     write_tstf(sr, np.zeros((3, 8, 8), dtype=np.float32))
-    # LR 8x32 frame (2x8 tokens); HR 16x64 (4x16 tokens) at scale 2
-    hr_coords = np.stack([token_centers(4, 16, 4)] * 2)
-    lr_coords = hr_coords.reshape(2, 4, 16, 2)[:, ::2, ::2].reshape(2, 16, 2) / 2
+    lr_coords, hr_coords = _trajectory_stacks()
     lr, hr = tmp_path / "lr.tstf", tmp_path / "hr.tstf"
     write_tstf(lr, lr_coords)
     write_tstf(hr, hr_coords)
-    args = ["loss", "eval", "--sr", str(sr), "--hr", str(sr), "--scale", "2",
+    args = ["loss", "eval", "--sr", str(sr), "--hr", str(sr),
             "--lr-traj", str(lr), "--hr-traj", str(hr)]
     assert main(args + ["--lr-height", "8", "--lr-width", "32"]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["trajectory"] == 0.0
     assert main(args) == 2
     assert "--lr-height" in capsys.readouterr().err
     assert main(args + ["--lr-height", "8"]) == 2
-    assert main(args + ["--lr-height", "8", "--lr-width", "32", "--scale", "0"]) == 2
+    # the upscale is fixed at 4, not a flag
+    assert main(args + ["--lr-height", "8", "--lr-width", "32", "--scale", "2"]) == 2
     assert main(args[:-2] + ["--lr-height", "8", "--lr-width", "32"]) == 2
     assert "together" in capsys.readouterr().err
     # 16 LR trajectories tile 8x32 with 4x4 tokens, but not 8x24
@@ -626,6 +634,72 @@ def test_loss_eval_trajectories_need_lr_size(tmp_path, capsys):
         write_tstf(hr, hr_bad)
         assert main(args + ["--lr-height", "8", "--lr-width", "32"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--epsilon", "-1"), ("--epsilon", "-1e-300"),
+                                        ("--epsilon", "nan"), ("--lam", "-1"),
+                                        ("--lam", "-1e-300"), ("--lam", "nan")])
+def test_loss_eval_rejects_negative_weights(tmp_path, capsys, flag, value):
+    """A negative or NaN epsilon or lambda exits 2 and writes no file; 0 is
+    allowed."""
+    sr, lr, hr = tmp_path / "sr.tstf", tmp_path / "lr.tstf", tmp_path / "hr.tstf"
+    write_tstf(sr, np.zeros((3, 8, 8), dtype=np.float32))
+    for path, coords in zip((lr, hr), _trajectory_stacks()):
+        write_tstf(path, coords)
+    out = tmp_path / "loss.json"
+    args = ["loss", "eval", "--sr", str(sr), "--hr", str(sr), "--lr-traj", str(lr),
+            "--hr-traj", str(hr), "--lr-height", "8", "--lr-width", "32", "--out", str(out)]
+    assert main(args + [f"{flag}=0"]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["trajectory"] == 0.0 and payload["total"] == payload["spatial"]
+    out.unlink()
+    assert main(args + [f"{flag}={value}"]) == 2
+    assert "must not be negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag,default", [
+    (["traj", "select", "--frames", "f", "--flows", "d"], "--radius", "2"),
+    (["model", "forward", "--frames", "f", "--weights", "d", "--out", "o"], "--seed", "0"),
+    (["ssm", "run", "--input", "i", "--params", "p", "--out", "o"], "--seed", "0"),
+], ids=["traj select", "model forward", "ssm run"])
+def test_input_and_the_flag_that_makes_it_up_are_exclusive(capsys, argv, flag, default):
+    """--radius only feeds the block matching that --flows replaces, and
+    --seed only draws the weights or parameters that --weights or --params
+    read: both of a pair exit 2 before any file is read, also with the flag
+    at its default value."""
+    for value in (default, "5"):
+        assert main(argv + [flag, value]) == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+
+def _parser_flags(parser):
+    """Every --flag of the parser and its subcommands, --help aside."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _parser_flags(sub)
+        flags.update(o for o in action.option_strings if o.startswith("--") and o != "--help")
+    return flags
+
+
+def test_readme_cli_section_matches_the_parser():
+    """Every `tsm ...` line of the README's CLI block parses, and the --flags
+    the section names are exactly the parser's."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines and all(line.startswith("tsm ") for line in lines)
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(line.split()[1:])
+        except SystemExit:
+            pytest.fail(f"README CLI line does not parse: {line}")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert named == _parser_flags(parser)
 
 
 # --- fuzz: every subcommand on valid, boundary and malformed arguments --------
@@ -673,9 +747,9 @@ def fuzz_dir(tmp_path_factory):
     hr = rng.random((3, 8, 8))
     write_tstf(d / "hr.tstf", hr)
     write_tstf(d / "sr.tstf", hr + rng.normal(0, 0.01, hr.shape))
-    hr_coords = np.stack([token_centers(4, 16, 4)] * 2)
+    lr_coords, hr_coords = _trajectory_stacks()
     write_tstf(d / "hr_traj.tstf", hr_coords)
-    write_tstf(d / "lr_traj.tstf", hr_coords.reshape(2, 4, 16, 2)[:, ::2, ::2].reshape(2, 16, 2) / 2)
+    write_tstf(d / "lr_traj.tstf", lr_coords)
     return d
 
 # valid calls of each subcommand, as (flag, kind, value) slots; the values of
@@ -708,7 +782,7 @@ FUZZ_CALLS = {
                   [("--sr", "file", "sr.tstf"), ("--hr", "file", "sr.tstf"),
                    ("--lr-traj", "file", "lr_traj.tstf"), ("--hr-traj", "file", "hr_traj.tstf"),
                    ("--lr-height", "int", "8"), ("--lr-width", "int", "32"),
-                   ("--scale", "int", "2"), ("--lam", "float", "0.1")]],
+                   ("--lam", "float", "0.1")]],
 }
 
 # the values a slot of each kind may take instead; None leaves the flag out
@@ -731,6 +805,32 @@ FUZZ_OUTPUTS = {"scan gen": "out.json", "disc analyze": "out.json", "disc search
                 "model count": "out.json", "loss eval": "out.json"}
 
 
+def _fuzz_argv(fuzz_dir, command, slots):
+    """argv of a subcommand's (flag, kind, value) slots; None leaves a flag out."""
+    argv = command.split()
+    for flag, kind, value in slots:
+        if value is None:
+            continue
+        if kind not in ("int", "float", "str"):
+            value = str(fuzz_dir / value)
+        # "--flag=value", so argparse reads a value such as "-inf" as the value
+        argv.append(f"{flag}={value}" if flag else value)
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_CALLS))
+def test_fuzz_calls_are_valid(fuzz_dir, command, capsys):
+    """Each call the fuzz starts from runs as written (a scan check of the
+    broken order exits 1), so the fuzz reaches every path: a call that
+    argparse rejected would exit 2, which the fuzz accepts."""
+    for call in FUZZ_CALLS[command]:
+        argv = _fuzz_argv(fuzz_dir, command, call)
+        if command in FUZZ_OUTPUTS:
+            argv += ["--out", str(fuzz_dir / f"valid_{FUZZ_OUTPUTS[command]}")]
+        want = 1 if (None, "file", "broken.json") in call else 0
+        assert main(argv) == want, (argv, capsys.readouterr().err)
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -745,16 +845,9 @@ def test_fuzz_every_subcommand_exits_0_or_2(fuzz_dir, command, data):
     order.  Every JSON written parses with NaN and Infinity rejected."""
     call = data.draw(st.sampled_from(FUZZ_CALLS[command]))
     wrong = data.draw(st.sets(st.sampled_from(range(len(call))), max_size=2))
-    argv = command.split()
-    for i, (flag, kind, value) in enumerate(call):
-        if i in wrong:
-            value = data.draw(st.sampled_from(FUZZ_WRONG[kind]))
-        if value is None:
-            continue
-        if kind not in ("int", "float", "str"):
-            value = str(fuzz_dir / value)
-        # "--flag=value", so argparse reads a value such as "-inf" as the value
-        argv.append(f"{flag}={value}" if flag else value)
+    argv = _fuzz_argv(fuzz_dir, command, [
+        (flag, kind, data.draw(st.sampled_from(FUZZ_WRONG[kind])) if i in wrong else value)
+        for i, (flag, kind, value) in enumerate(call)])
     out = fuzz_dir / FUZZ_OUTPUTS.get(command, "none")
     if command in FUZZ_OUTPUTS:
         argv += ["--out", str(out)]

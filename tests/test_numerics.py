@@ -46,22 +46,27 @@ def test_tensor_basics():
 
 
 def test_model_config_validation():
-    ModelConfig().validate()
+    """A config checks its settings when it is created, and is frozen, so a
+    config that exists stays valid."""
+    config = ModelConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.s_selected = 15
+    assert not hasattr(config, "validate")
     with pytest.raises(ValueError):
-        ModelConfig(s_selected=15, temporal_window=15).validate()
+        ModelConfig(s_selected=15, temporal_window=15)
     with pytest.raises(ValueError):
-        ModelConfig(channels=0).validate()
-    ModelConfig(s_selected=0).validate()
+        ModelConfig(channels=0)
+    ModelConfig(s_selected=0)
     with pytest.raises(ValueError, match="negative"):
-        ModelConfig(s_selected=-1).validate()
-    ModelConfig(window_size=16).validate()
+        ModelConfig(s_selected=-1)
+    ModelConfig(window_size=16)
     for size in (3, 6, 12):
         with pytest.raises(ValueError, match="window_size"):
-            ModelConfig(window_size=size).validate()
+            ModelConfig(window_size=size)
 
 
 def test_model_config_settings_bounded_by_named_constants():
-    ModelConfig(channels=87, n2_res_blocks=13, temporal_window=15).validate()
+    ModelConfig(channels=87, n2_res_blocks=13, temporal_window=15)
     for name, top in (("n1_res_blocks", numerics.MAX_RES_BLOCKS),
                       ("n2_res_blocks", numerics.MAX_RES_BLOCKS),
                       ("channels", numerics.MAX_CHANNELS),
@@ -71,9 +76,9 @@ def test_model_config_settings_bounded_by_named_constants():
                       ("state_dim", numerics.MAX_STATE_DIM)):
         # the window's top is inside the S6 table bound only with small tables
         others = dict(channels=1, state_dim=1, s_selected=0) if name == "window_size" else {}
-        ModelConfig(**others, **{name: top}).validate()
+        ModelConfig(**others, **{name: top})
         with pytest.raises(ValueError, match=rf"{name} must lie in \[1, {top}\], got {top + 1}"):
-            ModelConfig(**others, **{name: top + 1}).validate()
+            ModelConfig(**others, **{name: top + 1})
 
 
 def test_model_config_bounds_the_s6_tables():
@@ -84,12 +89,12 @@ def test_model_config_bounds_the_s6_tables():
     for config in (dict(window_size=64), dict(), dict(channels=87), dict(window_size=16),
                    dict(channels=numerics.MAX_CHANNELS), dict(state_dim=numerics.MAX_STATE_DIM),
                    dict(window_size=32, state_dim=16)):
-        ModelConfig(**config).validate()
+        ModelConfig(**config)
     for config in (dict(window_size=128), dict(window_size=256),
                    dict(window_size=256, state_dim=64), dict(window_size=64, s_selected=4),
                    dict(window_size=64, channels=33)):
         with pytest.raises(ValueError, match="S6 block's tables, must be at most 4194304"):
-            ModelConfig(**config).validate()
+            ModelConfig(**config)
 
 
 def test_model_config_scale_is_fixed():

@@ -277,7 +277,7 @@ def test_ssm_block_matches_per_window_loop(ht, wt, s, scan):
     params.A = -rng.uniform(0.5, 4.0, params.A.shape)      # distinct per channel
     params.D = rng.normal(1.0, 0.5, c)
     gamma, beta = rng.normal(1, 0.1, c), rng.normal(0, 0.1, c)
-    out = ssm_block(tokens, scans, v, s, params, gamma, beta)
+    out = ssm_block(tokens, scans, v, params, gamma, beta)
     ref = _ssm_block_loop(tokens, scans, v, s, params, gamma, beta)
     assert out.tobytes() == ref.tobytes()
 
@@ -288,7 +288,7 @@ def test_ss3d_sequence_length_and_interleave():
     q = rng.normal(0, 1, (n, c)).astype(np.float32)
     v = rng.normal(0, 1, (n, s, c)).astype(np.float32)
     cells = np.arange(n)
-    gathered = build_ss3d_sequence(cells, q, v, s)
+    gathered = build_ss3d_sequence(cells, q, v)
     assert gathered.shape == (64 * (s + 1), c) == (256, c)
     # slot pattern per cell: v0, v1, v2, q
     for cell in (0, 17, 63):
@@ -297,7 +297,7 @@ def test_ss3d_sequence_length_and_interleave():
             assert np.array_equal(gathered[k + j], v[cell, j])
         assert np.array_equal(gathered[k + s], q[cell])
     # several windows gather along a leading axis
-    batched = build_ss3d_sequence(cells.reshape(4, 16), q, v, s)
+    batched = build_ss3d_sequence(cells.reshape(4, 16), q, v)
     assert batched.shape == (4, 64, c)
     assert np.array_equal(batched.reshape(256, c), gathered)
 
@@ -311,8 +311,8 @@ def test_ss3d_gather_scatter_round_trip_100_fields():
         q = rng.normal(0, 1, (n, c)).astype(np.float32)
         v = rng.normal(0, 1, (n, s, c)).astype(np.float32)
         cells = rng.permutation(n)
-        gathered = build_ss3d_sequence(cells, q, v, s)
-        back = scatter_current(cells, gathered, s, n)
+        gathered = build_ss3d_sequence(cells, q, v)
+        back = scatter_current(cells, gathered, n)
         assert np.array_equal(back, q)
 
 
@@ -321,10 +321,12 @@ def test_ss3d_without_selection_is_the_current_tokens():
     scan position is its current token."""
     q = np.random.default_rng(6).normal(0, 1, (16, 3)).astype(np.float32)
     cells = np.random.default_rng(7).permutation(16).reshape(2, 8)
-    gathered = build_ss3d_sequence(cells, q, np.zeros((16, 0, 3)), 0)
+    gathered = build_ss3d_sequence(cells, q, np.zeros((16, 0, 3)))
     assert gathered.tobytes() == q[cells].tobytes()
-    with pytest.raises(ValueError):
-        build_ss3d_sequence(cells, q, np.zeros((16, 1, 3)), 0)
+    assert scatter_current(cells, gathered, 16).tobytes() == q.tobytes()
+    for bad in ((16, 3), (15, 1, 3), (16, 1, 2)):     # not [N, s, C] over q's [N, C]
+        with pytest.raises(ValueError, match="v_selected"):
+            build_ss3d_sequence(cells, q, np.zeros(bad))
 
 
 def test_state_dim_bounded_before_drawing():
@@ -337,9 +339,9 @@ def test_ss3d_rejects_out_of_range_cell():
     q = np.zeros((4, 2))
     v = np.zeros((4, 3, 2))
     with pytest.raises(ValueError):
-        build_ss3d_sequence([0, 1, 9], q, v, 3)
+        build_ss3d_sequence([0, 1, 9], q, v)
     with pytest.raises(ValueError):      # fancy indexing would wrap -1 silently
-        build_ss3d_sequence([0, 1, -1], q, v, 3)
+        build_ss3d_sequence([0, 1, -1], q, v)
 
 
 def test_ssm_block_residual_structure():
@@ -349,7 +351,7 @@ def test_ssm_block_residual_structure():
     v = rng.normal(0, 1, (n, s, c)).astype(np.float32)
     L = n * (s + 1)
     params = SelectiveScanParams.init(c, 4, L, rng)
-    out = ssm_block(tokens, np.arange(n)[None], v, s, params)
+    out = ssm_block(tokens, np.arange(n)[None], v, params)
     assert out.shape == (n, c)
     # residual: output differs from input but stays finite
     assert np.all(np.isfinite(out))

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,8 +207,9 @@ def test_initial_trajectories_cold_start():
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_propagate_zero_flow_keeps_centers(t, window):
     """Zero flow keeps the cold-start set byte for byte, for more steps than
-    the history holds; a static scene needs no propagation."""
-    cfg = ModelConfig(token_size=t, temporal_window=window)
+    the history holds; a static scene needs no propagation.  Selection plays
+    no part, so s = 0 is valid at every window."""
+    cfg = ModelConfig(token_size=t, temporal_window=window, s_selected=0)
     h, w = 3 * t, 5 * t
     start = initial_trajectories(cfg, h, w)
     flow = np.zeros((2, h, w), dtype=np.float32)
@@ -239,6 +242,28 @@ def test_select_without_flows_equals_zero_flows(n_frames):
     if n_frames > 1:
         with pytest.raises(ValueError, match=f"{n_frames} frames need {n_frames - 1} flows, got 0"):
             select_along_trajectories(frames, [], g, cfg)
+
+
+def test_frames_older_than_the_temporal_window_are_not_read():
+    """Trajectories reach T frames back, so 8 frames at T = 3 give the bytes
+    of their last T + 1 = 4 frames and last T flows, no offset exceeds T, and
+    G and propagation run on those frames and flows only."""
+    cfg = ModelConfig(channels=4, temporal_window=3, s_selected=2, n1_res_blocks=1,
+                      n2_res_blocks=1, state_dim=2)
+    rng = np.random.default_rng(11)
+    texture = rng.random((3, 64, 64)).astype(np.float32)
+    frames = [np.roll(texture, (k, 2 * k), axis=(1, 2))[:, :32, :32] for k in range(8)]
+    flows = [block_matching_flow(b, a, 2) for a, b in zip(frames, frames[1:])]
+    weights = TsMambaWeights.random(cfg, seed=0)
+    with mock.patch("tsmamba.trajectory.generate_tokens", wraps=generate_tokens) as g, \
+            mock.patch("tsmamba.trajectory.propagate_trajectories",
+                       wraps=propagate_trajectories) as p:
+        _, sel = select_along_trajectories(frames, flows, weights.g, cfg)
+    assert (g.call_count, p.call_count) == (4, 3)
+    assert sel.indices.max() <= cfg.temporal_window
+    whole = ts_mamba_forward(frames, flows, weights, cfg)
+    window = ts_mamba_forward(frames[-4:], flows[-3:], weights, cfg)
+    assert _same_bytes(whole.data, window.data)
 
 
 def test_propagate_constant_flow_shifts_history():
@@ -304,7 +329,7 @@ def _flow_chain(rng, h, w):
 @pytest.mark.parametrize("h,w,window", [(16, 12, 4), (18, 14, 15), (8, 8, 1)])
 def test_propagate_matches_loop_oracle_bytes(h, w, window):
     """A 10-step chain; (18, 14) leaves pixels beyond the token grid."""
-    cfg = ModelConfig(temporal_window=window)
+    cfg = ModelConfig(temporal_window=window, s_selected=0)    # s <= T - 1 at T = 1
     rng = np.random.default_rng(h * w)
     traj = initial_trajectories(cfg, h, w)
     for flow in _flow_chain(rng, h, w):
