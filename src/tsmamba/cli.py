@@ -143,30 +143,30 @@ def cmd_disc_search(args):
 
 # --- traj -------------------------------------------------------------------
 
-def _load_frames(directory):
+def _load_frames(directory, config):
+    """(paths, frames, directory index of the first) of the directory's last
+    T + 1 frames in name order: trajectories reach T = temporal_window back."""
     paths = sorted(
         os.path.join(directory, p) for p in os.listdir(directory)
         if p.endswith((".pgm", ".ppm", ".tstf"))
     )
     if not paths:
         raise CliError(f"no frames in {directory}")
-    frames = []
-    for p in paths:
-        if p.endswith(".tstf"):
-            frames.append(read_tstf(p))
-        else:
-            frames.append(read_pnm(p))
-    return paths, frames
+    first = max(len(paths) - config.temporal_window - 1, 0)
+    paths = paths[first:]
+    frames = [read_tstf(p) if p.endswith(".tstf") else read_pnm(p) for p in paths]
+    return paths, frames, first
 
 
 def cmd_traj_select(args):
-    paths, frames = _load_frames(args.frames)
     config = ModelConfig(s_selected=args.s)
+    paths, frames, first = _load_frames(args.frames, config)
     rng = np.random.default_rng(args.seed)
     weights = GWeights.random(config, rng, c_in=frames[0].shape[0])
     flow_paths = []
     if args.flows:
-        flow_paths = [os.path.join(args.flows, f"flow_{k:04d}.tstf")
+        # flow_k.tstf is the flow from directory frame k to frame k - 1
+        flow_paths = [os.path.join(args.flows, f"flow_{first + k:04d}.tstf")
                       for k in range(1, len(frames))]
         flows = [read_tstf(fp) for fp in flow_paths]
     else:
@@ -229,7 +229,6 @@ def cmd_grad_check(args):
 # --- model ------------------------------------------------------------------
 
 def cmd_model_forward(args):
-    paths, frames = _load_frames(args.frames)
     overrides = {}
     if args.config:
         with open(args.config) as f:
@@ -243,6 +242,7 @@ def cmd_model_forward(args):
             if type(v) is not int:
                 raise CliError(f"config key {k!r} must be an integer, got {v!r}")
     config = ModelConfig(**overrides)
+    _, frames, _ = _load_frames(args.frames, config)
     if args.weights:
         weights = _load_weight_bundle(args.weights, config)
     else:
@@ -294,6 +294,8 @@ def cmd_loss_eval(args):
     payload = {"spatial": spa}
     if bool(args.lr_traj) != bool(args.hr_traj):
         raise CliError("--lr-traj and --hr-traj must be given together")
+    if args.lam is not None and not args.lr_traj:
+        raise CliError("--lam weighs the trajectory loss: it needs --lr-traj and --hr-traj")
     if args.lr_traj:
         h, w = args.lr_height, args.lr_width
         if h < 1 or w < 1:
@@ -307,12 +309,12 @@ def cmd_loss_eval(args):
         t = math.isqrt(h * w // n)
         if t * t * n != h * w or h % t or w % t:
             raise CliError(f"{n} LR trajectories do not tile a {h}x{w} frame with square tokens")
-        lr_set = TrajectorySet(t, h, w, lt)
         scale = ModelConfig.scale
-        hr_set = TrajectorySet(t, h * scale, w * scale, ht)
-        trj = trajectory_loss(lr_set, hr_set, scale)
+        trj = trajectory_loss(TrajectorySet(t, h, w, lt),
+                              TrajectorySet(t, h * scale, w * scale, ht))
         payload["trajectory"] = trj
-        payload["total"] = total_loss(spa, trj, lam=args.lam)
+        weight = {} if args.lam is None else {"lam": args.lam}   # else total_loss's default
+        payload["total"] = total_loss(spa, trj, **weight)
     inputs = [args.sr, args.hr] + [p for p in (args.lr_traj, args.hr_traj) if p]
     _emit(_envelope("loss eval", inputs, payload), args.out)
     return 0
@@ -417,7 +419,7 @@ def build_parser():
     le.add_argument("--lr-height", type=int, default=0)
     le.add_argument("--lr-width", type=int, default=0)
     le.add_argument("--epsilon", type=float, default=1e-4)
-    le.add_argument("--lam", type=float, default=0.1)
+    le.add_argument("--lam", type=float)
     le.add_argument("--out")
     le.set_defaults(func=cmd_loss_eval)
 

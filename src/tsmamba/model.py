@@ -22,7 +22,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numerics import Tensor, bicubic_upsample, conv2d, pixel_shuffle, residual_block
+from .numerics import (Tensor, bicubic_upsample, conv2d, pixel_shuffle, residual_block,
+                       residual_block_weights)
 from .scanorder import ScanVariant, ShiftSpec, generate_scan, tile_windows
 from .ssm import SelectiveScanParams, ssm_block
 from .trajectory import GWeights, select_along_trajectories
@@ -132,7 +133,7 @@ def tsma_forward(q_grid, selection, weights, config):
     def run_block(tokens, name, shift, variant):
         scans = window_scans_for_grid(hp, wp, config, variant, shift)
         return ssm_block(tokens, scans, v_pad, weights.block_params[name],
-                         gamma=weights.ln_gamma, beta=weights.ln_beta)
+                         weights.ln_gamma, weights.ln_beta)
 
     x = pad(merged)
     outs = []
@@ -167,10 +168,7 @@ class RWeights:
     def random(cls, config, rng):
         c = config.channels
         std = 0.05
-        res = []
-        for _ in range(config.n2_res_blocks):
-            res.append([rng.normal(0, std, (c, c, 3, 3)), np.zeros(c),
-                        rng.normal(0, std, (c, c, 3, 3)), np.zeros(c)])
+        res = residual_block_weights(rng, config.n2_res_blocks, c, std)
         return cls(
             head_w=rng.normal(0, std, (c, c, 3, 3)), head_b=np.zeros(c),
             res=res,
@@ -259,7 +257,7 @@ def ts_mamba_forward(frames, flows, weights, config):
     agg = tsma_forward(q_grid, selection, weights.tsma, config)
     feature = untokenize(agg, config, weights.g.proj_w)
     residual = reconstruct(feature, weights.r)
-    skip = bicubic_upsample(frames[-1], config.scale)
+    skip = bicubic_upsample(frames[-1])
     return Tensor(residual + skip)
 
 
@@ -277,25 +275,29 @@ def charbonnier_loss(sr, hr, epsilon=1e-4):
     return float(np.sqrt(d * d + epsilon * epsilon).mean())
 
 
-def trajectory_loss(lr, hr, scale):
-    """Mean L1 distance between LR trajectories and (HR down-sampled)/scale.
+def trajectory_loss(lr, hr):
+    """Mean L1 distance between LR trajectories and (HR down-sampled)/k.
 
-    HR trajectories are sub-sampled by keeping every scale-th token
-    trajectory per axis of the HR set's grid; coordinates divide by scale.
-    The absolute differences are summed one history layer at a time.
+    The scale k is read from the two sets' frame sizes: the HR frame must be
+    k times the LR frame on both axes, for an integer k >= 1.  HR
+    trajectories are sub-sampled by keeping every k-th token trajectory per
+    axis of the HR set's grid, which must give the LR set's [depth, N]
+    points; coordinates divide by k.  The absolute differences are summed
+    one history layer at a time.
     """
-    if len(lr.coords) != len(hr.coords):
-        raise ValueError("temporal ranges differ")
-    lr_n = lr.coords[0].shape[0]
-    hr_n = hr.coords[0].shape[0]
-    if hr_n % (scale * scale) or hr_n // (scale * scale) != lr_n:
-        raise ValueError(
-            f"HR token count {hr_n} does not subsample to LR count {lr_n} at scale {scale}")
+    scale = hr.height // max(lr.height, 1)
+    if min(lr.height, lr.width, scale) < 1 or \
+            (hr.height, hr.width) != (scale * lr.height, scale * lr.width):
+        raise ValueError(f"HR frame {hr.height}x{hr.width} is not k times the LR frame "
+                         f"{lr.height}x{lr.width} for an integer k >= 1")
     hr_ht, hr_wt = hr.grid
-    if hr_ht * hr_wt != hr_n:
-        raise ValueError(f"{hr_n} HR trajectories do not fit the {hr_ht}x{hr_wt} token grid")
-    keep = np.arange(hr_n).reshape(hr_ht, hr_wt)[::scale, ::scale].ravel()
+    if hr.coords.shape[1] != hr_ht * hr_wt:
+        raise ValueError(f"{hr.coords.shape[1]} HR trajectories do not fit a {hr_ht}x{hr_wt} grid")
+    keep = np.arange(hr_ht * hr_wt).reshape(hr_ht, hr_wt)[::scale, ::scale].ravel()
     targets = hr.coords[:, keep] / float(scale)
+    if targets.shape != lr.coords.shape or lr.coords.size == 0:
+        raise ValueError(f"HR trajectories {list(hr.coords.shape)} do not subsample to the "
+                         f"LR set's {list(lr.coords.shape)} at scale {scale}")
     total = sum(float(np.abs(layer - target).sum()) for layer, target in zip(lr.coords, targets))
     return total / lr.coords.size
 

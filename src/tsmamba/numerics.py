@@ -23,7 +23,6 @@ build may round the GEMM differently in the last bits.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -39,6 +38,7 @@ __all__ = [
     "ModelConfig",
     "conv2d",
     "residual_block",
+    "residual_block_weights",
     "pixel_shuffle",
     "bicubic_upsample",
     "layer_norm",
@@ -122,7 +122,7 @@ class ModelConfig:
                              f"the size of an S6 block's tables, must be at most {MAX_SCAN_TABLE}")
 
 
-def conv2d(inp, weights, bias=None, *, padding=0):
+def conv2d(inp, weights, bias, *, padding=0):
     """Cross-correlation of [Cin,H,W] with [Cout,Cin,kh,kw] -> [Cout,H',W'].
 
     The conv computes channels last, by one of two decompositions chosen
@@ -161,7 +161,7 @@ def conv2d(inp, weights, bias=None, *, padding=0):
         raise ValueError(f"channel mismatch: input {cin} vs weights {cin_w}")
     if h + 2 * padding < kh or wdt + 2 * padding < kw:
         raise ValueError("kernel does not fit inside the padded input")
-    b = None if bias is None else np.asarray(bias, dtype=np.float32)
+    b = np.asarray(bias, dtype=np.float32)
     conv = _conv2d_tap_planes if kh * kw * cout <= cin else _conv2d_kernel_rows
     return conv(x, w, b, padding).transpose(2, 0, 1)
 
@@ -194,8 +194,7 @@ def _conv2d_kernel_rows(x, w, b, padding):
         for i in range(1, kh):
             np.matmul(g[i:i + n].reshape(n * wo, k), wrows[i], out=part[:n * wo])
             blk += part[:n * wo]
-        if b is not None:
-            blk += b
+        blk += b
     return out
 
 
@@ -218,7 +217,7 @@ def _conv2d_tap_planes(x, w, b, padding):
         in0, in1 = (min(max(r - padding, 0), h) for r in (r0, r1 + kh - 1))
         planes = np.matmul(taps, xcl[:, in0 * wdt:in1 * wdt]).reshape(kh, kw, cout, in1 - in0, wdt)
         blk = block[:, :r1 - r0]
-        blk[...] = 0.0 if b is None else b[:, None, None]
+        blk[...] = b[:, None, None]
         for i in range(kh):
             y0, y1 = max(r0, padding - i), min(r1, h + padding - i)
             for j in range(kw):
@@ -242,6 +241,13 @@ def residual_block(inp, w1, b1, w2, b2):
     y = relu(y)
     y = conv2d(y, w2, b2, padding=1)
     return x + y
+
+
+def residual_block_weights(rng, blocks, c, std):
+    """[w1, b1, w2, b2] of each of `blocks` C -> C residual blocks: two
+    N(0, std) 3x3 kernels drawn in block order, w1 before w2, zero biases."""
+    return [[rng.normal(0, std, (c, c, 3, 3)), np.zeros(c),
+             rng.normal(0, std, (c, c, 3, 3)), np.zeros(c)] for _ in range(blocks)]
 
 
 def pixel_shuffle(inp, r):
@@ -272,76 +278,50 @@ def _cubic_kernel(t, a=-0.5):
     return 0.0
 
 
-@functools.lru_cache(maxsize=64)
-def _bicubic_axis_weights(n_in, scale):
-    """4-tap weights per output row, [n_in*scale, 4] (align_corners=false).
+def bicubic_upsample(inp):
+    """Separable cubic-convolution upsampling by ModelConfig.scale (4),
+    a=-0.5, edge replicate, align_corners=false.
 
-    Output row i samples src = (i + 0.5)/scale - 0.5, and its tap k weights
-    input row floor(src) + k - 1, edge replicated, for k = 0..3.  The table
-    is built once per (n_in, scale) and shared read-only.
+    Output row q*4 + p samples src = q + (p + 0.5)/4 - 0.5, which is exact in
+    float64, so each phase p has one fraction, one set of four tap weights
+    (normalised to sum 1) and one start o_p = floor((p + 0.5)/4 - 0.5):
+    its taps read input rows q + o_p - 1 .. q + o_p + 2, each one slice of a
+    copy edge-padded by 2.  Rows first, then columns, in float64, each pass
+    adding its four taps to zeros in tap order; phases are kept on leading
+    axes and interleaved once, by the float32 rounding at the end.
     """
-    wts = []
-    for i_out in range(n_in * scale):
-        src = (i_out + 0.5) / scale - 0.5
-        taps = [_cubic_kernel(src - math.floor(src) - k) for k in range(-1, 3)]
-        s = sum(taps)
-        wts.append([t / s for t in taps])
-    table = np.array(wts, dtype=np.float64)
-    table.flags.writeable = False
-    return table
-
-
-def bicubic_upsample(inp, scale):
-    """Separable cubic-convolution upsampling, a=-0.5, edge replicate.
-
-    Tap positions are periodic: output row q*scale + p reads input rows
-    q + o_p - 1 .. q + o_p + 2, with o_p = floor((p + 0.5)/scale - 0.5), so
-    each tap of each output phase p is one slice of a copy edge-padded by 2.
-    The weights are read per output row from `_bicubic_axis_weights`, since
-    their rounding is not periodic at every scale.  Rows first, then
-    columns, in float64, each pass adding its four taps to zeros in tap
-    order; phases are kept on leading axes and interleaved once, by the
-    float32 rounding at the end.
-    """
-    if int(scale) != scale or scale < 1:
-        raise ValueError("scale must be a positive integer")
-    scale = int(scale)
     x = np.asarray(inp, dtype=np.float32)
     if x.ndim != 3:
         raise ValueError("bicubic_upsample expects [C,H,W]")
-    if scale == 1:
-        return x.copy()
+    scale = ModelConfig.scale
     c, h, w = x.shape
-    rwts = _bicubic_axis_weights(h, scale)
-    cwts = _bicubic_axis_weights(w, scale)
-    starts = [math.floor((p + 0.5) / scale - 0.5) + 1 for p in range(scale)]
+    # per phase: the padded copy's first tap row and the [4] tap weights
+    srcs = [(p + 0.5) / scale - 0.5 for p in range(scale)]
+    starts = [math.floor(src) + 1 for src in srcs]
+    kernels = [[_cubic_kernel(src - math.floor(src) - k) for k in range(-1, 3)] for src in srcs]
+    taps = [[t / sum(kernel) for t in kernel] for kernel in kernels]
     xp = np.pad(x.astype(np.float64), ((0, 0), (2, 2), (2, 2)), mode="edge")
     # rows: [scale, C, H, W+4], still edge-padded along W for the column pass
     tmp = np.zeros((scale, c, h, w + 4), dtype=np.float64)
     for p, o in enumerate(starts):
         for k in range(4):
-            tmp[p] += rwts[p::scale, k, None] * xp[:, o + k:o + k + h]
+            tmp[p] += taps[p][k] * xp[:, o + k:o + k + h]
     # columns: [row phase, column phase, C, H, W]
     out = np.zeros((scale, scale, c, h, w), dtype=np.float64)
     for p, o in enumerate(starts):
         for k in range(4):
-            out[:, p] += cwts[p::scale, k] * tmp[..., o + k:o + k + w]
+            out[:, p] += taps[p][k] * tmp[..., o + k:o + k + w]
     sr = np.ascontiguousarray(out.transpose(2, 3, 0, 4, 1), dtype=np.float32)
     return sr.reshape(c, h * scale, w * scale)
 
 
-def layer_norm(inp, gamma=None, beta=None):
+def layer_norm(inp, gamma, beta):
     """Normalize over the trailing channel axis per site, then affine."""
     x = np.asarray(inp, dtype=np.float32)
     mean = x.mean(axis=-1, keepdims=True, dtype=np.float64)
     var = ((x.astype(np.float64) - mean) ** 2).mean(axis=-1, keepdims=True)
-    y = (x - mean) / np.sqrt(var + 1e-5)
-    y = y.astype(np.float32)
-    if gamma is not None:
-        y = y * np.asarray(gamma, dtype=np.float32)
-    if beta is not None:
-        y = y + np.asarray(beta, dtype=np.float32)
-    return y
+    y = ((x - mean) / np.sqrt(var + 1e-5)).astype(np.float32)
+    return y * np.asarray(gamma, dtype=np.float32) + np.asarray(beta, dtype=np.float32)
 
 
 def psnr(a, b, peak=1.0):

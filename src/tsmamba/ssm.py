@@ -70,11 +70,10 @@ class SelectiveScanParams:
     C: np.ndarray
 
     @classmethod
-    def init(cls, channels, state_dim, length, rng=None):
+    def init(cls, channels, state_dim, length, rng):
         """Stable initialization: A = -(1..N) per channel (S4D-real)."""
         if state_dim > MAX_STATE_DIM:
             raise ValueError(f"state_dim must be at most {MAX_STATE_DIM}, got {state_dim}")
-        rng = rng or np.random.default_rng(0)
         a = -np.tile(np.arange(1, state_dim + 1, dtype=np.float64), (channels, 1))
         return cls(
             A=a,
@@ -98,18 +97,19 @@ class SelectiveScanParams:
         return self
 
 
-def _recurrence(params, u, windows=1):
-    """The float64 recurrence over u [L, W*C] (W windows of C channels,
-    window-major): returns y [L, W*C] and the (delta, abar, hs) cache that the
-    backward pass reads.  The windows are a broadcast axis: delta, Abar and
-    delta*B are computed once on the [L, C, N] parameters and every window's
-    state reads them."""
+def _recurrence(params, u):
+    """The float64 recurrence over u [L, W*C] (W = width / C windows of the
+    C channels of params.A, window-major): returns y [L, W*C] and the
+    (delta, abar, hs) cache that the backward pass reads.  The windows are a
+    broadcast axis: delta, Abar and delta*B are computed once on the
+    [L, C, N] parameters and every window's state reads them."""
     if u.ndim != 2 or u.shape[0] < 1:
         raise ValueError("sequence must be [L, W*C] with L >= 1")
     L, width = u.shape
     C, N = params.A.shape
+    windows = width // C
     if windows < 1 or width != windows * C:
-        raise ValueError(f"sequence width {width} is not {windows} windows of {C} channels")
+        raise ValueError(f"sequence width {width} is not W >= 1 windows of {C} channels")
     params.check(L, C)
     delta = softplus(params.dt)                      # [L, C]
     abar = np.exp(delta[:, :, None] * params.A[None])  # [L, C, N]
@@ -130,12 +130,12 @@ def _recurrence(params, u, windows=1):
     return y, (delta, abar, hs)
 
 
-def selective_scan_forward(params, sequence, windows=1):
-    """Run the recurrence over sequence [L, W*C], W windows of C channels in
-    window-major order that share every parameter; returns the float32
-    [L, W*C] output.  All math is float64 internally for gradient-check
-    fidelity."""
-    y, _ = _recurrence(params, np.asarray(sequence, dtype=np.float64), windows)
+def selective_scan_forward(params, sequence):
+    """Run the recurrence over sequence [L, W*C], W = width / C windows of the
+    C channels of params.A in window-major order that share every parameter;
+    returns the float32 [L, W*C] output.  All math is float64 internally for
+    gradient-check fidelity."""
+    y, _ = _recurrence(params, np.asarray(sequence, dtype=np.float64))
     return y.astype(np.float32)
 
 
@@ -146,6 +146,8 @@ def selective_scan_backward(params, sequence, upstream):
     Returns a dict with gradients for 'u', 'A', 'D', 'dt', 'B', 'C'.
     """
     u = np.asarray(sequence, dtype=np.float64)
+    if u.shape[1:] != params.A.shape[:1]:
+        raise ValueError(f"the backward runs one window: sequence must be [L, {len(params.A)}]")
     _, (delta, abar, hs) = _recurrence(params, u)
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != u.shape:
@@ -181,10 +183,9 @@ def check_gradient_check_size(length, channels, state_dim):
                          f"perturbs {n} values, more than {MAX_GRADIENT_CHECK_VALUES}")
 
 
-def gradient_check(params, sequence, rng=None):
+def gradient_check(params, sequence, rng):
     """Central finite differences vs analytic backward; returns max rel error."""
     step = 1e-4
-    rng = rng or np.random.default_rng(0)
     u = np.array(sequence, dtype=np.float64)
     L, C = u.shape
     check_gradient_check_size(L, C, params.A.shape[1])
@@ -253,7 +254,7 @@ def scatter_current(scan_cells, outputs, n_tokens):
     return out
 
 
-def ssm_block(tokens_in, window_scans, v_selected, params, gamma=None, beta=None):
+def ssm_block(tokens_in, window_scans, v_selected, params, gamma, beta):
     """LN -> SS3D gather -> one selective scan -> scatter -> residual.
 
     window_scans : int array [W, K] of per-window token indices in scan order.
@@ -269,6 +270,6 @@ def ssm_block(tokens_in, window_scans, v_selected, params, gamma=None, beta=None
     normed_v = layer_norm(v_selected, gamma, beta)
     gathered = build_ss3d_sequence(window_scans, normed, normed_v)   # [W, L, C]
     w, length, _ = gathered.shape
-    y = selective_scan_forward(params, gathered.transpose(1, 0, 2).reshape(length, w * c), w)
+    y = selective_scan_forward(params, gathered.transpose(1, 0, 2).reshape(length, w * c))
     y = y.reshape(length, w, c).transpose(1, 0, 2)
     return x + scatter_current(window_scans, y, n)

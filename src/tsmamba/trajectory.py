@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import Tensor, conv2d, residual_block
+from .numerics import Tensor, conv2d, residual_block, residual_block_weights
 
 __all__ = [
     "TrajectorySet",
@@ -32,10 +32,10 @@ __all__ = [
 class TrajectorySet:
     """coords[m] is the [N, 2] (x=row, y=col) layer for frame t-m.
 
-    m = 0 is the current frame (endpoint); m grows into the past.  The
-    history is truncated to the temporal window length.  The N trajectories
-    belong to the row-major grid of token_size x token_size tokens over a
-    height x width frame.
+    m = 0 is the current frame (endpoint); m grows into the past.  The cold
+    start has T + 1 layers (T = temporal_window) and propagation keeps the
+    depth.  The N trajectories belong to the row-major grid of token_size x
+    token_size tokens over a height x width frame.
     """
 
     token_size: int
@@ -77,10 +77,7 @@ class GWeights:
         c = config.channels
         t = config.token_size
         std = 0.05
-        res = []
-        for _ in range(config.n1_res_blocks):
-            res.append([rng.normal(0, std, (c, c, 3, 3)), np.zeros(c),
-                        rng.normal(0, std, (c, c, 3, 3)), np.zeros(c)])
+        res = residual_block_weights(rng, config.n1_res_blocks, c, std)
         return cls(
             conv_w=rng.normal(0, std, (c, c_in, 3, 3)),
             conv_b=np.zeros(c),
@@ -154,7 +151,7 @@ def _bilinear_taps(x, y, h, w):
     return (x0, y0, x1, y1), weights
 
 
-def propagate_trajectories(prev, flow, config):
+def propagate_trajectories(prev, flow):
     """Advance trajectories one frame using flow from frame t to t-1.
 
     flow[0] is the row displacement dx, flow[1] the column displacement dy:
@@ -164,6 +161,7 @@ def propagate_trajectories(prev, flow, config):
     field and clamped to bounds.  The previous field is piecewise constant
     over each token's pixels (edge pixels beyond the token grid take the last
     token), so each bilinear corner reads its token's coordinates directly.
+    The new set has the previous set's depth: its oldest layer drops out.
     """
     f = np.asarray(flow, dtype=np.float32)
     if f.shape != (2, prev.height, prev.width):
@@ -182,8 +180,7 @@ def propagate_trajectories(prev, flow, config):
     dy = w00 * f[1, x0, y0] + w01 * f[1, x0, y1] + w10 * f[1, x1, y0] + w11 * f[1, x1, y1]
 
     # history at the frame-(t-1) positions, all carried layers at once
-    depth = min(len(prev.coords), config.temporal_window)
-    hist = prev.coords[:depth]
+    hist = prev.coords[:-1]
     row_token = np.minimum(np.arange(h) // t, ht - 1) * wt
     col_token = np.minimum(np.arange(w) // t, wt - 1)
     (x0, y0, x1, y1), taps = _bilinear_taps(x + dx, y + dy, h, w)
@@ -263,8 +260,9 @@ def select_tokens(q_grid, pool, traj, s):
 
     q_grid is the [ht, wt, C] token grid of frame t and pool the [P, ht, wt, C]
     grids of the candidate frames, pool[0] the most recent previous frame
-    (offset 1).  Offset h reads trajectory layer min(h, depth - 1) and picks
-    the token nearest to that point (the rounding goes half to even).
+    (offset 1).  Offset h reads trajectory layer h and picks the token
+    nearest to that point (the rounding goes half to even), so the pool may
+    hold at most depth - 1 frames.
     Scores are float64 cosine similarities, 0.0 when either token is zero;
     the dots and squared norms are BLAS vector dots through matmul, the same
     bits as np.dot and np.linalg.norm.  Ties break toward the more recent
@@ -276,11 +274,13 @@ def select_tokens(q_grid, pool, traj, s):
         raise ValueError(f"s={s} must lie in [0, {p}], the candidate pool")
     if pool.shape[1:] != q_grid.shape:
         raise ValueError(f"candidate pool {pool.shape} must lie on the query grid {q_grid.shape}")
+    if p > len(traj.coords) - 1:
+        raise ValueError(f"a pool of {p} frames is deeper than the trajectories' "
+                         f"{len(traj.coords) - 1} frames of history")
     ht, wt, c = q_grid.shape
     t = traj.token_size
     # [N, P] candidate token index of every (token, offset) pair
-    depth = np.minimum(np.arange(1, p + 1), len(traj.coords) - 1)
-    rc = np.rint((traj.coords[depth].swapaxes(0, 1) - (t + 1) / 2.0) / t)
+    rc = np.rint((traj.coords[1:p + 1].swapaxes(0, 1) - (t + 1) / 2.0) / t)
     cand = (np.clip(rc[..., 0], 0, ht - 1).astype(np.intp) * wt
             + np.clip(rc[..., 1], 0, wt - 1).astype(np.intp))
     v = pool.reshape(p, ht * wt, c)[np.arange(p), cand]              # [N, P, C]
@@ -324,7 +324,7 @@ def select_along_trajectories(frames, flows, g_weights, config):
     traj = initial_trajectories(config, dims[1], dims[2])
     if flows is not None:
         for flow in flows[-window:]:
-            traj = propagate_trajectories(traj, flow, config)
+            traj = propagate_trajectories(traj, flow)
 
     # candidate pool: offset h = 1, 2, ... reads frame F-1-h; offsets past the
     # oldest frame repeat it, which pads the cold start to s candidates

@@ -386,7 +386,7 @@ def test_criterion_9_loss_fixed_points(capfd):
             for c in range(16):
                 grid[r, c] = lr.coords[m][(r // 4) * 4 + c // 4] * 4
         hr.coords[m] = grid.reshape(-1, 2)
-    trj = trajectory_loss(lr, hr, 4)
+    trj = trajectory_loss(lr, hr)
     comp = total_loss(spa, trj, lam=0.1)
     elapsed = time.monotonic() - t0
     ok = (spa == pytest.approx(1e-4, abs=1e-15) and trj == 0.0
@@ -406,7 +406,7 @@ def test_criterion_10_end_to_end_toy_forward(capfd):
     zeroed = TsMambaWeights(g=weights.g, tsma=weights.tsma,
                             r=zeroed_tail(weights.r))
     z = ts_mamba_forward(frames, None, zeroed, cfg)
-    skip = bicubic_upsample(frames[-1], cfg.scale)
+    skip = bicubic_upsample(frames[-1])
     elapsed = time.monotonic() - t0
     ok = (a.data.shape == (3, 128, 128) and np.array_equal(a.data, b.data)
           and np.array_equal(z.data, skip) and elapsed < 60.0)

@@ -46,6 +46,7 @@ Q = RNG.normal(0, 1, (64, 4))
 V = RNG.normal(0, 1, (64, 2, 4))
 CELLS = np.arange(64).reshape(4, 16)
 GRID, SELECTION = select_along_trajectories(FRAMES, None, W.g, CFG)
+PARAMS = SelectiveScanParams.init(4, 2, 48, RNG)
 
 
 def _read_tstf(tmp_path):
@@ -63,16 +64,15 @@ CASES = {
     "relu": lambda _: relu(X),
     "residual_block": lambda _: residual_block(X, K, np.zeros(4), K, np.zeros(4)),
     "pixel_shuffle": lambda _: pixel_shuffle(X, 2),
-    "bicubic_upsample": lambda _: bicubic_upsample(X, 2),
+    "bicubic_upsample": lambda _: bicubic_upsample(X),
     "layer_norm": lambda _: layer_norm(Q, np.ones(4), np.zeros(4)),
     "read_tstf": _read_tstf,
     "read_pnm": _read_pnm,
     "build_ss3d_sequence": lambda _: build_ss3d_sequence(CELLS, Q, V),
     "scatter_current": lambda _: scatter_current(
         CELLS, build_ss3d_sequence(CELLS, Q, V), 64),
-    "ssm_block": lambda _: ssm_block(Q, CELLS, V, SelectiveScanParams.init(4, 2, 48)),
-    "selective_scan_forward": lambda _: selective_scan_forward(
-        SelectiveScanParams.init(4, 2, 48), Q[:48]),
+    "ssm_block": lambda _: ssm_block(Q, CELLS, V, PARAMS, np.ones(4), np.zeros(4)),
+    "selective_scan_forward": lambda _: selective_scan_forward(PARAMS, Q[:48]),
     "generate_tokens": lambda _: generate_tokens(FRAMES[0], CFG, W.g),
     "SelectionResult.selected": lambda _: SELECTION.selected,
     "untokenize": lambda _: untokenize(GRID, CFG, W.g.proj_w),

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from tsmamba.discontinuity import analyze, search_procedures
 from tsmamba.model import TsMambaWeights, ts_mamba_forward, weight_map
 from tsmamba.numerics import ModelConfig, read_pnm, read_tstf, write_pnm, write_tstf
 from tsmamba.scanorder import ScanVariant
-from tsmamba.trajectory import token_centers
+from tsmamba.trajectory import block_matching_flow, token_centers
 
 
 def test_unknown_subcommand_exit_2(capsys):
@@ -269,9 +270,10 @@ def test_gradient_check_size_bound():
     ssm.check_gradient_check_size(682, 2, 1)
     with pytest.raises(ValueError, match="perturbs 4102 values"):
         ssm.check_gradient_check_size(683, 2, 1)
-    params = ssm.SelectiveScanParams.init(2, 1, 683)
+    rng = np.random.default_rng(0)
+    params = ssm.SelectiveScanParams.init(2, 1, 683, rng)
     with pytest.raises(ValueError, match="more than"):
-        ssm.gradient_check(params, np.zeros((683, 2)))
+        ssm.gradient_check(params, np.zeros((683, 2)), rng)
 
 
 def _write_frames(directory, n=3, size=16, seed=0):
@@ -314,6 +316,65 @@ def test_traj_select_zero_flows_match_radius_0(tmp_path):
     (flows / "flow_0002.tstf").unlink()
     assert main(["traj", "select", "--frames", str(frames), "--flows", str(flows),
                  "--out", str(b)]) == 2
+
+
+def test_traj_select_reads_only_the_last_t_plus_1_frames(tmp_path):
+    """Trajectories reach T = 15 frames back: T + 3 frames give the payload of
+    their last T + 1, block matching runs T times, and the envelope lists
+    only the frames and flows that were read; the two oldest frames and
+    flows are not even valid files."""
+    t = ModelConfig().temporal_window
+    rng = np.random.default_rng(5)
+    whole, last, flows, last_flows = (tmp_path / d for d in ("whole", "last", "flows", "lf"))
+    for d in (whole, last, flows, last_flows):
+        d.mkdir()
+    for k in range(t + 3):
+        frame = rng.random((3, 8, 8)).astype(np.float32)
+        write_tstf(whole / f"frame_{k:03d}.tstf", frame)
+        flow = np.rint(rng.uniform(-2, 2, (2, 8, 8)))
+        write_tstf(flows / f"flow_{k:04d}.tstf", flow)
+        if k >= 2:
+            write_tstf(last / f"frame_{k:03d}.tstf", frame)
+        if k >= 3:
+            write_tstf(last_flows / f"flow_{k - 2:04d}.tstf", flow)
+    for k in range(2):
+        (whole / f"frame_{k:03d}.tstf").write_bytes(b"TSTF")
+        (flows / f"flow_{k:04d}.tstf").write_bytes(b"TSTF")
+    runs = {}
+    for name, frames, motion in (("bm", whole, ["--radius", "1"]),
+                                 ("bm_last", last, ["--radius", "1"]),
+                                 ("flows", whole, ["--flows", str(flows)]),
+                                 ("flows_last", last, ["--flows", str(last_flows)])):
+        out = tmp_path / f"{name}.json"
+        with mock.patch("tsmamba.cli.block_matching_flow", wraps=block_matching_flow) as bm:
+            assert main(["traj", "select", "--frames", str(frames), "--out", str(out)]
+                        + motion) == 0
+        assert bm.call_count == (t if "bm" in name else 0)
+        runs[name] = json.loads(out.read_text())
+    assert runs["bm"]["payload"] == runs["bm_last"]["payload"]
+    assert runs["flows"]["payload"] == runs["flows_last"]["payload"]
+    frame_names = [f"frame_{k:03d}.tstf" for k in range(2, t + 3)]
+    assert sorted(runs["bm"]["inputs"]) == frame_names
+    assert sorted(runs["flows"]["inputs"]) == sorted(
+        frame_names + [f"flow_{k:04d}.tstf" for k in range(3, t + 3)])
+
+
+def test_model_forward_reads_only_the_last_t_plus_1_frames(tmp_path):
+    """model forward reads frames through the same loader: an unreadable
+    frame older than the last T + 1 is never opened."""
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    _write_frames(frames, n=5, size=8)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"channels": 4, "state_dim": 2, "temporal_window": 3,
+                               "s_selected": 1, "n1_res_blocks": 1, "n2_res_blocks": 1}))
+    args = ["model", "forward", "--frames", str(frames), "--config", str(cfg), "--out"]
+    assert main(args + [str(tmp_path / "a.tstf")]) == 0
+    (frames / "frame_000.ppm").write_bytes(b"P6\n")
+    assert main(args + [str(tmp_path / "b.tstf")]) == 0
+    assert (tmp_path / "a.tstf").read_bytes() == (tmp_path / "b.tstf").read_bytes()
+    (frames / "frame_001.ppm").write_bytes(b"P6\n")
+    assert main(args + [str(tmp_path / "c.tstf")]) == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -656,6 +717,26 @@ def test_loss_eval_rejects_negative_weights(tmp_path, capsys, flag, value):
     assert main(args + [f"{flag}={value}"]) == 2
     assert "must not be negative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["0", "0.1", "-1"])
+@pytest.mark.parametrize("stacks", ["neither", "lr", "hr"])
+def test_loss_eval_lam_needs_both_trajectory_stacks(tmp_path, capsys, lam, stacks):
+    """--lam weighs the trajectory loss, so without both stacks it exits 2
+    and writes no file, whatever its value; with both it is read."""
+    sr, lr, hr = tmp_path / "sr.tstf", tmp_path / "lr.tstf", tmp_path / "hr.tstf"
+    write_tstf(sr, np.zeros((3, 8, 8), dtype=np.float32))
+    for path, coords in zip((lr, hr), _trajectory_stacks()):
+        write_tstf(path, coords)
+    out = tmp_path / "loss.json"
+    args = ["loss", "eval", "--sr", str(sr), "--hr", str(sr), "--lr-height", "8",
+            "--lr-width", "32", "--out", str(out), f"--lam={lam}"]
+    given = {"neither": [], "lr": ["--lr-traj", str(lr)], "hr": ["--hr-traj", str(hr)]}
+    assert main(args + given[stacks]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+    both = main(args + ["--lr-traj", str(lr), "--hr-traj", str(hr)])
+    assert both == (2 if lam == "-1" else 0)
 
 
 @pytest.mark.parametrize("argv,flag,default", [

@@ -75,7 +75,7 @@ def test_forward_zero_tail_equals_bicubic_skip():
     zeroed = TsMambaWeights(g=weights.g, tsma=weights.tsma,
                             r=zeroed_tail(weights.r))
     out = ts_mamba_forward(frames, None, zeroed, cfg)
-    skip = bicubic_upsample(frames[-1], cfg.scale)
+    skip = bicubic_upsample(frames[-1])
     assert np.array_equal(out.data, skip)
 
 
@@ -285,46 +285,65 @@ def _traj(ht, wt, h, w, depth, token_size, jitter=0.0, seed=0):
     return TrajectorySet(token_size, h, w, np.array(coords))
 
 
+def _matched_hr(lr, scale, hr_ht, hr_wt):
+    """HR set on the scale-times frame whose every scale-th token per axis
+    sits at scale times the LR point, so the loss is zero."""
+    hr = _traj(hr_ht, hr_wt, lr.height * scale, lr.width * scale, len(lr.coords), lr.token_size)
+    ht, wt = lr.grid
+    grid = hr.coords.reshape(len(lr.coords), hr_ht, hr_wt, 2)
+    grid[:, ::scale, ::scale] = lr.coords.reshape(-1, ht, wt, 2) * scale
+    return hr
+
+
 def test_trajectory_loss_zero_for_matched():
-    scale = 4
     lr = _traj(4, 4, 16, 16, 3, 4)
-    # HR grid: scale^2 times as many tokens; scaled coordinates
-    hr = _traj(16, 16, 64, 64, 3, 4)
-    for m in range(3):
-        hr.coords[m] = hr.coords[m]
-    # build HR coords so that the kept subsample / scale equals LR exactly
-    for m in range(3):
-        grid = hr.coords[m].reshape(16, 16, 2)
-        for r in range(0, 16, scale):
-            for c in range(0, 16, scale):
-                grid[r, c] = lr.coords[m][(r // scale) * 4 + c // scale] * scale
-        hr.coords[m] = grid.reshape(-1, 2)
-    assert trajectory_loss(lr, hr, scale) == 0.0
+    assert trajectory_loss(lr, _matched_hr(lr, 4, 16, 16)) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1, 2, 4])
+def test_trajectory_loss_reads_scale_from_frame_sizes(scale):
+    """At x1, x2 and x4 the HR set matched at that scale scores zero, and
+    the loss is the mean L1 distance to its points divided by the scale."""
+    lr = _traj(4, 4, 16, 16, 3, 4, jitter=0.5, seed=scale)
+    hr = _matched_hr(lr, scale, 4 * scale, 4 * scale)
+    assert trajectory_loss(lr, hr) == 0.0
+    plain = _traj(4, 4, 16, 16, 3, 4)
+    want = np.abs(plain.coords - lr.coords).mean()
+    assert trajectory_loss(plain, hr) == pytest.approx(want, rel=1e-12)
 
 
 def test_trajectory_loss_positive_and_composition():
-    scale = 4
     lr = _traj(4, 4, 16, 16, 3, 4, jitter=0.5, seed=2)
     hr = _traj(16, 16, 64, 64, 3, 4)
-    t = trajectory_loss(lr, hr, scale)
+    t = trajectory_loss(lr, hr)
     assert t > 0
     assert total_loss(0.25, t, lam=0.1) == pytest.approx(0.25 + 0.1 * t)
 
 
 def test_trajectory_loss_rejects_bad_grids():
     lr = _traj(4, 4, 16, 16, 3, 4)
-    hr = _traj(8, 8, 32, 32, 3, 4)
-    with pytest.raises(ValueError):
-        trajectory_loss(lr, hr, 4)
+    # an x4 frame whose 64 trajectories do not fill its 16 x 16 token grid
+    with pytest.raises(ValueError, match="do not fit"):
+        trajectory_loss(lr, _traj(8, 8, 64, 64, 3, 4))
+    # a full x2 grid of another depth, and one of other token size
+    for hr in (_traj(8, 8, 32, 32, 2, 4), _traj(4, 4, 32, 32, 3, 8)):
+        with pytest.raises(ValueError, match="subsample"):
+            trajectory_loss(lr, hr)
 
 
 def test_trajectory_loss_needs_frame_size():
-    # a 4x16 HR token grid with no frame size must not be read as 8x8
-    lr = _traj(2, 8, 8, 32, 2, 4)
-    hr = _traj(4, 16, 16, 64, 2, 4)
-    assert trajectory_loss(lr, hr, 2) > 0
-    with pytest.raises(ValueError):
-        trajectory_loss(lr, TrajectorySet(4, 0, 0, hr.coords), 2)
+    """Unless the HR frame is k times the LR frame on both axes for an integer
+    k >= 1 the loss raises ValueError, never ZeroDivisionError: a missing
+    or negative size, a fraction of a scale, or two scales."""
+    lr = _traj(4, 4, 16, 16, 2, 4)
+    hr = _matched_hr(lr, 2, 8, 8)
+    assert trajectory_loss(lr, hr) == 0.0
+    for hr_h, hr_w in ((0, 0), (8, 8), (24, 32), (32, 24), (40, 40), (32, 0), (-32, -32)):
+        with pytest.raises(ValueError, match="not k times"):
+            trajectory_loss(lr, TrajectorySet(4, hr_h, hr_w, hr.coords))
+    for lr_h, lr_w in ((0, 0), (16, 0), (-16, -16)):
+        with pytest.raises(ValueError, match="not k times"):
+            trajectory_loss(TrajectorySet(4, lr_h, lr_w, lr.coords), hr)
 
 
 # --- counting ---------------------------------------------------------------

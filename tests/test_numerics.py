@@ -113,7 +113,7 @@ def test_conv2d_identity_kernel():
     w = np.zeros((2, 2, 3, 3))
     w[0, 0, 1, 1] = 1.0
     w[1, 1, 1, 1] = 1.0
-    y = conv2d(x, w, padding=1)
+    y = conv2d(x, w, np.zeros(2), padding=1)
     assert np.allclose(y, x, atol=1e-6)
 
 
@@ -253,8 +253,8 @@ def test_conv2d_chain_bytes_independent_of_input_layout():
     outs = []
     for inp in (x, _channels_last(x)):
         y = conv2d(inp, w1, np.ones(8), padding=1)
-        outs.append(conv2d(y, w2, padding=1))
-        outs.append(conv2d(np.ascontiguousarray(y), w2, padding=1))
+        outs.append(conv2d(y, w2, np.zeros(5), padding=1))
+        outs.append(conv2d(np.ascontiguousarray(y), w2, np.zeros(5), padding=1))
     assert len({o.tobytes() for o in outs}) == 1
 
 
@@ -281,7 +281,7 @@ def test_conv2d_peak_memory_is_chunked():
         wts = rng.normal(0, 0.05, (cout, cin, 3, 3)).astype(np.float32)
         tracemalloc.start()
         try:
-            out = conv2d(x, wts, padding=1)
+            out = conv2d(x, wts, np.zeros(cout), padding=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -299,10 +299,10 @@ for cin, cout, k, size in ((3, 32, 3, 64), (32, 32, 3, 64), (96, 32, 1, 64), (32
                            (32, 3, 3, 64)):
     x = rng.random((cin, size, size), dtype=np.float32)
     w = rng.normal(0, 0.05, (cout, cin, k, k)).astype(np.float32)
-    h.update(conv2d(x, w, padding=k // 2).tobytes())
+    h.update(conv2d(x, w, np.zeros(cout), padding=k // 2).tobytes())
     # the same values backed by an [H, W, C] buffer, as a conv's result is
     x_cl = np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
-    h.update(conv2d(x_cl, w, padding=k // 2).tobytes())
+    h.update(conv2d(x_cl, w, np.zeros(cout), padding=k // 2).tobytes())
 print(h.hexdigest())
 """
 
@@ -323,7 +323,7 @@ def test_conv2d_bytes_independent_of_blas_threads():
 def test_conv2d_shape_errors():
     x = np.zeros((3, 4, 4))
     with pytest.raises(ValueError):
-        conv2d(x, np.zeros((2, 4, 3, 3)))      # channel mismatch
+        conv2d(x, np.zeros((2, 4, 3, 3)), np.zeros(2))      # channel mismatch
 
 
 def test_residual_block_zero_weights_is_identity():
@@ -375,25 +375,26 @@ def test_pixel_shuffle_rejects_bad_channels():
 
 # --- bicubic ----------------------------------------------------------------
 
-def _bicubic_upsample_loop(x, scale):
-    """Oracle: row by row, then column by column, adding taps in k order."""
+def _bicubic_upsample_loop(x):
+    """Oracle: row by row, then column by column, adding each output row's
+    own taps in k order."""
     c, h, w = x.shape
-    (ridx, _), rwts = _cubic_taps_loop(h, scale), numerics._bicubic_axis_weights(h, scale)
-    (cidx, _), cwts = _cubic_taps_loop(w, scale), numerics._bicubic_axis_weights(w, scale)
+    (ridx, rwts), (cidx, cwts) = _cubic_taps_loop(h), _cubic_taps_loop(w)
     xd = x.astype(np.float64)
-    tmp = np.zeros((c, h * scale, w), dtype=np.float64)
-    for i_out in range(h * scale):
-        for j, wt in zip(ridx[i_out], rwts[i_out].tolist()):
+    tmp = np.zeros((c, h * 4, w), dtype=np.float64)
+    for i_out in range(h * 4):
+        for j, wt in zip(ridx[i_out], rwts[i_out]):
             tmp[:, i_out, :] += wt * xd[:, j, :]
-    out = np.zeros((c, h * scale, w * scale), dtype=np.float64)
-    for j_out in range(w * scale):
-        for j, wt in zip(cidx[j_out], cwts[j_out].tolist()):
+    out = np.zeros((c, h * 4, w * 4), dtype=np.float64)
+    for j_out in range(w * 4):
+        for j, wt in zip(cidx[j_out], cwts[j_out]):
             out[:, :, j_out] += wt * tmp[:, :, j]
     return out.astype(np.float32)
 
 
-def _cubic_taps_loop(n_in, scale):
-    """Oracle of the tap table: positions and normalised weights per output."""
+def _cubic_taps_loop(n_in, scale=4):
+    """Oracle of the tap table: positions and normalised weights per output
+    row, each computed from that row's own source position."""
     idx, wts = [], []
     for i_out in range(n_in * scale):
         src = (i_out + 0.5) / scale - 0.5
@@ -409,36 +410,39 @@ def _cubic_taps_loop(n_in, scale):
     return idx, wts
 
 
-@pytest.mark.parametrize("scale", [2, 3, 4])
-def test_bicubic_matches_loop_oracle_bytes(scale):
-    rng = np.random.default_rng(scale)
-    x = rng.normal(0, 1, (3, 7, 9)).astype(np.float32)
-    x[0, :, :3] = -0.0          # signed zeros: the sum starts from +0.0, as in the loop
-    got = bicubic_upsample(x, scale)
-    want = _bicubic_upsample_loop(x, scale)
-    assert got.dtype == want.dtype and got.shape == want.shape
+@pytest.mark.parametrize("h,w", [(7, 9), (13, 5), (1, 3), (45, 80)])
+def test_bicubic_matches_loop_oracle_bytes(h, w):
+    rng = np.random.default_rng(h * w)
+    x = rng.normal(0, 1, (3, h, w)).astype(np.float32)
+    x[0, :, :(w + 1) // 2] = -0.0      # signed zeros: the sum starts from +0.0, as in the loop
+    got = bicubic_upsample(x)
+    want = _bicubic_upsample_loop(x)
+    assert got.dtype == want.dtype and got.shape == want.shape == (3, 4 * h, 4 * w)
     assert got.tobytes() == want.tobytes()
-    for n in (7, 9):
-        assert numerics._bicubic_axis_weights(n, scale).tolist() == _cubic_taps_loop(n, scale)[1]
+
+
+@pytest.mark.parametrize("n_in", [180, 320])
+def test_bicubic_phase_weights_equal_every_rows_own(n_in):
+    """At x4 each output row's source position is exact in float64, so the
+    per-row oracle weights of every row up to the paper's 180 x 320 frame
+    are its phase's weights, the ones row p = 0..3 gets."""
+    _, wts = _cubic_taps_loop(n_in)
+    for i_out, row in enumerate(wts):
+        assert row == wts[i_out % 4], i_out
 
 
 def test_bicubic_rejects_bad_shape_and_scale():
-    for x, scale in [(np.zeros((4, 4)), 1), (np.zeros((4, 4)), 2),
-                     (np.zeros((1, 4, 4)), 0), (np.zeros((1, 4, 4)), 1.5)]:
+    for shape in ((4, 4), (1, 1, 4, 4), (4,)):
         with pytest.raises(ValueError):
-            bicubic_upsample(x, scale)
-
-
-def test_bicubic_axis_weights_cached_read_only():
-    wts = numerics._bicubic_axis_weights(13, 4)
-    assert numerics._bicubic_axis_weights(13, 4) is wts     # built once per (n_in, scale)
-    with pytest.raises(ValueError):
-        wts[0, 0] = 1
+            bicubic_upsample(np.zeros(shape))
+    # the upscale is ModelConfig.scale, not an argument
+    with pytest.raises(TypeError):
+        bicubic_upsample(np.zeros((1, 4, 4)), 2)
 
 
 def test_bicubic_constant_preserved():
     x = np.full((3, 6, 6), 0.37, dtype=np.float32)
-    y = bicubic_upsample(x, 4)
+    y = bicubic_upsample(x)
     assert y.shape == (3, 24, 24)
     assert np.allclose(y, 0.37, atol=1e-5)
 
@@ -447,18 +451,18 @@ def test_bicubic_linear_ramp_preserved_in_interior():
     h = 16
     ramp = np.tile(np.arange(h, dtype=np.float64), (h, 1))
     x = ramp[None].astype(np.float32)
-    y = bicubic_upsample(x, 2)[0]
-    # interior columns follow the ramp with slope 1/2 (align_corners=False)
-    interior = y[8, 8:-8]
+    y = bicubic_upsample(x)[0]
+    # interior columns follow the ramp with slope 1/4 (align_corners=False)
+    interior = y[16, 16:-16]
     diffs = np.diff(interior)
-    assert np.allclose(diffs, 0.5, atol=1e-3)
+    assert np.allclose(diffs, 0.25, atol=1e-3)
 
 
 # --- layer norm -------------------------------------------------------------
 
 def test_layer_norm_zero_mean_unit_var():
     x = np.random.default_rng(3).normal(2.0, 3.0, (5, 16)).astype(np.float32)
-    y = layer_norm(x)
+    y = layer_norm(x, np.ones(16), np.zeros(16))
     assert np.allclose(y.mean(axis=-1), 0, atol=1e-5)
     assert np.allclose(y.std(axis=-1), 1, atol=1e-2)
 
@@ -467,7 +471,7 @@ def test_layer_norm_affine():
     x = np.random.default_rng(4).normal(0, 1, (3, 8)).astype(np.float32)
     g = np.full(8, 2.0, dtype=np.float32)
     b = np.full(8, 1.0, dtype=np.float32)
-    base = layer_norm(x)
+    base = layer_norm(x, np.ones(8), np.zeros(8))
     aff = layer_norm(x, g, b)
     assert np.allclose(aff, base * 2 + 1, atol=1e-6)
 

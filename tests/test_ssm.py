@@ -80,7 +80,7 @@ def test_windows_equal_separate_scans(L, C, N, windows, seed):
     params.A = -rng.uniform(0.5, 4.0, params.A.shape)      # distinct per channel
     params.D = rng.normal(1.0, 0.5, C)
     u = rng.normal(0, 1, (L, windows, C))
-    y = selective_scan_forward(params, u.reshape(L, windows * C), windows)
+    y = selective_scan_forward(params, u.reshape(L, windows * C))
     want = np.stack([selective_scan_forward(params, u[:, w]) for w in range(windows)],
                     axis=1)
     assert y.tobytes() == want.reshape(L, windows * C).tobytes()
@@ -124,7 +124,7 @@ def test_recurrence_bytes_equal_three_op_loop(L, windows, signed_zeros):
         terms = (np.logaddexp(0.0, params.dt)[:, :, None] * params.B[:, None]
                  )[:, None] * u.reshape(L, windows, C, 1)
         assert np.signbit(terms[0]).any() and (terms[0] == 0).all()
-    y, (_, _, hs) = _recurrence(params, u, windows)
+    y, (_, _, hs) = _recurrence(params, u)
     want_y, want_hs = _recurrence_three_op(params, u, windows)
     assert hs.tobytes() == want_hs.tobytes()
     assert y.tobytes() == want_y.tobytes()
@@ -132,20 +132,32 @@ def test_recurrence_bytes_equal_three_op_loop(L, windows, signed_zeros):
         assert not np.signbit(hs[0]).any()
 
 
-@pytest.mark.parametrize("width,windows", [(6, 1), (6, 2), (8, 3), (0, 0), (4, 0)])
-def test_windows_must_divide_width(width, windows):
-    params = SelectiveScanParams.init(4, 2, 5)
-    with pytest.raises(ValueError):
-        selective_scan_forward(params, np.zeros((5, width)), windows)
+@pytest.mark.parametrize("width", [0, 2, 6, 10, 13])
+def test_width_must_be_whole_windows(width):
+    """The window count is width / C, so a width that is no positive multiple
+    of the C = 4 channels raises, in the forward and in the backward."""
+    params = SelectiveScanParams.init(4, 2, 5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="not W >= 1 windows of 4 channels"):
+        selective_scan_forward(params, np.zeros((5, width)))
+    with pytest.raises(ValueError, match="one window"):
+        selective_scan_backward(params, np.zeros((5, width)), np.zeros((5, width)))
+
+
+def test_backward_runs_one_window():
+    params = SelectiveScanParams.init(4, 2, 5, np.random.default_rng(0))
+    assert selective_scan_forward(params, np.zeros((5, 8))).shape == (5, 8)
+    with pytest.raises(ValueError, match="one window"):
+        selective_scan_backward(params, np.zeros((5, 8)), np.zeros((5, 8)))
 
 
 def test_param_shape_checks():
-    params = SelectiveScanParams.init(2, 4, 8)
+    rng = np.random.default_rng(0)
+    params = SelectiveScanParams.init(2, 4, 8, rng)
     with pytest.raises(ValueError):
         params.check(7, 2)
     with pytest.raises(ValueError):
         params.check(8, 3)
-    bad = SelectiveScanParams.init(2, 4, 8)
+    bad = SelectiveScanParams.init(2, 4, 8, rng)
     bad.B[0, 0] = np.nan
     with pytest.raises(ValueError):
         bad.check(8, 2)
@@ -164,10 +176,11 @@ def test_gradient_check_20_instances():
 
 def test_gradient_check_float32_params():
     # weights read from TSTF are float32; the check must still step them
-    params = SelectiveScanParams.init(2, 3, 5)
+    rng = np.random.default_rng(1)
+    params = SelectiveScanParams.init(2, 3, 5, rng)
     f32 = SelectiveScanParams(**{k: a.astype(np.float32) for k, a in vars(params).items()})
-    u = np.random.default_rng(1).normal(0, 1, (5, 2))
-    assert gradient_check(f32, u) < 1e-5
+    u = rng.normal(0, 1, (5, 2))
+    assert gradient_check(f32, u, rng) < 1e-5
 
 
 def _selective_scan_backward_loop(params, sequence, upstream):
@@ -330,9 +343,10 @@ def test_ss3d_without_selection_is_the_current_tokens():
 
 
 def test_state_dim_bounded_before_drawing():
-    assert SelectiveScanParams.init(2, MAX_STATE_DIM, 3).A.shape == (2, MAX_STATE_DIM)
+    rng = np.random.default_rng(0)
+    assert SelectiveScanParams.init(2, MAX_STATE_DIM, 3, rng).A.shape == (2, MAX_STATE_DIM)
     with pytest.raises(ValueError, match=f"at most {MAX_STATE_DIM}"):
-        SelectiveScanParams.init(2, 10**11, 3)
+        SelectiveScanParams.init(2, 10**11, 3, rng)
 
 
 def test_ss3d_rejects_out_of_range_cell():
@@ -351,7 +365,7 @@ def test_ssm_block_residual_structure():
     v = rng.normal(0, 1, (n, s, c)).astype(np.float32)
     L = n * (s + 1)
     params = SelectiveScanParams.init(c, 4, L, rng)
-    out = ssm_block(tokens, np.arange(n)[None], v, params)
+    out = ssm_block(tokens, np.arange(n)[None], v, params, np.ones(c), np.zeros(c))
     assert out.shape == (n, c)
     # residual: output differs from input but stays finite
     assert np.all(np.isfinite(out))

@@ -50,14 +50,15 @@ def _bilinear_sample_loop(grid, x, y):
             + ax * (1 - ay) * grid[x1, y0] + ax * ay * grid[x1, y1])
 
 
-def _propagate_trajectories_loop(prev, f, config):
-    """Oracle: dense per-pixel history grids, one bilinear sample per token."""
+def _propagate_trajectories_loop(prev, f):
+    """Oracle: dense per-pixel history grids, one bilinear sample per token;
+    every layer but the oldest is carried."""
     f = np.asarray(f, dtype=np.float32)
     h, w = prev.height, prev.width
     t = prev.token_size
     ht, wt = h // t, w // t
     centers = _token_centers_loop(ht, wt, t)
-    depth = min(len(prev.coords), config.temporal_window)
+    depth = len(prev.coords) - 1
     prev_grids = []
     for m in range(depth):
         grid = np.zeros((h, w, 2), dtype=np.float64)
@@ -77,7 +78,7 @@ def _propagate_trajectories_loop(prev, f, config):
             layer[i, 0] = min(max(sampled[0], 1.0), h)
             layer[i, 1] = min(max(sampled[1], 1.0), w)
         coords.append(layer)
-    return coords[: config.temporal_window + 1]
+    return coords
 
 
 def _block_matching_flow_loop(xa, xb, radius, patch=8):
@@ -136,7 +137,7 @@ def _select_tokens_loop(q_grid, pool_grids, traj, s):
         qn = np.linalg.norm(qv)
         cand = []
         for off in range(1, pool + 1):
-            coord = traj.coords[min(off, len(traj.coords) - 1)][i]
+            coord = traj.coords[off][i]
             j = _nearest_token_index(coord[0], coord[1], ht, wt, traj.token_size)
             vv = pool_grids[off - 1].reshape(n, c)[j].astype(np.float64)
             vn = np.linalg.norm(vv)
@@ -215,7 +216,7 @@ def test_propagate_zero_flow_keeps_centers(t, window):
     flow = np.zeros((2, h, w), dtype=np.float32)
     traj = start
     for _ in range(window + 3):
-        traj = propagate_trajectories(traj, flow, cfg)
+        traj = propagate_trajectories(traj, flow)
         assert (traj.token_size, traj.height, traj.width) == (t, h, w)
         assert len(traj.coords) == len(start.coords)
         for got, want in zip(traj.coords, start.coords):
@@ -271,7 +272,7 @@ def test_propagate_constant_flow_shifts_history():
     traj = initial_trajectories(cfg, 32, 32)
     flow = np.zeros((2, 32, 32), dtype=np.float32)
     flow[0] = 4.0       # content came from one token-height down in t-1
-    nxt = propagate_trajectories(traj, flow, cfg)
+    nxt = propagate_trajectories(traj, flow)
     got = nxt.coords[1].reshape(8, 8, 2)
     want = traj.coords[0].reshape(8, 8, 2)
     # each token's history lands on the previous set's token one row down
@@ -283,7 +284,7 @@ def test_propagate_clamps_to_bounds():
     cfg = ModelConfig()
     traj = initial_trajectories(cfg, 8, 8)
     flow = np.full((2, 8, 8), 100.0, dtype=np.float32)
-    nxt = propagate_trajectories(traj, flow, cfg)
+    nxt = propagate_trajectories(traj, flow)
     assert np.all(nxt.coords[1][:, 0] >= 1.0)
     assert np.all(nxt.coords[1][:, 0] <= 8.0)
 
@@ -293,7 +294,7 @@ def test_propagate_rejects_bad_flow_dims():
     traj = initial_trajectories(cfg, 8, 8)
     for dims in ((2, 4, 4), (2, 8), (2, 8, 8, 1), (2,)):
         with pytest.raises(ValueError, match="flow dims"):
-            propagate_trajectories(traj, np.zeros(dims), cfg)
+            propagate_trajectories(traj, np.zeros(dims))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -306,7 +307,7 @@ def test_non_finite_flow_rejected(bad):
     flow = np.zeros((2, 6, 6), dtype=np.float32)
     flow[0, 2, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        propagate_trajectories(initial_trajectories(cfg, 6, 6), flow, cfg)
+        propagate_trajectories(initial_trajectories(cfg, 6, 6), flow)
     frames = [np.zeros((3, 6, 6), dtype=np.float32)] * 2
     with pytest.raises(ValueError, match="non-finite"):
         ts_mamba_forward(frames, [flow], TsMambaWeights.random(cfg, seed=0), cfg)
@@ -334,10 +335,27 @@ def test_propagate_matches_loop_oracle_bytes(h, w, window):
     traj = initial_trajectories(cfg, h, w)
     for flow in _flow_chain(rng, h, w):
         flow = flow.astype(np.float32)
-        want = _propagate_trajectories_loop(traj, flow, cfg)
-        traj = propagate_trajectories(traj, flow, cfg)
+        want = _propagate_trajectories_loop(traj, flow)
+        traj = propagate_trajectories(traj, flow)
         assert len(traj.coords) == len(want)
         for got_layer, want_layer in zip(traj.coords, want):
+            assert _same_bytes(got_layer, want_layer)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5, 17])
+def test_propagate_keeps_any_depth(depth):
+    """A set keeps its depth through propagation, whatever the temporal
+    window: the oldest layer drops out and the others match the oracle."""
+    rng = np.random.default_rng(depth)
+    h, w = 12, 16
+    coords = np.repeat(token_centers(3, 4, 4)[None], depth, axis=0)
+    traj = TrajectorySet(4, h, w, coords + rng.normal(0, 1, coords.shape))
+    for flow in list(_flow_chain(rng, h, w))[:3]:
+        flow = flow.astype(np.float32)
+        want = _propagate_trajectories_loop(traj, flow)
+        traj = propagate_trajectories(traj, flow)
+        assert traj.coords.shape == (depth, 12, 2)
+        for got_layer, want_layer in zip(traj.coords, want, strict=True):
             assert _same_bytes(got_layer, want_layer)
 
 
@@ -508,14 +526,15 @@ def _assert_matches_loop(q, vs, traj, s):
 
 @st.composite
 def _selection_case(draw):
-    """Random grids, token sizes, pools, s, trajectory depths (some shorter
-    than the pool), coordinates on the half-integer lattice and beyond the
-    frame, and candidate fields that repeat so scores tie."""
+    """Random grids, token sizes, pools, s, trajectory depths (from exactly
+    the pool's plus the current frame to two layers more), coordinates on the
+    half-integer lattice and beyond the frame, and candidate fields that
+    repeat so scores tie."""
     ht, wt = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     t = draw(st.sampled_from([1, 2, 4]))
     pool = draw(st.integers(0, 8))
     s = draw(st.integers(0, pool))
-    depth = draw(st.integers(1, pool + 2))
+    depth = draw(st.integers(pool + 1, pool + 3))
     c = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, h, w = ht * wt, ht * t, wt * t
@@ -555,19 +574,25 @@ def test_select_tokens_empty_pool():
     assert sel.selected.shape == (6, 0, 3)
 
 
-def test_select_tokens_short_trajectory_clamps_depth():
-    """Offsets beyond the trajectory's depth read its oldest layer."""
+def test_select_tokens_rejects_pool_deeper_than_trajectory():
+    """Offset h reads trajectory layer h, so a pool deeper than the set's
+    history raises instead of reading older frames through its oldest layer;
+    a pool exactly as deep reads every layer."""
     rng = np.random.default_rng(10)
     ht, wt, pool = 3, 4, 6
     q = _grid(rng, ht * wt, 5, ht, wt)
     vs = _pool([_grid(rng, ht * wt, 5, ht, wt) for _ in range(pool)], ht, wt, 5)
     centers = token_centers(ht, wt, 2)
     oldest = centers[::-1]                        # token i points at token N-1-i
-    traj = TrajectorySet(2, 2 * ht, 2 * wt, np.array([centers, centers, oldest]))
+    for depth in (1, 3, pool):
+        traj = TrajectorySet(2, 2 * ht, 2 * wt, np.array([centers] * (depth - 1) + [oldest]))
+        with pytest.raises(ValueError, match="deeper than"):
+            select_tokens(q, vs, traj, pool)
+    traj = TrajectorySet(2, 2 * ht, 2 * wt, np.array([centers] * pool + [oldest]))
     sel = _assert_matches_loop(q, vs, traj, pool)
     for i in range(ht * wt):
         for off, token in zip(sorted(sel.indices[i], reverse=True), sel.selected[i]):
-            src = ht * wt - 1 - i if off >= 2 else i
+            src = ht * wt - 1 - i if off == pool else i
             assert np.array_equal(token, vs[off - 1].reshape(ht * wt, 5)[src])
 
 
