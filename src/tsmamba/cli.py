@@ -32,13 +32,15 @@ from .model import (
     TsMambaWeights,
     charbonnier_loss,
     count_params_macs,
+    part_from_map,
     total_loss,
     trajectory_loss,
     ts_mamba_forward,
-    weight_map,
+    weight_table,
 )
 from .numerics import (
     ModelConfig,
+    draw_weights,
     read_pnm,
     read_tstf,
     write_pnm,
@@ -155,14 +157,18 @@ def _load_frames(directory, config):
     first = max(len(paths) - config.temporal_window - 1, 0)
     paths = paths[first:]
     frames = [read_tstf(p) if p.endswith(".tstf") else read_pnm(p) for p in paths]
+    for path, frame in zip(paths, frames):
+        if not np.isfinite(frame).all():
+            raise CliError(f"frame {path} holds non-finite values")
     return paths, frames, first
 
 
 def cmd_traj_select(args):
     config = ModelConfig(s_selected=args.s)
     paths, frames, first = _load_frames(args.frames, config)
-    rng = np.random.default_rng(args.seed)
-    weights = GWeights.random(config, rng, c_in=frames[0].shape[0])
+    g_rows = {name: row for name, row in weight_table(config, c_in=frames[0].shape[0]).items()
+              if name.startswith("g.")}
+    weights = part_from_map(GWeights, draw_weights(g_rows, np.random.default_rng(args.seed)), "g")
     flow_paths = []
     if args.flows:
         # flow_k.tstf is the flow from directory frame k to frame k - 1
@@ -186,18 +192,16 @@ def cmd_traj_select(args):
 # --- ssm --------------------------------------------------------------------
 
 def _params_from_file(path, length, channels, state_dim, seed):
+    table = SelectiveScanParams.table(channels, state_dim, length)
     if path:
         flat = read_tstf(path).reshape(-1).astype(np.float64)
-        c, n, L = channels, state_dim, length
-        # SelectiveScanParams field order: A, D, dt, B, C
-        shapes = [(c, n), (c,), (L, c), (L, n), (L, n)]
-        sizes = [math.prod(shape) for shape in shapes]
+        sizes = [math.prod(shape) for shape, _ in table.values()]
         if flat.size != sum(sizes):
             raise CliError(f"parameter file holds {flat.size} values, need {sum(sizes)}")
         parts = np.split(flat, np.cumsum(sizes)[:-1])
-        return SelectiveScanParams(*(p.reshape(shape) for p, shape in zip(parts, shapes)))
-    return SelectiveScanParams.init(channels, state_dim, length,
-                                    np.random.default_rng(seed))
+        return SelectiveScanParams(**{name: part.reshape(shape)
+                                      for (name, (shape, _)), part in zip(table.items(), parts)})
+    return SelectiveScanParams(**draw_weights(table, np.random.default_rng(seed)))
 
 
 def cmd_ssm_run(args):
@@ -263,19 +267,22 @@ def _load_weight_bundle(directory, config):
         manifest = json.load(f)
     if not isinstance(manifest, dict):
         raise CliError("manifest.json must hold a JSON object")
-    weights = TsMambaWeights.random(config, seed=0)
-    layers = weight_map(weights)
-    missing = [name for name in layers if name not in manifest]
-    if missing:
-        raise CliError("weight bundle missing layers: " + ", ".join(sorted(missing)))
-    for name, array in layers.items():
+    table = weight_table(config)
+    for problem, names in (("lacks", table.keys() - manifest.keys()),
+                           ("holds unknown", manifest.keys() - table.keys())):
+        if names:
+            raise CliError(f"weight bundle {problem} layers: " + ", ".join(sorted(names)))
+    layers = {}
+    for name, (shape, _) in table.items():
         if not isinstance(manifest[name], str):
             raise CliError(f"manifest entry for {name} must be a file name")
         t = read_tstf(os.path.join(directory, manifest[name]))
-        if t.shape != array.shape:
-            raise CliError(f"layer {name}: shape {t.shape} != {array.shape}")
-        array[...] = t
-    return weights
+        if t.shape != shape:
+            raise CliError(f"layer {name}: shape {t.shape} != {shape}")
+        if not np.isfinite(t).all():
+            raise CliError(f"layer {name} holds non-finite values")
+        layers[name] = t.astype(np.float64)
+    return TsMambaWeights.from_map(layers)
 
 
 def cmd_model_count(args):

@@ -22,8 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numerics import (Tensor, bicubic_upsample, conv2d, pixel_shuffle, residual_block,
-                       residual_block_weights)
+from .numerics import Tensor, bicubic_upsample, conv2d, draw_weights, pixel_shuffle, residual_block
 from .scanorder import ScanVariant, ShiftSpec, generate_scan, tile_windows
 from .ssm import SelectiveScanParams, ssm_block
 from .trajectory import GWeights, select_along_trajectories
@@ -33,6 +32,8 @@ __all__ = [
     "TsmaWeights",
     "RWeights",
     "TsMambaWeights",
+    "weight_table",
+    "part_from_map",
     "weight_map",
     "tsma_forward",
     "ts_mamba_forward",
@@ -51,6 +52,9 @@ TSMA_PATHS = (
     ("p1", ScanVariant.Scan1, ("U1", ScanVariant.Scan3), ("UL3", ScanVariant.Scan3)),
     ("p2", ScanVariant.Scan2, ("L1", ScanVariant.Scan4), ("UL3", ScanVariant.Scan4)),
 )
+# the six S6 blocks in draw order: each path's standard, IntraWCB, InterWCB
+SSM_BLOCKS = tuple(f"{prefix}_{branch}" for prefix, *_ in TSMA_PATHS
+                   for branch in ("std", "intra", "inter"))
 
 
 def window_scans_for_grid(ht, wt, config, variant, shift=None):
@@ -82,25 +86,6 @@ class TsmaWeights:
     ln_beta: np.ndarray
     block_params: dict            # name -> SelectiveScanParams, L = window_size^2*(s+1)
 
-    @classmethod
-    def random(cls, config, rng):
-        c = config.channels
-        s = config.s_selected
-        L = config.window_size ** 2 * (s + 1)
-        names = [f"{prefix}_{branch}" for prefix, *_ in TSMA_PATHS
-                 for branch in ("std", "intra", "inter")]
-        blocks = {n: SelectiveScanParams.init(c, config.state_dim, L, rng)
-                  for n in names}
-        std = 0.05
-        return cls(
-            concat_proj_w=rng.normal(0, std, (c, (s + 1) * c)),
-            concat_proj_b=np.zeros(c),
-            block_params=blocks,
-            fusion_w=rng.normal(0, std, (c, 6 * c, 1, 1)),
-            fusion_b=np.zeros(c),
-            ln_gamma=np.ones(c),
-            ln_beta=np.zeros(c),
-        )
 
 
 def tsma_forward(q_grid, selection, weights, config):
@@ -164,18 +149,6 @@ class RWeights:
     tail_b: np.ndarray
     res: list                    # list of [w1, b1, w2, b2]
 
-    @classmethod
-    def random(cls, config, rng):
-        c = config.channels
-        std = 0.05
-        res = residual_block_weights(rng, config.n2_res_blocks, c, std)
-        return cls(
-            head_w=rng.normal(0, std, (c, c, 3, 3)), head_b=np.zeros(c),
-            res=res,
-            up1_w=rng.normal(0, std, (4 * c, c, 3, 3)), up1_b=np.zeros(4 * c),
-            up2_w=rng.normal(0, std, (4 * c, c, 3, 3)), up2_b=np.zeros(4 * c),
-            tail_w=rng.normal(0, std, (3, c, 3, 3)), tail_b=np.zeros(3),
-        )
 
 
 def untokenize(grid, config, proj_w):
@@ -212,10 +185,63 @@ class TsMambaWeights:
 
     @classmethod
     def random(cls, config, seed=0):
-        rng = np.random.default_rng(seed)
-        return cls(g=GWeights.random(config, rng),
-                   tsma=TsmaWeights.random(config, rng),
-                   r=RWeights.random(config, rng))
+        """The model at config, each weight_table row drawn in order from seed."""
+        return cls.from_map(draw_weights(weight_table(config), np.random.default_rng(seed)))
+
+    @classmethod
+    def from_map(cls, layers):
+        """weight_map's inverse: the model over a flat map, holding its arrays."""
+        return cls(g=part_from_map(GWeights, layers, "g"),
+                   tsma=part_from_map(TsmaWeights, layers, "tsma"),
+                   r=part_from_map(RWeights, layers, "r"))
+
+
+def weight_table(config, c_in=3):
+    """weight_map name -> (shape, init) of each weight of the model at config
+    (see numerics.draw_weights), in the order a random model draws them;
+    c_in is the channel count of the frames G reads."""
+    c, t, s = config.channels, config.token_size, config.s_selected
+
+    def layer(w, b, *shape):
+        return {w: (shape, ("normal", 0.05)), b: (shape[:1], ("fill", 0.0))}
+
+    def res_blocks(prefix, blocks):
+        return {name: row for i in range(blocks) for j in (1, 2) for name, row in
+                layer(f"{prefix}.res{i}.w{j}", f"{prefix}.res{i}.b{j}", c, c, 3, 3).items()}
+
+    ssm = SelectiveScanParams.table(c, config.state_dim, config.window_size ** 2 * (s + 1))
+    return {
+        **res_blocks("g", config.n1_res_blocks),
+        **layer("g.conv_w", "g.conv_b", c, c_in, 3, 3),
+        **layer("g.proj_w", "g.proj_b", c, t * t * c),
+        **{f"tsma.{block}.{name}": row for block in SSM_BLOCKS for name, row in ssm.items()},
+        **layer("tsma.concat_proj_w", "tsma.concat_proj_b", c, (s + 1) * c),
+        **layer("tsma.fusion_w", "tsma.fusion_b", c, 6 * c, 1, 1),
+        "tsma.ln_gamma": ((c,), ("fill", 1.0)), "tsma.ln_beta": ((c,), ("fill", 0.0)),
+        **res_blocks("r", config.n2_res_blocks),
+        **layer("r.head_w", "r.head_b", c, c, 3, 3),
+        **layer("r.up1_w", "r.up1_b", 4 * c, c, 3, 3),
+        **layer("r.up2_w", "r.up2_b", 4 * c, c, 3, 3),
+        **layer("r.tail_w", "r.tail_b", 3, c, 3, 3),
+    }
+
+
+def part_from_map(cls, layers, prefix):
+    """Part cls (GWeights, TsmaWeights or RWeights) over a flat map's prefix.* arrays."""
+    values = {}
+    for f in fields(cls):
+        if f.name == "res":
+            blocks = {name.split(".")[1] for name in layers if name.startswith(f"{prefix}.res")}
+            values["res"] = [[layers[f"{prefix}.res{i}.{p}"] for p in ("w1", "b1", "w2", "b2")]
+                             for i in range(len(blocks))]
+        elif f.name == "block_params":
+            values["block_params"] = {
+                block: SelectiveScanParams(**{p.name: layers[f"{prefix}.{block}.{p.name}"]
+                                              for p in fields(SelectiveScanParams)})
+                for block in SSM_BLOCKS}
+        else:
+            values[f.name] = layers[f"{prefix}.{f.name}"]
+    return cls(**values)
 
 
 def weight_map(weights):
@@ -310,61 +336,37 @@ def total_loss(spa, trj, lam=0.1):
 
 # --- parameter / MAC accounting --------------------------------------------
 
-def _conv_cost(cin, cout, k, h, w):
-    params = cout * (cin * k * k + 1)
-    macs = cout * cin * k * k * h * w
-    return params, macs
-
-
 def count_params_macs(config, lr_dims):
-    """Closed-form parameter and MAC counts for one forward pass."""
+    """Parameter and MAC counts for one forward pass, per stage.
+
+    A stage's parameters are the sizes of its weight_table rows.  A weight's
+    MACs are its size times the output pixels of its layer, and a bias (a
+    1-D row) takes none; the S6 blocks' MACs are the closed form of their
+    scans, as TSMA runs them.
+    """
     h, w = lr_dims
-    c = config.channels
-    t = config.token_size
+    t, ws = config.token_size, config.window_size
     if h < t or w < t or h % t or w % t:
         raise ValueError(f"frame {h}x{w} is not a positive multiple of token_size {t}")
-    s = config.s_selected
-    n = config.state_dim
-    ht, wt = h // t, w // t
-    ntok = ht * wt
-    L = config.window_size ** 2 * (s + 1)
-    # TSMA pads the token grid to a window multiple
-    n_windows = math.ceil(ht / config.window_size) * math.ceil(wt / config.window_size)
-
-    breakdown = {}
-
-    def add(name, params, macs):
-        breakdown[name] = {"params": int(params), "macs": int(macs)}
-
-    # G(.)
-    p, m = _conv_cost(3, c, 3, h, w)
-    add("g.conv", p, m)
-    # a residual block is two C -> C 3x3 convs at the LR size
-    res_p, res_m = _conv_cost(c, c, 3, h, w)
-    add("g.res_blocks", 2 * config.n1_res_blocks * res_p, 2 * config.n1_res_blocks * res_m)
-    add("g.proj", c * (t * t * c + 1), ntok * c * t * t * c)
-
-    # TSMA
-    add("tsma.concat_proj", c * ((s + 1) * c + 1), ntok * c * (s + 1) * c)
-    # six SSM blocks, each with A[C,N], D[C], dt[L,C], B[L,N], C[L,N], and
-    # the layer-norm gamma/beta they share
-    ssm_params_per_block = c * n + c + L * c + 2 * L * n
-    ssm_macs_per_block = n_windows * L * (c * n * 6)
-    add("tsma.ssm_blocks", 6 * ssm_params_per_block + 2 * c, 6 * ssm_macs_per_block)
-    p, m = _conv_cost(6 * c, c, 1, ht, wt)
-    add("tsma.fusion", p, m)
-
-    # R(.)
-    p, m = _conv_cost(c, c, 3, h, w)
-    add("r.head", p, m)
-    add("r.res_blocks", 2 * config.n2_res_blocks * res_p, 2 * config.n2_res_blocks * res_m)
-    p1, m1 = _conv_cost(c, 4 * c, 3, h, w)
-    p2, m2 = _conv_cost(c, 4 * c, 3, 2 * h, 2 * w)
-    add("r.upsample", p1 + p2, m1 + m2)
-    p, m = _conv_cost(c, 3, 3, 4 * h, 4 * w)
-    add("r.tail", p, m)
-
+    ntok = (h // t) * (w // t)
+    # weight-name prefix -> (stage, output pixels of its layer)
+    prefixes = {"g.conv_": ("g.conv", h * w), "g.res": ("g.res_blocks", h * w),
+               "g.proj_": ("g.proj", ntok), "tsma.concat_proj_": ("tsma.concat_proj", ntok),
+               **{f"tsma.{block}.": ("tsma.ssm_blocks", 0) for block in SSM_BLOCKS},
+               "tsma.ln_": ("tsma.ssm_blocks", 0), "tsma.fusion_": ("tsma.fusion", ntok),
+               "r.head_": ("r.head", h * w), "r.res": ("r.res_blocks", h * w),
+               "r.up1_": ("r.upsample", h * w), "r.up2_": ("r.upsample", 4 * h * w),
+               "r.tail_": ("r.tail", 16 * h * w)}
+    breakdown = {stage: {"params": 0, "macs": 0} for stage, _ in prefixes.values()}
+    for name, (shape, _) in weight_table(config).items():
+        stage, pixels = next(prefixes[p] for p in prefixes if name.startswith(p))
+        size = math.prod(shape)
+        breakdown[stage]["params"] += size
+        breakdown[stage]["macs"] += size * pixels if len(shape) > 1 else 0
+    # S6: 6 MACs per update of C*N states, L steps per window of the padded grid
+    steps = ws ** 2 * (config.s_selected + 1) * math.ceil(h // t / ws) * math.ceil(w // t / ws)
+    ssm = breakdown["tsma.ssm_blocks"]
+    ssm["macs"] = 6 * len(SSM_BLOCKS) * steps * config.channels * config.state_dim
     params = sum(v["params"] for v in breakdown.values())
     macs = sum(v["macs"] for v in breakdown.values())
     return {"params": params, "macs": macs, "breakdown": breakdown}
-

@@ -38,7 +38,7 @@ __all__ = [
     "ModelConfig",
     "conv2d",
     "residual_block",
-    "residual_block_weights",
+    "draw_weights",
     "pixel_shuffle",
     "bicubic_upsample",
     "layer_norm",
@@ -243,11 +243,13 @@ def residual_block(inp, w1, b1, w2, b2):
     return x + y
 
 
-def residual_block_weights(rng, blocks, c, std):
-    """[w1, b1, w2, b2] of each of `blocks` C -> C residual blocks: two
-    N(0, std) 3x3 kernels drawn in block order, w1 before w2, zero biases."""
-    return [[rng.normal(0, std, (c, c, 3, 3)), np.zeros(c),
-             rng.normal(0, std, (c, c, 3, 3)), np.zeros(c)] for _ in range(blocks)]
+def draw_weights(table, rng):
+    """name -> float64 array of each `name -> (shape, init)` row of a weight
+    table, in table order: init ("normal", std) draws N(0, std) from rng and
+    ("fill", value) broadcasts value to the shape without drawing."""
+    return {name: rng.normal(0.0, value, shape) if kind == "normal"
+            else np.full(shape, value, dtype=np.float64)
+            for name, (shape, (kind, value)) in table.items()}
 
 
 def pixel_shuffle(inp, r):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import MAX_STATE_DIM, layer_norm
+from .numerics import MAX_STATE_DIM, draw_weights, layer_norm
 
 __all__ = [
     "SelectiveScanParams",
@@ -69,30 +69,32 @@ class SelectiveScanParams:
     B: np.ndarray
     C: np.ndarray
 
-    @classmethod
-    def init(cls, channels, state_dim, length, rng):
-        """Stable initialization: A = -(1..N) per channel (S4D-real)."""
+    @staticmethod
+    def table(channels, state_dim, length):
+        """field -> (shape, init) of a pack, in field order (see
+        numerics.draw_weights); A = -(1..N) per channel is the stable S4D-real init."""
         if state_dim > MAX_STATE_DIM:
             raise ValueError(f"state_dim must be at most {MAX_STATE_DIM}, got {state_dim}")
-        a = -np.tile(np.arange(1, state_dim + 1, dtype=np.float64), (channels, 1))
-        return cls(
-            A=a,
-            D=np.ones(channels, dtype=np.float64),
-            dt=rng.normal(0.0, 0.1, (length, channels)),
-            B=rng.normal(0.0, 0.5, (length, state_dim)),
-            C=rng.normal(0.0, 0.5, (length, state_dim)),
-        )
+        return {
+            "A": ((channels, state_dim), ("fill", -np.arange(1.0, state_dim + 1))),
+            "D": ((channels,), ("fill", 1.0)),
+            "dt": ((length, channels), ("normal", 0.1)),
+            "B": ((length, state_dim), ("normal", 0.5)),
+            "C": ((length, state_dim), ("normal", 0.5)),
+        }
+
+    @classmethod
+    def init(cls, channels, state_dim, length, rng):
+        """A pack drawn from its table with rng."""
+        return cls(**draw_weights(cls.table(channels, state_dim, length), rng))
 
     def check(self, length, channels):
-        c, n = self.A.shape
-        if c != channels:
-            raise ValueError(f"A has {c} channels, expected {channels}")
-        if self.dt.shape != (length, channels):
-            raise ValueError(f"dt shape {self.dt.shape} != ({length},{channels})")
-        if self.B.shape != (length, n) or self.C.shape != (length, n):
-            raise ValueError("B/C shapes inconsistent with (L, state_dim)")
-        for name in ("A", "D", "dt", "B", "C"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        """Raise ValueError unless each field has its table shape and is finite."""
+        for name, (shape, _) in self.table(channels, self.A.shape[-1], length).items():
+            value = getattr(self, name)
+            if value.shape != shape:
+                raise ValueError(f"{name} shape {value.shape} != {shape}")
+            if not np.all(np.isfinite(value)):
                 raise ValueError(f"non-finite values in parameter {name}")
         return self
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import Tensor, conv2d, residual_block, residual_block_weights
+from .numerics import Tensor, conv2d, residual_block
 
 __all__ = [
     "TrajectorySet",
@@ -71,20 +71,6 @@ class GWeights:
     proj_w: np.ndarray        # [C_token, token_size^2 * C_feat]
     proj_b: np.ndarray
     res: list                 # list of [w1, b1, w2, b2]
-
-    @classmethod
-    def random(cls, config, rng, c_in=3):
-        c = config.channels
-        t = config.token_size
-        std = 0.05
-        res = residual_block_weights(rng, config.n1_res_blocks, c, std)
-        return cls(
-            conv_w=rng.normal(0, std, (c, c_in, 3, 3)),
-            conv_b=np.zeros(c),
-            res=res,
-            proj_w=rng.normal(0, std, (c, t * t * c)),
-            proj_b=np.zeros(c),
-        )
 
 
 def token_centers(ht, wt, token_size):

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -495,9 +496,18 @@ def test_grad_check_passes(capsys):
 
 
 def test_model_count(capsys):
-    assert main(["model", "count", "--channels", "32"]) == 0
-    env = json.loads(capsys.readouterr().out)
-    assert env["payload"]["params"] > 0
+    """The counts at 180x320, and the report's bytes, at the default width
+    and at the calibrated C = 87."""
+    for channels, params, macs, digest in (
+            (32, 464_675, 28_156_354_560,
+             "d1bc024ed916d51db44df5d53e00f628871e966b5dcc2cc08c6be03ef0f154a6"),
+            (87, 3_025_035, 203_505_708_960,
+             "319e12b2ddaf192152b7e80d98d907a06da881451b2890d5033bd26943cfcc93")):
+        assert main(["model", "count", "--channels", str(channels)]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)["payload"]
+        assert (payload["params"], payload["macs"]) == (params, macs)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [
@@ -594,8 +604,10 @@ def test_model_forward_weight_bundle(tmp_path):
     weights = TsMambaWeights.random(config, seed=5)
     _write_bundle(tmp_path / "bundle", weights)
     out = tmp_path / "sr.tstf"
-    assert main(["model", "forward", "--frames", str(frames), "--config", str(cfg),
-                 "--weights", str(tmp_path / "bundle"), "--out", str(out)]) == 0
+    # loading draws nothing: the bundle is the whole model
+    with mock.patch("numpy.random.default_rng", side_effect=RuntimeError("RNG constructed")):
+        assert main(["model", "forward", "--frames", str(frames), "--config", str(cfg),
+                     "--weights", str(tmp_path / "bundle"), "--out", str(out)]) == 0
 
     # the bundle holds float32 copies, which the loader writes into float64 arrays
     for arr in weight_map(weights).values():
@@ -605,8 +617,10 @@ def test_model_forward_weight_bundle(tmp_path):
     assert np.array_equal(read_tstf(out), want.data)
 
 
-@pytest.mark.parametrize("defect", ["missing", "shape", "non_string", "not_object"])
-def test_model_forward_bad_weight_bundle(tmp_path, defect):
+@pytest.mark.parametrize("defect", ["missing", "shape", "non_string", "not_object", "nan",
+                                    "inf", "extra"])
+def test_model_forward_bad_weight_bundle(tmp_path, capsys, defect):
+    """Exit 2, naming the layer at fault, and no SR file."""
     frames = tmp_path / "frames"
     frames.mkdir()
     _write_frames(frames, n=1, size=16)
@@ -621,11 +635,36 @@ def test_model_forward_bad_weight_bundle(tmp_path, defect):
         write_tstf(bundle / manifest["tsma.fusion_w"], np.zeros((6, 6, 1, 1)))
     elif defect == "non_string":
         manifest["g.conv_b"] = 3
+    elif defect == "nan":
+        write_tstf(bundle / manifest["r.tail_w"], np.full((3, 6, 3, 3), np.nan))
+    elif defect == "inf":
+        write_tstf(bundle / manifest["r.tail_b"], np.array([0.0, np.inf, 0.0]))
+    elif defect == "extra":        # a layer of a bundle written at n2_res_blocks=3
+        manifest["r.res2.w1"] = manifest["r.res1.w1"]
     else:
         manifest = list(manifest.values())
     (bundle / "manifest.json").write_text(json.dumps(manifest))
     assert main(["model", "forward", "--frames", str(frames), "--config", str(cfg),
                  "--weights", str(bundle), "--out", str(tmp_path / "sr.tstf")]) == 2
+    named = {"missing": "r.res1.b2", "shape": "tsma.fusion_w", "non_string": "g.conv_b",
+             "not_object": "JSON object", "nan": "r.tail_w", "inf": "r.tail_b",
+             "extra": "r.res2.w1"}[defect]
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "sr.tstf").exists()
+
+
+@pytest.mark.parametrize("command", ["traj select", "model forward"])
+def test_non_finite_frame_exits_2(tmp_path, capsys, command):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    frame = np.random.default_rng(0).random((3, 16, 16)).astype(np.float32)
+    write_tstf(frames / "frame_000.tstf", frame)
+    frame[1, 2, 3] = np.nan
+    write_tstf(frames / "frame_001.tstf", frame)
+    out = tmp_path / ("sel.json" if command == "traj select" else "sr.tstf")
+    assert main([*command.split(), "--frames", str(frames), "--out", str(out)]) == 2
+    assert "frame_001.tstf holds non-finite values" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_loss_eval_fixed_point(tmp_path, capsys):
@@ -792,11 +831,11 @@ FUZZ_CONFIG = {"channels": 4, "state_dim": 2, "n2_res_blocks": 1}
 def fuzz_dir(tmp_path_factory):
     """The files FUZZ_CALLS and FUZZ_WRONG name: valid inputs, and malformed
     ones (truncated TSTF and PNM, non-object JSON, tensors of the wrong
-    shape or rank, frames of mixed sizes, NaN flows)."""
+    shape or rank, frames of mixed sizes, NaN frames and flows)."""
     d = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(0)
     for name in ("frames", "frames_trunc", "frames_rank", "frames_empty", "frames_mixed",
-                 "frames_gray", "flows", "flows_shape", "flows_rank", "flows_trunc",
+                 "frames_gray", "frames_nan", "flows", "flows_shape", "flows_rank", "flows_trunc",
                  "flows_nan", "bundle_list"):
         (d / name).mkdir()
     _write_frames(d / "frames", n=2, size=16)
@@ -807,6 +846,7 @@ def fuzz_dir(tmp_path_factory):
     (d / "trunc.ppm").write_bytes((d / "frame.ppm").read_bytes()[:40])
     (d / "frames_trunc" / "frame_000.ppm").write_bytes((d / "trunc.ppm").read_bytes())
     write_tstf(d / "frames_rank" / "frame_000.tstf", np.zeros((16, 16)))
+    write_tstf(d / "frames_nan" / "frame_000.tstf", np.full((3, 16, 16), np.nan))
     write_tstf(d / "seq.tstf", rng.normal(0, 1, (6, 2)))
     (d / "trunc.tstf").write_bytes((d / "seq.tstf").read_bytes()[:30])
     write_tstf(d / "rank.tstf", np.zeros(5))
@@ -874,7 +914,7 @@ FUZZ_WRONG = {
     "file": [None, "trunc.tstf", "trunc.ppm", "list.json", "trunc.json", "broken.json",
              "rank.tstf", "seq.tstf", "missing.tstf"],
     "frames": [None, "frames_trunc", "frames_rank", "frames_empty", "frames_mixed",
-               "frames_gray", "flows", "missing"],
+               "frames_gray", "frames_nan", "flows", "missing"],
     "flows": [None, "flows_shape", "flows_rank", "flows_trunc", "flows_nan", "frames",
               "missing"],
     "weights": [None, "bundle_list", "frames", "missing"],

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from tsmamba.model import (
     ts_mamba_forward,
     untokenize,
     weight_map,
+    weight_table,
     window_scans_for_grid,
 )
 from tsmamba.scanorder import ShiftSpec, WindowPartition, compose_scan_shift_scan, window_tiled_order
@@ -364,6 +366,22 @@ def test_count_params_consistent_with_breakdown():
 def test_count_params_matches_weights(cfg):
     weights = weight_map(TsMambaWeights.random(cfg))
     assert count_params_macs(cfg, (64, 64))["params"] == sum(a.size for a in weights.values())
+    # the table names every weight of the model, at its shape
+    table = {name: shape for name, (shape, _) in weight_table(cfg).items()}
+    assert table == {name: a.shape for name, a in weights.items()}
+
+
+def test_random_weights_pinned():
+    """The names, dtypes and bytes of a random model at a non-default config
+    are pinned, so a change to weight_table's rows, their inits or their
+    draw order shows."""
+    cfg = ModelConfig(channels=5, token_size=2, s_selected=1, temporal_window=3,
+                      n1_res_blocks=1, n2_res_blocks=2)
+    digest = hashlib.sha256()
+    for name, array in weight_map(TsMambaWeights.random(cfg, seed=3)).items():
+        digest.update(f"{name} {array.dtype} {array.shape}\n".encode())
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == "71ff04469e778aef89d0138a648c4cacdfd16a18081c575fc1feb324c0a55f8c"
 
 
 @pytest.mark.parametrize("dims", [(10, 13), (1, 1), (0, 8), (8, 0), (-8, 8), (18, 16)])

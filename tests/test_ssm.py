@@ -161,6 +161,11 @@ def test_param_shape_checks():
     bad.B[0, 0] = np.nan
     with pytest.raises(ValueError):
         bad.check(8, 2)
+    # a one-value D would broadcast over the channels, but D is [C]
+    one_d = SelectiveScanParams.init(2, 4, 8, rng)
+    one_d.D = np.ones(1)
+    with pytest.raises(ValueError, match="D shape"):
+        one_d.check(8, 2)
 
 
 def test_gradient_check_20_instances():

@@ -8,7 +8,6 @@ from tsmamba.model import TsMambaWeights, ts_mamba_forward
 from tsmamba.numerics import ModelConfig
 from tsmamba.trajectory import (
     MAX_FLOW_RADIUS,
-    GWeights,
     TrajectorySet,
     block_matching_flow,
     generate_tokens,
@@ -180,7 +179,7 @@ def test_token_centers_match_loop_oracle(ht, wt, t):
 def test_generate_tokens_shapes():
     cfg = ModelConfig(channels=8)
     rng = np.random.default_rng(0)
-    w = GWeights.random(cfg, rng)
+    w = TsMambaWeights.random(cfg, seed=0).g
     frame = rng.normal(0, 0.3, (3, 16, 16)).astype(np.float32)
     grid = generate_tokens(frame, cfg, w)
     assert grid.shape == (4, 4, 8)
@@ -189,7 +188,7 @@ def test_generate_tokens_shapes():
 
 def test_generate_tokens_rejects_bad_dims():
     cfg = ModelConfig(channels=8)
-    w = GWeights.random(cfg, np.random.default_rng(0))
+    w = TsMambaWeights.random(cfg, seed=0).g
     with pytest.raises(ValueError):
         generate_tokens(np.zeros((3, 15, 16)), cfg, w)
 
@@ -227,7 +226,7 @@ def test_propagate_zero_flow_keeps_centers(t, window):
 def test_select_without_flows_equals_zero_flows(n_frames):
     cfg = ModelConfig(channels=4, temporal_window=3, s_selected=2)
     rng = np.random.default_rng(n_frames)
-    g = GWeights.random(cfg, rng)
+    g = TsMambaWeights.random(cfg, seed=n_frames).g
     frames = [rng.random((3, 16, 12)).astype(np.float32) for _ in range(n_frames)]
     zeros = [np.zeros((2, 16, 12), dtype=np.float32)] * n_frames
     grid, sel = select_along_trajectories(frames, None, g, cfg)
