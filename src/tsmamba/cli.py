@@ -32,7 +32,6 @@ from .model import (
     TsMambaWeights,
     charbonnier_loss,
     count_params_macs,
-    part_from_map,
     total_loss,
     trajectory_loss,
     ts_mamba_forward,
@@ -60,7 +59,7 @@ from .ssm import (
     gradient_check,
     selective_scan_forward,
 )
-from .trajectory import GWeights, TrajectorySet, block_matching_flow, select_along_trajectories
+from .trajectory import TrajectorySet, block_matching_flow, select_along_trajectories
 
 
 class CliError(Exception):
@@ -76,12 +75,23 @@ def _digest(path):
 
 
 def _envelope(command, inputs, payload):
+    """The report of payload; inputs lists the paths read, None for a flag
+    not given."""
     return {
         "version": __version__,
         "command": command,
-        "inputs": {os.path.basename(p): _digest(p) for p in inputs},
+        "inputs": {os.path.basename(p): _digest(p) for p in inputs if p},
         "payload": payload,
     }
+
+
+def _read_array(path):
+    """The TSTF or, by any other suffix, PNM array at path; a NaN or inf in it
+    is an invalid input."""
+    array = read_tstf(path) if path.endswith(".tstf") else read_pnm(path)
+    if not np.isfinite(array).all():
+        raise CliError(f"{path} holds non-finite values")
+    return array
 
 
 def _write_text(text, path=None):
@@ -145,45 +155,87 @@ def cmd_disc_search(args):
 
 # --- traj -------------------------------------------------------------------
 
-def _load_frames(directory, config):
-    """(paths, frames, directory index of the first) of the directory's last
-    T + 1 frames in name order: trajectories reach T = temporal_window back."""
-    paths = sorted(
-        os.path.join(directory, p) for p in os.listdir(directory)
-        if p.endswith((".pgm", ".ppm", ".tstf"))
-    )
-    if not paths:
-        raise CliError(f"no frames in {directory}")
-    first = max(len(paths) - config.temporal_window - 1, 0)
-    paths = paths[first:]
-    frames = [read_tstf(p) if p.endswith(".tstf") else read_pnm(p) for p in paths]
-    for path, frame in zip(paths, frames):
-        if not np.isfinite(frame).all():
-            raise CliError(f"frame {path} holds non-finite values")
-    return paths, frames, first
+def _load_config(path):
+    """The ModelConfig of a JSON object of integer setting overrides, or the
+    defaults without a path."""
+    if not path:
+        return ModelConfig()
+    with open(path) as f:
+        overrides = json.load(f)
+    if not isinstance(overrides, dict):
+        raise CliError("--config must hold a JSON object")
+    known = {f.name for f in dataclasses.fields(ModelConfig)}
+    for k, v in overrides.items():
+        if k not in known:
+            raise CliError(f"unknown config key {k!r}")
+        if type(v) is not int:
+            raise CliError(f"config key {k!r} must be an integer, got {v!r}")
+    return ModelConfig(**overrides)
 
 
-def cmd_traj_select(args):
-    config = ModelConfig(s_selected=args.s)
-    paths, frames, first = _load_frames(args.frames, config)
-    g_rows = {name: row for name, row in weight_table(config, c_in=frames[0].shape[0]).items()
-              if name.startswith("g.")}
-    weights = part_from_map(GWeights, draw_weights(g_rows, np.random.default_rng(args.seed)), "g")
-    flow_paths = []
+def _load_weight_bundle(directory, table):
+    """(name -> float64 array of every table row, paths of the files read)
+    of the bundle whose manifest.json names one TSTF file per layer."""
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path) as f:       # a missing manifest is an OSError: exit 2
+        manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise CliError("manifest.json must hold a JSON object")
+    for problem, names in (("lacks", table.keys() - manifest.keys()),
+                           ("holds unknown", manifest.keys() - table.keys())):
+        if names:
+            raise CliError(f"weight bundle {problem} layers: " + ", ".join(sorted(names)))
+    layers, paths = {}, [manifest_path]
+    for name, (shape, _) in table.items():
+        if not isinstance(manifest[name], str):
+            raise CliError(f"manifest entry for {name} must be a file name")
+        paths.append(os.path.join(directory, manifest[name]))
+        t = _read_array(paths[-1])
+        if t.shape != shape:
+            raise CliError(f"layer {name}: shape {t.shape} != {shape}")
+        layers[name] = t.astype(np.float64)
+    return layers, paths
+
+
+def _load_clip(args):
+    """(config, weights, frames, flows, paths) of the model commands: the
+    --config model; the directory's last T + 1 frames in name order
+    (trajectories reach T = temporal_window back) and the T flows between
+    them, read from --flows or block-matched at --radius; the model's weights
+    from the --weights bundle or drawn from --seed; and every file read."""
+    config = _load_config(args.config)
+    names = sorted(p for p in os.listdir(args.frames) if p.endswith((".pgm", ".ppm", ".tstf")))
+    if not names:
+        raise CliError(f"no frames in {args.frames}")
+    first = max(len(names) - config.temporal_window - 1, 0)
+    paths = [os.path.join(args.frames, p) for p in names[first:]]
+    frames = [_read_array(p) for p in paths]
     if args.flows:
         # flow_k.tstf is the flow from directory frame k to frame k - 1
         flow_paths = [os.path.join(args.flows, f"flow_{first + k:04d}.tstf")
                       for k in range(1, len(frames))]
-        flows = [read_tstf(fp) for fp in flow_paths]
+        flows = [_read_array(p) for p in flow_paths]
+        paths += flow_paths
     else:
         flows = [block_matching_flow(frames[k], frames[k - 1], args.radius)
                  for k in range(1, len(frames))]
-    _, sel = select_along_trajectories(frames, flows, weights, config)
+    table = weight_table(config, c_in=frames[0].shape[0])
+    if args.weights:
+        layers, weight_paths = _load_weight_bundle(args.weights, table)
+        paths += weight_paths
+    else:
+        layers = draw_weights(table, np.random.default_rng(args.seed))
+    return config, TsMambaWeights.from_map(layers), frames, flows, paths + [args.config]
+
+
+def cmd_traj_select(args):
+    config, weights, frames, flows, paths = _load_clip(args)
+    _, sel = select_along_trajectories(frames, flows, weights.g, config)
     payload = {
         "indices": sel.indices.tolist(),
         "scores": [[round(v, 8) for v in row] for row in sel.scores.tolist()],
     }
-    _emit(_envelope("traj select", paths + flow_paths, payload), args.out)
+    _emit(_envelope("traj select", paths, payload), args.out)
     if args.tokens_out:
         write_tstf(args.tokens_out, sel.selected)
     return 0
@@ -194,7 +246,7 @@ def cmd_traj_select(args):
 def _params_from_file(path, length, channels, state_dim, seed):
     table = SelectiveScanParams.table(channels, state_dim, length)
     if path:
-        flat = read_tstf(path).reshape(-1).astype(np.float64)
+        flat = _read_array(path).reshape(-1).astype(np.float64)
         sizes = [math.prod(shape) for shape, _ in table.values()]
         if flat.size != sum(sizes):
             raise CliError(f"parameter file holds {flat.size} values, need {sum(sizes)}")
@@ -205,7 +257,7 @@ def _params_from_file(path, length, channels, state_dim, seed):
 
 
 def cmd_ssm_run(args):
-    seq = read_tstf(args.input)
+    seq = _read_array(args.input)
     if seq.ndim != 2 or 0 in seq.shape:
         raise CliError(f"ssm input must be a [L >= 1, C >= 1] TSTF tensor, got {list(seq.shape)}")
     L, C = seq.shape
@@ -213,8 +265,7 @@ def cmd_ssm_run(args):
     out = selective_scan_forward(params, seq)
     write_tstf(args.out, out)
     payload = {"length": L, "channels": C, "state_dim": int(params.A.shape[1])}
-    _emit(_envelope("ssm run", [args.input] + ([args.params] if args.params else []),
-                    payload))
+    _emit(_envelope("ssm run", [args.input, args.params], payload))
     return 0
 
 
@@ -233,25 +284,8 @@ def cmd_grad_check(args):
 # --- model ------------------------------------------------------------------
 
 def cmd_model_forward(args):
-    overrides = {}
-    if args.config:
-        with open(args.config) as f:
-            overrides = json.load(f)
-        if not isinstance(overrides, dict):
-            raise CliError("--config must hold a JSON object")
-        known = {f.name for f in dataclasses.fields(ModelConfig)}
-        for k, v in overrides.items():
-            if k not in known:
-                raise CliError(f"unknown config key {k!r}")
-            if type(v) is not int:
-                raise CliError(f"config key {k!r} must be an integer, got {v!r}")
-    config = ModelConfig(**overrides)
-    _, frames, _ = _load_frames(args.frames, config)
-    if args.weights:
-        weights = _load_weight_bundle(args.weights, config)
-    else:
-        weights = TsMambaWeights.random(config, seed=args.seed)
-    out = ts_mamba_forward(frames, None, weights, config)
+    config, weights, frames, flows, _ = _load_clip(args)
+    out = ts_mamba_forward(frames, flows, weights, config)
     if args.out.endswith(".tstf"):
         write_tstf(args.out, out)
     else:
@@ -259,44 +293,18 @@ def cmd_model_forward(args):
     return 0
 
 
-def _load_weight_bundle(directory, config):
-    manifest_path = os.path.join(directory, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise CliError(f"weight bundle missing manifest.json in {directory}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    if not isinstance(manifest, dict):
-        raise CliError("manifest.json must hold a JSON object")
-    table = weight_table(config)
-    for problem, names in (("lacks", table.keys() - manifest.keys()),
-                           ("holds unknown", manifest.keys() - table.keys())):
-        if names:
-            raise CliError(f"weight bundle {problem} layers: " + ", ".join(sorted(names)))
-    layers = {}
-    for name, (shape, _) in table.items():
-        if not isinstance(manifest[name], str):
-            raise CliError(f"manifest entry for {name} must be a file name")
-        t = read_tstf(os.path.join(directory, manifest[name]))
-        if t.shape != shape:
-            raise CliError(f"layer {name}: shape {t.shape} != {shape}")
-        if not np.isfinite(t).all():
-            raise CliError(f"layer {name} holds non-finite values")
-        layers[name] = t.astype(np.float64)
-    return TsMambaWeights.from_map(layers)
-
-
 def cmd_model_count(args):
-    config = ModelConfig(channels=args.channels)
+    config = _load_config(args.config)
     counts = count_params_macs(config, (args.height, args.width))
-    _emit(_envelope("model count", [], counts), args.out)
+    _emit(_envelope("model count", [args.config], counts), args.out)
     return 0
 
 
 # --- loss -------------------------------------------------------------------
 
 def cmd_loss_eval(args):
-    sr = read_tstf(args.sr)
-    hr = read_tstf(args.hr)
+    sr = _read_array(args.sr)
+    hr = _read_array(args.hr)
     spa = charbonnier_loss(sr, hr, epsilon=args.epsilon)
     payload = {"spatial": spa}
     if bool(args.lr_traj) != bool(args.hr_traj):
@@ -307,7 +315,7 @@ def cmd_loss_eval(args):
         h, w = args.lr_height, args.lr_width
         if h < 1 or w < 1:
             raise CliError("--lr-traj/--hr-traj need positive --lr-height and --lr-width")
-        lt, ht = (read_tstf(p).astype(np.float64) for p in (args.lr_traj, args.hr_traj))
+        lt, ht = (_read_array(p).astype(np.float64) for p in (args.lr_traj, args.hr_traj))
         if any(a.ndim != 3 or 0 in a.shape or a.shape[2] != 2 for a in (lt, ht)):
             raise CliError(f"trajectory stacks must be [depth >= 1, N >= 1, 2], got "
                            f"{list(lt.shape)} and {list(ht.shape)}")
@@ -322,8 +330,8 @@ def cmd_loss_eval(args):
         payload["trajectory"] = trj
         weight = {} if args.lam is None else {"lam": args.lam}   # else total_loss's default
         payload["total"] = total_loss(spa, trj, **weight)
-    inputs = [args.sr, args.hr] + [p for p in (args.lr_traj, args.hr_traj) if p]
-    _emit(_envelope("loss eval", inputs, payload), args.out)
+    _emit(_envelope("loss eval", [args.sr, args.hr, args.lr_traj, args.hr_traj], payload),
+          args.out)
     return 0
 
 
@@ -336,11 +344,28 @@ def positive_int(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose subparsers are _Parsers too, taking only whole flags:
+    `--se` is not read as `--seed`."""
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser():
     # Each exclusive pair is an input and the flag that makes one up when it
     # is absent.  Their defaults are strings, which argparse converts, so an
     # explicit value equal to the default still counts as given.
-    p = argparse.ArgumentParser(prog="tsm", description=__doc__)
+    clip = _Parser(add_help=False)
+    clip.add_argument("--frames", required=True)
+    motion = clip.add_mutually_exclusive_group()
+    motion.add_argument("--flows")
+    motion.add_argument("--radius", type=int, default="2")
+    source = clip.add_mutually_exclusive_group()
+    source.add_argument("--weights")
+    source.add_argument("--seed", type=int, default="0")
+    clip.add_argument("--config")
+
+    p = _Parser(prog="tsm", description=__doc__)
     sub = p.add_subparsers(dest="group", required=True)
 
     scan = sub.add_parser("scan").add_subparsers(dest="cmd", required=True)
@@ -371,13 +396,7 @@ def build_parser():
     s.set_defaults(func=cmd_disc_search)
 
     traj = sub.add_parser("traj").add_subparsers(dest="cmd", required=True)
-    t = traj.add_parser("select")
-    t.add_argument("--frames", required=True)
-    motion = t.add_mutually_exclusive_group()
-    motion.add_argument("--flows")
-    motion.add_argument("--radius", type=int, default="2")
-    t.add_argument("--s", type=int, default=3)
-    t.add_argument("--seed", type=int, default=0)
+    t = traj.add_parser("select", parents=[clip])
     t.add_argument("--out")
     t.add_argument("--tokens-out")
     t.set_defaults(func=cmd_traj_select)
@@ -402,16 +421,11 @@ def build_parser():
     gc.set_defaults(func=cmd_grad_check)
 
     model = sub.add_parser("model").add_subparsers(dest="cmd", required=True)
-    f = model.add_parser("forward")
-    f.add_argument("--frames", required=True)
-    source = f.add_mutually_exclusive_group()
-    source.add_argument("--weights")
-    source.add_argument("--seed", type=int, default="0")
-    f.add_argument("--config")
+    f = model.add_parser("forward", parents=[clip])
     f.add_argument("--out", required=True)
     f.set_defaults(func=cmd_model_forward)
     mc = model.add_parser("count")
-    mc.add_argument("--channels", type=int, default=32)
+    mc.add_argument("--config")
     mc.add_argument("--height", type=int, default=180)
     mc.add_argument("--width", type=int, default=320)
     mc.add_argument("--out")

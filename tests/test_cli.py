@@ -24,7 +24,7 @@ from tsmamba.discontinuity import analyze, search_procedures
 from tsmamba.model import TsMambaWeights, ts_mamba_forward, weight_map
 from tsmamba.numerics import ModelConfig, read_pnm, read_tstf, write_pnm, write_tstf
 from tsmamba.scanorder import ScanVariant
-from tsmamba.trajectory import block_matching_flow, token_centers
+from tsmamba.trajectory import block_matching_flow, select_along_trajectories, token_centers
 
 
 def test_unknown_subcommand_exit_2(capsys):
@@ -291,7 +291,7 @@ def test_traj_select(tmp_path, capsys):
     out = tmp_path / "sel.json"
     toks = tmp_path / "sel.tstf"
     assert main(["traj", "select", "--frames", str(frames), "--radius", "0",
-                 "--s", "3", "--out", str(out), "--tokens-out", str(toks)]) == 0
+                 "--out", str(out), "--tokens-out", str(toks)]) == 0
     env = json.loads(out.read_text())
     idx = np.array(env["payload"]["indices"])
     assert idx.shape == (16, 3)
@@ -397,13 +397,16 @@ def test_traj_select_non_finite_flow_exit_2(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("s,code", [("-1", 2), ("0", 0), ("14", 0), ("15", 2)])
 def test_traj_select_s_must_fit_config(tmp_path, capsys, s, code):
-    """--s is checked when its ModelConfig is created: 0 <= s <= T - 1 (T = 15)."""
+    """s_selected is checked when its ModelConfig is created: 0 <= s <= T - 1
+    (T = 15)."""
     frames = tmp_path / "frames"
     frames.mkdir()
     _write_frames(frames, n=2, size=8)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s_selected": int(s)}))
     out = tmp_path / "sel.json"
     assert main(["traj", "select", "--frames", str(frames), "--radius", "0",
-                 "--s", s, "--out", str(out)]) == code
+                 "--config", str(cfg), "--out", str(out)]) == code
     if code == 0:
         idx = np.array(json.loads(out.read_text())["payload"]["indices"])
         assert idx.shape == (4, int(s))
@@ -495,28 +498,39 @@ def test_grad_check_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_model_count(capsys):
+def test_model_count(tmp_path, capsys):
     """The counts at 180x320, and the report's bytes, at the default width
-    and at the calibrated C = 87."""
-    for channels, params, macs, digest in (
-            (32, 464_675, 28_156_354_560,
+    and at the calibrated C = 87 of a --config file, whose digest the
+    report lists besides."""
+    cfg = tmp_path / "c87.json"
+    cfg.write_text(json.dumps({"channels": 87}))
+    for config, params, macs, digest in (
+            ([], 464_675, 28_156_354_560,
              "d1bc024ed916d51db44df5d53e00f628871e966b5dcc2cc08c6be03ef0f154a6"),
-            (87, 3_025_035, 203_505_708_960,
+            (["--config", str(cfg)], 3_025_035, 203_505_708_960,
              "319e12b2ddaf192152b7e80d98d907a06da881451b2890d5033bd26943cfcc93")):
-        assert main(["model", "count", "--channels", str(channels)]) == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out)["payload"]
+        assert main(["model", "count", *config]) == 0
+        env = json.loads(capsys.readouterr().out)
+        payload = env["payload"]
         assert (payload["params"], payload["macs"]) == (params, macs)
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert env["inputs"] == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                 for p in map(Path, config[1:])}
+        bare = json.dumps(dict(env, inputs={}), separators=(",", ":"), sort_keys=True)
+        assert hashlib.sha256((bare + "\n").encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [
-    ["--channels", "0"], ["--channels", "-3"],
+    ["--config", '{"channels": 0}'], ["--config", '{"channels": -3}'],
     ["--height", "0"], ["--height", "-8"], ["--width", "0"],
     ["--height", "10", "--width", "13"], ["--height", "1", "--width", "1"],
     ["--height", "10"],
 ])
-def test_model_count_rejects_bad_sizes(argv, capsys):
+def test_model_count_rejects_bad_sizes(argv, tmp_path, capsys):
+    """A width below 1 in the --config file (written from the JSON given
+    here) or a frame size the forward pass cannot run exits 2."""
+    if argv[0] == "--config":
+        (tmp_path / "cfg.json").write_text(argv[1])
+        argv = ["--config", str(tmp_path / "cfg.json")]
     assert main(["model", "count", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error:" in captured.err
@@ -613,7 +627,7 @@ def test_model_forward_weight_bundle(tmp_path):
     for arr in weight_map(weights).values():
         arr[...] = arr.astype(np.float32)
     clip = [read_pnm(p) for p in sorted(frames.iterdir())]
-    want = ts_mamba_forward(clip, None, weights, config)
+    want = ts_mamba_forward(clip, [block_matching_flow(clip[1], clip[0], 2)], weights, config)
     assert np.array_equal(read_tstf(out), want.data)
 
 
@@ -665,6 +679,179 @@ def test_non_finite_frame_exits_2(tmp_path, capsys, command):
     assert main([*command.split(), "--frames", str(frames), "--out", str(out)]) == 2
     assert "frame_001.tstf holds non-finite values" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ssm run", "loss eval"])
+def test_non_finite_array_input_exits_2(tmp_path, capsys, command):
+    """A NaN in the ssm run input, or in the loss eval LR trajectory stack,
+    exits 2 naming the file, and no --out file is written."""
+    bad = tmp_path / "bad.tstf"
+    out = tmp_path / ("y.tstf" if command == "ssm run" else "loss.json")
+    if command == "ssm run":
+        seq = np.ones((4, 2))
+        seq[1, 1] = np.nan
+        write_tstf(bad, seq)
+        argv = ["ssm", "run", "--input", str(bad)]
+    else:
+        lr_coords, hr_coords = _trajectory_stacks()
+        lr_coords[0, 0, 0] = np.nan
+        write_tstf(bad, lr_coords)
+        write_tstf(tmp_path / "hr.tstf", hr_coords)
+        write_tstf(tmp_path / "sr.tstf", np.zeros((3, 8, 8)))
+        argv = ["loss", "eval", "--sr", str(tmp_path / "sr.tstf"), "--hr",
+                str(tmp_path / "sr.tstf"), "--lr-traj", str(bad), "--hr-traj",
+                str(tmp_path / "hr.tstf"), "--lr-height", "8", "--lr-width", "32"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{bad} holds non-finite values" in err
+    assert not out.exists()
+
+
+def _write_panned_frames(directory, n=4, size=16, step=2):
+    """n frames of one random texture, each moved step pixels down and right
+    from the last."""
+    directory.mkdir()
+    pad = n * step
+    texture = np.random.default_rng(7).random((3, size + pad, size + pad)).astype(np.float32)
+    for k in range(n):
+        at = pad - k * step
+        write_pnm(directory / f"frame_{k:03d}.ppm", texture[:, at:at + size, at:at + size])
+
+
+def test_model_forward_runs_on_the_clip_motion(tmp_path):
+    """model forward is ts_mamba_forward on the flows of its inputs: the
+    --flows files, block matching at --radius (2 by default), and at radius
+    0 zero flows, whose SR is the motion-less one (flows=None).  Motion
+    found at the default radius moves the SR."""
+    frames, flows = tmp_path / "frames", tmp_path / "flows"
+    _write_panned_frames(frames)
+    flows.mkdir()
+    rng = np.random.default_rng(2)
+    for k in (1, 2, 3):
+        write_tstf(flows / f"flow_{k:04d}.tstf", np.rint(rng.uniform(-2, 2, (2, 16, 16))))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FUZZ_CONFIG))
+    config = ModelConfig(**FUZZ_CONFIG)
+    weights = TsMambaWeights.random(config, seed=0)
+    clip = [read_pnm(p) for p in sorted(frames.iterdir())]
+    cases = {
+        "flows": (["--flows", str(flows)], [read_tstf(p) for p in sorted(flows.iterdir())]),
+        **{f"radius{r}": (motion, [block_matching_flow(clip[k], clip[k - 1], r)
+                                   for k in (1, 2, 3)])
+           for r, motion in ((1, ["--radius", "1"]), (2, []))},
+        "radius0": (["--radius", "0"], None),
+    }
+    sr = {}
+    for name, (motion, clip_flows) in cases.items():
+        out = tmp_path / f"{name}.tstf"
+        assert main(["model", "forward", "--frames", str(frames), "--config", str(cfg),
+                     "--out", str(out)] + motion) == 0
+        sr[name] = read_tstf(out)
+        assert np.array_equal(sr[name], ts_mamba_forward(clip, clip_flows, weights, config).data)
+    assert not np.array_equal(sr["radius2"], sr["radius0"])
+
+
+def test_traj_select_weight_bundle_gives_the_selection_under_its_g(tmp_path):
+    """traj select with --weights selects with the bundle's G and draws
+    nothing."""
+    frames = tmp_path / "frames"
+    _write_panned_frames(frames)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FUZZ_CONFIG))
+    config = ModelConfig(**FUZZ_CONFIG)
+    weights = TsMambaWeights.random(config, seed=5)
+    _write_bundle(tmp_path / "bundle", weights)
+    out, toks = tmp_path / "sel.json", tmp_path / "sel.tstf"
+    with mock.patch("numpy.random.default_rng", side_effect=RuntimeError("RNG constructed")):
+        assert main(["traj", "select", "--frames", str(frames), "--config", str(cfg),
+                     "--weights", str(tmp_path / "bundle"), "--radius", "1",
+                     "--out", str(out), "--tokens-out", str(toks)]) == 0
+    for arr in weight_map(weights).values():
+        arr[...] = arr.astype(np.float32)
+    clip = [read_pnm(p) for p in sorted(frames.iterdir())]
+    _, sel = select_along_trajectories(
+        clip, [block_matching_flow(clip[k], clip[k - 1], 1) for k in (1, 2, 3)],
+        weights.g, config)
+    assert json.loads(out.read_text())["payload"]["indices"] == sel.indices.tolist()
+    assert np.array_equal(read_tstf(toks), sel.selected)
+
+
+def test_traj_select_config_sets_the_temporal_window(tmp_path):
+    """At T = 3 block matching runs 3 times and the report lists the last 4
+    frames and the config file, no other."""
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    _write_frames(frames, n=6, size=8)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"temporal_window": 3, "s_selected": 2}))
+    out = tmp_path / "sel.json"
+    with mock.patch("tsmamba.cli.block_matching_flow", wraps=block_matching_flow) as bm:
+        assert main(["traj", "select", "--frames", str(frames), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    assert bm.call_count == 3
+    assert sorted(json.loads(out.read_text())["inputs"]) == [
+        "cfg.json", *(f"frame_{k:03d}.ppm" for k in range(2, 6))]
+
+
+def test_report_inputs_cover_the_config_and_the_weight_bundle(tmp_path, capsys):
+    """traj select lists the digests of its --config file and of the bundle's
+    manifest and layer files, and model count of its --config file: a
+    changed weight file or config value changes its digest."""
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    _write_frames(frames, n=2, size=8)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FUZZ_CONFIG))
+    weights = TsMambaWeights.random(ModelConfig(**FUZZ_CONFIG), seed=1)
+    manifest = _write_bundle(tmp_path / "bundle", weights)
+    select = ["traj", "select", "--frames", str(frames), "--radius", "0", "--config", str(cfg),
+              "--weights", str(tmp_path / "bundle")]
+    count = ["model", "count", "--config", str(cfg), "--height", "8", "--width", "8"]
+
+    def inputs(argv):
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["inputs"]
+
+    before = inputs(select)
+    assert set(before) == {"frame_000.ppm", "frame_001.ppm", "cfg.json", "manifest.json",
+                           *manifest.values()}
+    write_tstf(tmp_path / "bundle" / manifest["r.tail_b"], np.ones(3))
+    after = inputs(select)
+    assert {name for name in before if before[name] != after[name]} == {manifest["r.tail_b"]}
+    counted = inputs(count)
+    assert set(counted) == {"cfg.json"}
+    cfg.write_text(json.dumps(dict(FUZZ_CONFIG, channels=5)))
+    assert inputs(count)["cfg.json"] != counted["cfg.json"]
+
+
+def test_model_count_counts_the_model_a_bundle_holds(tmp_path, capsys):
+    """model count of a --config counts every value of that config's bundle."""
+    settings = {"channels": 6, "state_dim": 4, "n2_res_blocks": 2}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    assert main(["model", "count", "--config", str(cfg)]) == 0
+    params = json.loads(capsys.readouterr().out)["payload"]["params"]
+    bundle = weight_map(TsMambaWeights.random(ModelConfig(**settings)))
+    assert params == sum(array.size for array in bundle.values())
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["traj", "select", "--frames", "{frames}"], "--s"),
+    (["traj", "select", "--frames", "{frames}"], "--se"),
+    (["model", "count"], "--channels"),
+])
+def test_abbreviated_and_removed_flags_exit_2(tmp_path, capsys, argv, flag):
+    """Flags are matched whole, so --se is not read as --seed; s_selected and
+    channels are set through --config alone, so --s and --channels are no
+    flags of these commands."""
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    _write_frames(frames, n=1, size=8)
+    argv = [arg.replace("{frames}", str(frames)) for arg in argv]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + [flag, "3" if flag.startswith("--s") else "16"]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_loss_eval_fixed_point(tmp_path, capsys):
@@ -780,9 +967,10 @@ def test_loss_eval_lam_needs_both_trajectory_stacks(tmp_path, capsys, lam, stack
 
 @pytest.mark.parametrize("argv,flag,default", [
     (["traj", "select", "--frames", "f", "--flows", "d"], "--radius", "2"),
+    (["traj", "select", "--frames", "f", "--weights", "d"], "--seed", "0"),
     (["model", "forward", "--frames", "f", "--weights", "d", "--out", "o"], "--seed", "0"),
     (["ssm", "run", "--input", "i", "--params", "p", "--out", "o"], "--seed", "0"),
-], ids=["traj select", "model forward", "ssm run"])
+], ids=["traj select", "traj select weights", "model forward", "ssm run"])
 def test_input_and_the_flag_that_makes_it_up_are_exclusive(capsys, argv, flag, default):
     """--radius only feeds the block matching that --flows replaces, and
     --seed only draws the weights or parameters that --weights or --params
@@ -883,8 +1071,9 @@ FUZZ_CALLS = {
                       ("--window", "int", "4")]],
     "disc search": [[("--grid", "int", "8"), ("--window", "int", "4")]],
     "traj select": [[("--frames", "frames", "frames"), ("--radius", "int", "1"),
-                     ("--s", "int", "3"), ("--seed", "int", "7")],
-                    [("--frames", "frames", "frames"), ("--flows", "flows", "flows")]],
+                     ("--config", "file", "config.json"), ("--seed", "int", "7")],
+                    [("--frames", "frames", "frames"), ("--flows", "flows", "flows"),
+                     ("--config", "file", "config.json"), ("--weights", "weights", "bundle")]],
     "ssm run": [[("--input", "file", "seq.tstf"), ("--state-dim", "int", "3"),
                  ("--seed", "int", "7")],
                 [("--input", "file", "seq.tstf"), ("--params", "file", "params.tstf"),
@@ -893,10 +1082,10 @@ FUZZ_CALLS = {
                     ("--state-dim", "int", "2"), ("--tol", "float", "1e-5"),
                     ("--seed", "int", "7")]],
     "model forward": [[("--frames", "frames", "frames"), ("--config", "file", "config.json"),
-                       ("--seed", "int", "7")],
+                       ("--radius", "int", "1"), ("--seed", "int", "7")],
                       [("--frames", "frames", "frames"), ("--config", "file", "config.json"),
-                       ("--weights", "weights", "bundle")]],
-    "model count": [[("--channels", "int", "16"), ("--height", "int", "32"),
+                       ("--flows", "flows", "flows"), ("--weights", "weights", "bundle")]],
+    "model count": [[("--config", "file", "config.json"), ("--height", "int", "32"),
                      ("--width", "int", "48")]],
     "loss eval": [[("--sr", "file", "sr.tstf"), ("--hr", "file", "hr.tstf"),
                    ("--epsilon", "float", "1e-4")],
