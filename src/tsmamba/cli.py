@@ -32,6 +32,7 @@ from .model import (
     TsMambaWeights,
     charbonnier_loss,
     count_params_macs,
+    part_from_map,
     total_loss,
     trajectory_loss,
     ts_mamba_forward,
@@ -59,7 +60,7 @@ from .ssm import (
     gradient_check,
     selective_scan_forward,
 )
-from .trajectory import TrajectorySet, block_matching_flow, select_along_trajectories
+from .trajectory import GWeights, TrajectorySet, block_matching_flow, select_along_trajectories
 
 
 class CliError(Exception):
@@ -86,9 +87,9 @@ def _envelope(command, inputs, payload):
 
 
 def _read_array(path):
-    """The TSTF or, by any other suffix, PNM array at path; a NaN or inf in it
-    is an invalid input."""
-    array = read_tstf(path) if path.endswith(".tstf") else read_pnm(path)
+    """The PNM array at a .pgm or .ppm path, else the TSTF one; a NaN or inf
+    in it is an invalid input."""
+    array = read_pnm(path) if path.endswith((".pgm", ".ppm")) else read_tstf(path)
     if not np.isfinite(array).all():
         raise CliError(f"{path} holds non-finite values")
     return array
@@ -173,18 +174,19 @@ def _load_config(path):
     return ModelConfig(**overrides)
 
 
-def _load_weight_bundle(directory, table):
-    """(name -> float64 array of every table row, paths of the files read)
-    of the bundle whose manifest.json names one TSTF file per layer."""
+def _load_weight_bundle(directory, names, table):
+    """(name -> float64 array of each table row, paths of the files read) of
+    the bundle whose manifest.json names one TSTF file per layer, for each
+    of names and no other."""
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path) as f:       # a missing manifest is an OSError: exit 2
         manifest = json.load(f)
     if not isinstance(manifest, dict):
         raise CliError("manifest.json must hold a JSON object")
-    for problem, names in (("lacks", table.keys() - manifest.keys()),
-                           ("holds unknown", manifest.keys() - table.keys())):
-        if names:
-            raise CliError(f"weight bundle {problem} layers: " + ", ".join(sorted(names)))
+    for problem, extra in (("lacks", names - manifest.keys()),
+                           ("holds unknown", manifest.keys() - names)):
+        if extra:
+            raise CliError(f"weight bundle {problem} layers: " + ", ".join(sorted(extra)))
     layers, paths = {}, [manifest_path]
     for name, (shape, _) in table.items():
         if not isinstance(manifest[name], str):
@@ -197,11 +199,12 @@ def _load_weight_bundle(directory, table):
     return layers, paths
 
 
-def _load_clip(args):
-    """(config, weights, frames, flows, paths) of the model commands: the
+def _load_clip(args, prefix=""):
+    """(config, layers, frames, flows, paths) of the model commands: the
     --config model; the directory's last T + 1 frames in name order
     (trajectories reach T = temporal_window back) and the T flows between
-    them, read from --flows or block-matched at --radius; the model's weights
+    them, read from --flows or block-matched at --radius; the weight_table
+    rows whose names start with prefix (all of them, or "g." for G alone),
     from the --weights bundle or drawn from --seed; and every file read."""
     config = _load_config(args.config)
     names = sorted(p for p in os.listdir(args.frames) if p.endswith((".pgm", ".ppm", ".tstf")))
@@ -220,17 +223,20 @@ def _load_clip(args):
         flows = [block_matching_flow(frames[k], frames[k - 1], args.radius)
                  for k in range(1, len(frames))]
     table = weight_table(config, c_in=frames[0].shape[0])
+    rows = {name: row for name, row in table.items() if name.startswith(prefix)}
     if args.weights:
-        layers, weight_paths = _load_weight_bundle(args.weights, table)
+        layers, weight_paths = _load_weight_bundle(args.weights, table.keys(), rows)
         paths += weight_paths
     else:
-        layers = draw_weights(table, np.random.default_rng(args.seed))
-    return config, TsMambaWeights.from_map(layers), frames, flows, paths + [args.config]
+        # G's rows come first in the table, so G alone draws the model's G
+        layers = draw_weights(rows, np.random.default_rng(args.seed))
+    return config, layers, frames, flows, paths + [args.config]
 
 
 def cmd_traj_select(args):
-    config, weights, frames, flows, paths = _load_clip(args)
-    _, sel = select_along_trajectories(frames, flows, weights.g, config)
+    config, layers, frames, flows, paths = _load_clip(args, "g.")
+    g = part_from_map(GWeights, layers, "g")
+    _, sel = select_along_trajectories(frames, flows, g, config)
     payload = {
         "indices": sel.indices.tolist(),
         "scores": [[round(v, 8) for v in row] for row in sel.scores.tolist()],
@@ -284,8 +290,8 @@ def cmd_grad_check(args):
 # --- model ------------------------------------------------------------------
 
 def cmd_model_forward(args):
-    config, weights, frames, flows, _ = _load_clip(args)
-    out = ts_mamba_forward(frames, flows, weights, config)
+    config, layers, frames, flows, _ = _load_clip(args)
+    out = ts_mamba_forward(frames, flows, TsMambaWeights.from_map(layers), config)
     if args.out.endswith(".tstf"):
         write_tstf(args.out, out)
     else:

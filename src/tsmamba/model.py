@@ -190,9 +190,9 @@ class TsMambaWeights:
     @classmethod
     def from_map(cls, layers):
         """weight_map's inverse: the model over a flat map, holding its arrays."""
-        return cls(g=_part_from_map(GWeights, layers, "g"),
-                   tsma=_part_from_map(TsmaWeights, layers, "tsma"),
-                   r=_part_from_map(RWeights, layers, "r"))
+        return cls(g=part_from_map(GWeights, layers, "g"),
+                   tsma=part_from_map(TsmaWeights, layers, "tsma"),
+                   r=part_from_map(RWeights, layers, "r"))
 
 
 def weight_table(config, c_in=3):
@@ -225,7 +225,7 @@ def weight_table(config, c_in=3):
     }
 
 
-def _part_from_map(cls, layers, prefix):
+def part_from_map(cls, layers, prefix):
     """Part cls (GWeights, TsmaWeights or RWeights) over a flat map's prefix.* arrays."""
     values = {}
     for f in fields(cls):

@@ -22,7 +22,14 @@ from tsmamba import scanorder, ssm
 from tsmamba.cli import build_parser, main
 from tsmamba.discontinuity import analyze, search_procedures
 from tsmamba.model import TsMambaWeights, ts_mamba_forward, weight_map
-from tsmamba.numerics import ModelConfig, read_pnm, read_tstf, write_pnm, write_tstf
+from tsmamba.numerics import (
+    ModelConfig,
+    draw_weights,
+    read_pnm,
+    read_tstf,
+    write_pnm,
+    write_tstf,
+)
 from tsmamba.scanorder import ScanVariant
 from tsmamba.trajectory import block_matching_flow, select_along_trajectories, token_centers
 
@@ -500,23 +507,24 @@ def test_grad_check_passes(capsys):
 
 def test_model_count(tmp_path, capsys):
     """The counts at 180x320, and the report's bytes, at the default width
-    and at the calibrated C = 87 of a --config file, whose digest the
-    report lists besides."""
+    and at the calibrated C = 87 of a --config file.  The default report's
+    bytes are pinned as printed; the C = 87 report lists the config file's
+    digest besides, so its bytes are pinned with that listing emptied."""
+    assert main(["model", "count"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)["payload"]
+    assert (payload["params"], payload["macs"]) == (464_675, 28_156_354_560)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d1bc024ed916d51db44df5d53e00f628871e966b5dcc2cc08c6be03ef0f154a6"
     cfg = tmp_path / "c87.json"
     cfg.write_text(json.dumps({"channels": 87}))
-    for config, params, macs, digest in (
-            ([], 464_675, 28_156_354_560,
-             "d1bc024ed916d51db44df5d53e00f628871e966b5dcc2cc08c6be03ef0f154a6"),
-            (["--config", str(cfg)], 3_025_035, 203_505_708_960,
-             "319e12b2ddaf192152b7e80d98d907a06da881451b2890d5033bd26943cfcc93")):
-        assert main(["model", "count", *config]) == 0
-        env = json.loads(capsys.readouterr().out)
-        payload = env["payload"]
-        assert (payload["params"], payload["macs"]) == (params, macs)
-        assert env["inputs"] == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                                 for p in map(Path, config[1:])}
-        bare = json.dumps(dict(env, inputs={}), separators=(",", ":"), sort_keys=True)
-        assert hashlib.sha256((bare + "\n").encode()).hexdigest() == digest
+    assert main(["model", "count", "--config", str(cfg)]) == 0
+    env = json.loads(capsys.readouterr().out)
+    assert (env["payload"]["params"], env["payload"]["macs"]) == (3_025_035, 203_505_708_960)
+    assert env["inputs"] == {"c87.json": hashlib.sha256(cfg.read_bytes()).hexdigest()}
+    bare = json.dumps(dict(env, inputs={}), separators=(",", ":"), sort_keys=True)
+    assert hashlib.sha256((bare + "\n").encode()).hexdigest() == \
+        "319e12b2ddaf192152b7e80d98d907a06da881451b2890d5033bd26943cfcc93"
 
 
 @pytest.mark.parametrize("argv", [
@@ -776,6 +784,66 @@ def test_traj_select_weight_bundle_gives_the_selection_under_its_g(tmp_path):
     assert np.array_equal(read_tstf(toks), sel.selected)
 
 
+def test_traj_select_reads_and_draws_g_alone(tmp_path):
+    """traj select draws only G's rows, which come first in the table, so
+    --seed selects under the seeded model's G; from a bundle it reads only
+    G's layer files, where model forward needs them all."""
+    frames = tmp_path / "frames"
+    _write_panned_frames(frames)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FUZZ_CONFIG))
+    config = ModelConfig(**FUZZ_CONFIG)
+    out = tmp_path / "sel.json"
+    with mock.patch("tsmamba.cli.draw_weights", wraps=draw_weights) as draw:
+        assert main(["traj", "select", "--frames", str(frames), "--config", str(cfg),
+                     "--seed", "4", "--radius", "0", "--out", str(out)]) == 0
+    assert all(name.startswith("g.") for name in draw.call_args.args[0])
+    clip = [read_pnm(p) for p in sorted(frames.iterdir())]
+    _, sel = select_along_trajectories(clip, None, TsMambaWeights.random(config, seed=4).g,
+                                       config)
+    assert json.loads(out.read_text())["payload"]["indices"] == sel.indices.tolist()
+
+    manifest = _write_bundle(tmp_path / "bundle", TsMambaWeights.random(config, seed=5))
+    (tmp_path / "bundle" / manifest["r.tail_w"]).unlink()
+    clip_args = ["--frames", str(frames), "--config", str(cfg),
+                 "--weights", str(tmp_path / "bundle")]
+    assert main(["traj", "select", *clip_args, "--out", str(out)]) == 0
+    assert not any(name.startswith(("tsma.", "r.")) for name in json.loads(out.read_text())["inputs"])
+    assert main(["model", "forward", *clip_args, "--out", str(tmp_path / "sr.tstf")]) == 2
+
+
+def test_tstf_inputs_need_no_tstf_suffix(tmp_path, capsys):
+    """Only .pgm and .ppm paths are read as PNM: a bundle layer or an ssm run
+    input named .bin is read as TSTF."""
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    _write_frames(frames, n=2, size=8)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FUZZ_CONFIG))
+    bundle = tmp_path / "bundle"
+    manifest = _write_bundle(bundle, TsMambaWeights.random(ModelConfig(**FUZZ_CONFIG), seed=2))
+    srs = []
+    for suffix in (".tstf", ".bin"):
+        renamed = {name: path.replace(".tstf", suffix) for name, path in manifest.items()}
+        for name in manifest:
+            (bundle / manifest[name]).rename(bundle / renamed[name])
+        (bundle / "manifest.json").write_text(json.dumps(renamed))
+        manifest = renamed
+        srs.append(tmp_path / f"sr{suffix}.tstf")
+        assert main(["model", "forward", "--frames", str(frames), "--config", str(cfg),
+                     "--weights", str(bundle), "--out", str(srs[-1])]) == 0
+    assert srs[0].read_bytes() == srs[1].read_bytes()
+
+    seq = np.random.default_rng(0).normal(size=(6, 2))
+    outs = []
+    for name in ("seq.tstf", "seq.bin"):
+        write_tstf(tmp_path / name, seq)
+        outs.append(tmp_path / f"out_{name}.tstf")
+        assert main(["ssm", "run", "--input", str(tmp_path / name), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    capsys.readouterr()
+
+
 def test_traj_select_config_sets_the_temporal_window(tmp_path):
     """At T = 3 block matching runs 3 times and the report lists the last 4
     frames and the config file, no other."""
@@ -794,9 +862,9 @@ def test_traj_select_config_sets_the_temporal_window(tmp_path):
 
 
 def test_report_inputs_cover_the_config_and_the_weight_bundle(tmp_path, capsys):
-    """traj select lists the digests of its --config file and of the bundle's
-    manifest and layer files, and model count of its --config file: a
-    changed weight file or config value changes its digest."""
+    """traj select lists the digests of its --config file, the bundle's
+    manifest and the G layer files it reads, and model count of its --config
+    file: a changed weight file or config value changes its digest."""
     frames = tmp_path / "frames"
     frames.mkdir()
     _write_frames(frames, n=2, size=8)
@@ -814,10 +882,10 @@ def test_report_inputs_cover_the_config_and_the_weight_bundle(tmp_path, capsys):
 
     before = inputs(select)
     assert set(before) == {"frame_000.ppm", "frame_001.ppm", "cfg.json", "manifest.json",
-                           *manifest.values()}
-    write_tstf(tmp_path / "bundle" / manifest["r.tail_b"], np.ones(3))
+                           *(path for name, path in manifest.items() if name.startswith("g."))}
+    write_tstf(tmp_path / "bundle" / manifest["g.conv_b"], np.ones(FUZZ_CONFIG["channels"]))
     after = inputs(select)
-    assert {name for name in before if before[name] != after[name]} == {manifest["r.tail_b"]}
+    assert {name for name in before if before[name] != after[name]} == {manifest["g.conv_b"]}
     counted = inputs(count)
     assert set(counted) == {"cfg.json"}
     cfg.write_text(json.dumps(dict(FUZZ_CONFIG, channels=5)))
