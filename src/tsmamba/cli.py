@@ -3,7 +3,8 @@
 Subcommands: scan gen|check, disc analyze|search, traj select, ssm run,
 grad check, model forward|count, loss eval.  All JSON outputs are wrapped in
 a ReportEnvelope carrying the tool version, the command, and content digests
-of every input file, so identical inputs give byte-identical reports.
+of every input file keyed by its path as opened, so identical invocations give
+byte-identical reports.
 
 Exit codes: 0 success, 1 internal invariant violation, 2 invalid arguments.
 """
@@ -77,11 +78,11 @@ def _digest(path):
 
 def _envelope(command, inputs, payload):
     """The report of payload; inputs lists the paths read, None for a flag
-    not given."""
+    not given, and each is keyed as given, so no two collide."""
     return {
         "version": __version__,
         "command": command,
-        "inputs": {os.path.basename(p): _digest(p) for p in inputs if p},
+        "inputs": {p: _digest(p) for p in inputs if p},
         "payload": payload,
     }
 
@@ -113,11 +114,8 @@ def _emit(obj, out_path=None):
 # --- scan -------------------------------------------------------------------
 
 def cmd_scan_gen(args):
-    try:
-        variant = ScanVariant(args.variant)
-    except ValueError:
-        raise CliError(f"unknown variant {args.variant!r}")
-    scan = generate_scan(variant, args.size)
+    # main reports a ValueError as an invalid argument, exit 2
+    scan = generate_scan(ScanVariant(args.variant), args.size)
     _write_text(scan_to_json(scan) + "\n", args.out)
     if args.svg:
         _write_text(scan_to_svg(scan) + "\n", args.svg)
@@ -199,6 +197,15 @@ def _load_weight_bundle(directory, names, table):
     return layers, paths
 
 
+def _load_weights(args, names, rows):
+    """(name -> float64 array of each row, paths of the files read) from the
+    --weights bundle, whose manifest names exactly names, or drawn from
+    --seed in row order."""
+    if args.weights:
+        return _load_weight_bundle(args.weights, names, rows)
+    return draw_weights(rows, np.random.default_rng(args.seed)), []
+
+
 def _load_clip(args, prefix=""):
     """(config, layers, frames, flows, paths) of the model commands: the
     --config model; the directory's last T + 1 frames in name order
@@ -223,14 +230,10 @@ def _load_clip(args, prefix=""):
         flows = [block_matching_flow(frames[k], frames[k - 1], args.radius)
                  for k in range(1, len(frames))]
     table = weight_table(config, c_in=frames[0].shape[0])
+    # G's rows come first in the table, so G alone draws the model's G
     rows = {name: row for name, row in table.items() if name.startswith(prefix)}
-    if args.weights:
-        layers, weight_paths = _load_weight_bundle(args.weights, table.keys(), rows)
-        paths += weight_paths
-    else:
-        # G's rows come first in the table, so G alone draws the model's G
-        layers = draw_weights(rows, np.random.default_rng(args.seed))
-    return config, layers, frames, flows, paths + [args.config]
+    layers, weight_paths = _load_weights(args, table.keys(), rows)
+    return config, layers, frames, flows, paths + weight_paths + [args.config]
 
 
 def cmd_traj_select(args):
@@ -249,29 +252,16 @@ def cmd_traj_select(args):
 
 # --- ssm --------------------------------------------------------------------
 
-def _params_from_file(path, length, channels, state_dim, seed):
-    table = SelectiveScanParams.table(channels, state_dim, length)
-    if path:
-        flat = _read_array(path).reshape(-1).astype(np.float64)
-        sizes = [math.prod(shape) for shape, _ in table.values()]
-        if flat.size != sum(sizes):
-            raise CliError(f"parameter file holds {flat.size} values, need {sum(sizes)}")
-        parts = np.split(flat, np.cumsum(sizes)[:-1])
-        return SelectiveScanParams(**{name: part.reshape(shape)
-                                      for (name, (shape, _)), part in zip(table.items(), parts)})
-    return SelectiveScanParams(**draw_weights(table, np.random.default_rng(seed)))
-
-
 def cmd_ssm_run(args):
     seq = _read_array(args.input)
     if seq.ndim != 2 or 0 in seq.shape:
         raise CliError(f"ssm input must be a [L >= 1, C >= 1] TSTF tensor, got {list(seq.shape)}")
     L, C = seq.shape
-    params = _params_from_file(args.params, L, C, args.state_dim, args.seed)
-    out = selective_scan_forward(params, seq)
-    write_tstf(args.out, out)
-    payload = {"length": L, "channels": C, "state_dim": int(params.A.shape[1])}
-    _emit(_envelope("ssm run", [args.input, args.params], payload))
+    table = SelectiveScanParams.table(C, args.state_dim, L)
+    fields, paths = _load_weights(args, table.keys(), table)
+    write_tstf(args.out, selective_scan_forward(SelectiveScanParams(**fields), seq))
+    payload = {"length": L, "channels": C, "state_dim": args.state_dim}
+    _emit(_envelope("ssm run", [args.input, *paths], payload))
     return 0
 
 
@@ -318,9 +308,12 @@ def cmd_loss_eval(args):
     if args.lam is not None and not args.lr_traj:
         raise CliError("--lam weighs the trajectory loss: it needs --lr-traj and --hr-traj")
     if args.lr_traj:
-        h, w = args.lr_height, args.lr_width
-        if h < 1 or w < 1:
-            raise CliError("--lr-traj/--hr-traj need positive --lr-height and --lr-width")
+        # the LR frame is the --hr frame at 1/scale on both sides
+        scale = ModelConfig.scale
+        if hr.ndim != 3 or any(side < scale or side % scale for side in hr.shape[1:]):
+            raise CliError(f"--hr must be a [C, H, W] frame whose H and W are positive multiples "
+                           f"of {scale}, got {list(hr.shape)}")
+        h, w = hr.shape[1] // scale, hr.shape[2] // scale
         lt, ht = (_read_array(p).astype(np.float64) for p in (args.lr_traj, args.hr_traj))
         if any(a.ndim != 3 or 0 in a.shape or a.shape[2] != 2 for a in (lt, ht)):
             raise CliError(f"trajectory stacks must be [depth >= 1, N >= 1, 2], got "
@@ -330,7 +323,6 @@ def cmd_loss_eval(args):
         t = math.isqrt(h * w // n)
         if t * t * n != h * w or h % t or w % t:
             raise CliError(f"{n} LR trajectories do not tile a {h}x{w} frame with square tokens")
-        scale = ModelConfig.scale
         trj = trajectory_loss(TrajectorySet(t, h, w, lt),
                               TrajectorySet(t, h * scale, w * scale, ht))
         payload["trajectory"] = trj
@@ -361,14 +353,15 @@ def build_parser():
     # Each exclusive pair is an input and the flag that makes one up when it
     # is absent.  Their defaults are strings, which argparse converts, so an
     # explicit value equal to the default still counts as given.
-    clip = _Parser(add_help=False)
+    weights = _Parser(add_help=False)
+    source = weights.add_mutually_exclusive_group()
+    source.add_argument("--weights")
+    source.add_argument("--seed", type=int, default="0")
+    clip = _Parser(add_help=False, parents=[weights])
     clip.add_argument("--frames", required=True)
     motion = clip.add_mutually_exclusive_group()
     motion.add_argument("--flows")
     motion.add_argument("--radius", type=int, default="2")
-    source = clip.add_mutually_exclusive_group()
-    source.add_argument("--weights")
-    source.add_argument("--seed", type=int, default="0")
     clip.add_argument("--config")
 
     p = _Parser(prog="tsm", description=__doc__)
@@ -408,11 +401,8 @@ def build_parser():
     t.set_defaults(func=cmd_traj_select)
 
     ssm = sub.add_parser("ssm").add_subparsers(dest="cmd", required=True)
-    r = ssm.add_parser("run")
+    r = ssm.add_parser("run", parents=[weights])
     r.add_argument("--input", required=True)
-    source = r.add_mutually_exclusive_group()
-    source.add_argument("--params")
-    source.add_argument("--seed", type=int, default="0")
     r.add_argument("--state-dim", type=positive_int, default=8)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_ssm_run)
@@ -443,8 +433,6 @@ def build_parser():
     le.add_argument("--hr", required=True)
     le.add_argument("--lr-traj")
     le.add_argument("--hr-traj")
-    le.add_argument("--lr-height", type=int, default=0)
-    le.add_argument("--lr-width", type=int, default=0)
     le.add_argument("--epsilon", type=float, default=1e-4)
     le.add_argument("--lam", type=float)
     le.add_argument("--out")

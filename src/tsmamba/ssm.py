@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import MAX_STATE_DIM, draw_weights, layer_norm
+from .numerics import MAX_SCAN_TABLE, MAX_STATE_DIM, draw_weights, layer_norm
 
 __all__ = [
     "SelectiveScanParams",
@@ -75,6 +75,9 @@ class SelectiveScanParams:
         numerics.draw_weights); A = -(1..N) per channel is the stable S4D-real init."""
         if state_dim > MAX_STATE_DIM:
             raise ValueError(f"state_dim must be at most {MAX_STATE_DIM}, got {state_dim}")
+        if length * channels * state_dim > MAX_SCAN_TABLE:
+            raise ValueError(f"length * channels * state_dim = {length * channels * state_dim}, "
+                             f"the size of an S6 table, must be at most {MAX_SCAN_TABLE}")
         return {
             "A": ((channels, state_dim), ("fill", -np.arange(1.0, state_dim + 1))),
             "D": ((channels,), ("fill", 1.0)),

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +24,7 @@ from tsmamba.cli import build_parser, main
 from tsmamba.discontinuity import analyze, search_procedures
 from tsmamba.model import TsMambaWeights, ts_mamba_forward, weight_map
 from tsmamba.numerics import (
+    MAX_SCAN_TABLE,
     ModelConfig,
     draw_weights,
     read_pnm,
@@ -320,7 +322,7 @@ def test_traj_select_zero_flows_match_radius_0(tmp_path):
                  "--out", str(b)]) == 0
     env_a, env_b = json.loads(a.read_text()), json.loads(b.read_text())
     assert env_a["payload"] == env_b["payload"]
-    assert "flow_0002.tstf" in env_b["inputs"]
+    assert str(flows / "flow_0002.tstf") in env_b["inputs"]
     (flows / "flow_0002.tstf").unlink()
     assert main(["traj", "select", "--frames", str(frames), "--flows", str(flows),
                  "--out", str(b)]) == 2
@@ -361,10 +363,10 @@ def test_traj_select_reads_only_the_last_t_plus_1_frames(tmp_path):
         runs[name] = json.loads(out.read_text())
     assert runs["bm"]["payload"] == runs["bm_last"]["payload"]
     assert runs["flows"]["payload"] == runs["flows_last"]["payload"]
-    frame_names = [f"frame_{k:03d}.tstf" for k in range(2, t + 3)]
-    assert sorted(runs["bm"]["inputs"]) == frame_names
+    frame_paths = [str(whole / f"frame_{k:03d}.tstf") for k in range(2, t + 3)]
+    assert sorted(runs["bm"]["inputs"]) == frame_paths
     assert sorted(runs["flows"]["inputs"]) == sorted(
-        frame_names + [f"flow_{k:04d}.tstf" for k in range(3, t + 3)])
+        frame_paths + [str(flows / f"flow_{k:04d}.tstf") for k in range(3, t + 3)])
 
 
 def test_model_forward_reads_only_the_last_t_plus_1_frames(tmp_path):
@@ -439,33 +441,72 @@ def test_ssm_run_round_trip(tmp_path, capsys):
     assert np.all(np.isfinite(y))
 
 
-def test_ssm_run_params_file(tmp_path, capsys):
-    """--params holds A [C,N], D [C], dt [L,C], B [L,N], C [L,N] flattened in
-    that order as float32."""
-    L, C, N = 10, 3, 4
+def _s6_bundle_case(tmp_path, L=10, C=3, N=4):
+    """An [L, C] input, an S6 pack drawn at state dim N, and the
+    (bundle, manifest) of its A, D, dt, B and C rows."""
     rng = np.random.default_rng(3)
-    seq = rng.normal(0, 1, (L, C)).astype(np.float32)
+    write_tstf(tmp_path / "seq.tstf", rng.normal(0, 1, (L, C)).astype(np.float32))
     params = ssm.SelectiveScanParams.init(C, N, L, rng)
-    packed = np.concatenate([getattr(params, k).ravel() for k in ("A", "D", "dt", "B", "C")])
-    inp, pfile, out = tmp_path / "seq.tstf", tmp_path / "p.tstf", tmp_path / "out.tstf"
-    write_tstf(inp, seq)
-    write_tstf(pfile, packed.astype(np.float32))
-    args = ["ssm", "run", "--input", str(inp), "--state-dim", str(N), "--out", str(out)]
-    assert main(args + ["--params", str(pfile)]) == 0
-    assert json.loads(capsys.readouterr().out)["payload"]["state_dim"] == N
+    bundle = tmp_path / "s6"
+    return params, bundle, _write_bundle(bundle, vars(params))
+
+
+def test_ssm_run_weight_bundle(tmp_path, capsys):
+    """--weights reads the rows of SelectiveScanParams.table, at L and C of
+    the input and N = --state-dim, from a bundle of float32 files; it draws
+    nothing, and the report lists the manifest and every row file."""
+    params, bundle, manifest = _s6_bundle_case(tmp_path)
+    inp, out = tmp_path / "seq.tstf", tmp_path / "out.tstf"
+    with mock.patch("numpy.random.default_rng", side_effect=RuntimeError("RNG constructed")):
+        assert main(["ssm", "run", "--input", str(inp), "--weights", str(bundle),
+                     "--state-dim", "4", "--out", str(out)]) == 0
+    env = json.loads(capsys.readouterr().out)
+    assert env["payload"] == {"length": 10, "channels": 3, "state_dim": 4}
+    assert set(env["inputs"]) == {str(inp), str(bundle / "manifest.json"),
+                                  *(str(bundle / path) for path in manifest.values())}
     rounded = ssm.SelectiveScanParams(**{
-        k: getattr(params, k).astype(np.float32).astype(np.float64)
-        for k in ("A", "D", "dt", "B", "C")})
-    want = ssm.selective_scan_forward(rounded, seq)
+        name: value.astype(np.float32).astype(np.float64) for name, value in vars(params).items()})
+    want = ssm.selective_scan_forward(rounded, read_tstf(inp))
     assert np.array_equal(read_tstf(out), want)
 
-    write_tstf(pfile, packed[:-1].astype(np.float32))
-    assert main(args + ["--params", str(pfile)]) == 2
-    assert "values" in capsys.readouterr().err
-    packed[C * N + 1] = np.nan
-    write_tstf(pfile, packed.astype(np.float32))
-    assert main(args + ["--params", str(pfile)]) == 2
-    assert "non-finite" in capsys.readouterr().err
+
+@pytest.mark.parametrize("defect,named", [
+    ("missing", "lacks layers: dt"), ("extra", "unknown layers: E"), ("shape", "layer B"),
+    ("nan", "C.tstf holds non-finite"), ("state_dim", "layer A"),
+])
+def test_ssm_run_bad_weight_bundle(tmp_path, capsys, defect, named):
+    """A bundle that lacks a row, holds an unknown one, has a row of the
+    wrong shape (also one written at another --state-dim) or a non-finite
+    value exits 2 naming the row, and writes no output."""
+    _, bundle, manifest = _s6_bundle_case(tmp_path)
+    state_dim = "5" if defect == "state_dim" else "4"
+    if defect == "missing":
+        del manifest["dt"]
+    elif defect == "extra":
+        manifest["E"] = manifest["D"]
+    elif defect == "shape":
+        write_tstf(bundle / manifest["B"], np.zeros((11, 4)))
+    elif defect == "nan":
+        write_tstf(bundle / manifest["C"], np.full((10, 4), np.nan))
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out.tstf"
+    assert main(["ssm", "run", "--input", str(tmp_path / "seq.tstf"), "--weights", str(bundle),
+                 "--state-dim", state_dim, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
+def test_ssm_run_bounded_by_the_scan_table(tmp_path, capsys):
+    """L * C * N is bounded as in the model's S6 blocks, before any
+    parameter is drawn: a [1025, 64] input at state dim 64 exits 2."""
+    inp, out = tmp_path / "seq.tstf", tmp_path / "out.tstf"
+    write_tstf(inp, np.zeros((1025, 64), dtype=np.float32))
+    with mock.patch("tsmamba.cli.draw_weights", side_effect=RuntimeError("drawn")):
+        assert main(["ssm", "run", "--input", str(inp), "--state-dim", "64",
+                     "--out", str(out)]) == 2
+    assert f"must be at most {MAX_SCAN_TABLE}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ssm_run_rejects_bad_rank(tmp_path):
@@ -521,7 +562,7 @@ def test_model_count(tmp_path, capsys):
     assert main(["model", "count", "--config", str(cfg)]) == 0
     env = json.loads(capsys.readouterr().out)
     assert (env["payload"]["params"], env["payload"]["macs"]) == (3_025_035, 203_505_708_960)
-    assert env["inputs"] == {"c87.json": hashlib.sha256(cfg.read_bytes()).hexdigest()}
+    assert env["inputs"] == {str(cfg): hashlib.sha256(cfg.read_bytes()).hexdigest()}
     bare = json.dumps(dict(env, inputs={}), separators=(",", ":"), sort_keys=True)
     assert hashlib.sha256((bare + "\n").encode()).hexdigest() == \
         "319e12b2ddaf192152b7e80d98d907a06da881451b2890d5033bd26943cfcc93"
@@ -605,11 +646,12 @@ def test_model_forward_config_takes_only_settings(tmp_path, capsys, bad, named):
     assert not (tmp_path / "sr.tstf").exists()
 
 
-def _write_bundle(directory, weights):
-    """One TSTF file per named weight array, listed in manifest.json."""
+def _write_bundle(directory, layers):
+    """One TSTF file per array of a name -> array map, listed in
+    manifest.json."""
     directory.mkdir()
     manifest = {}
-    for name, arr in weight_map(weights).items():
+    for name, arr in layers.items():
         manifest[name] = f"{name}.tstf"
         write_tstf(directory / manifest[name], arr)
     (directory / "manifest.json").write_text(json.dumps(manifest))
@@ -624,7 +666,7 @@ def test_model_forward_weight_bundle(tmp_path):
     cfg.write_text(json.dumps({"channels": 6, "state_dim": 4, "n2_res_blocks": 2}))
     config = ModelConfig(channels=6, state_dim=4, n2_res_blocks=2)
     weights = TsMambaWeights.random(config, seed=5)
-    _write_bundle(tmp_path / "bundle", weights)
+    _write_bundle(tmp_path / "bundle", weight_map(weights))
     out = tmp_path / "sr.tstf"
     # loading draws nothing: the bundle is the whole model
     with mock.patch("numpy.random.default_rng", side_effect=RuntimeError("RNG constructed")):
@@ -650,7 +692,7 @@ def test_model_forward_bad_weight_bundle(tmp_path, capsys, defect):
     cfg.write_text(json.dumps({"channels": 6, "state_dim": 4, "n2_res_blocks": 2}))
     config = ModelConfig(channels=6, state_dim=4, n2_res_blocks=2)
     bundle = tmp_path / "bundle"
-    manifest = _write_bundle(bundle, TsMambaWeights.random(config, seed=5))
+    manifest = _write_bundle(bundle, weight_map(TsMambaWeights.random(config, seed=5)))
     if defect == "missing":
         del manifest["r.res1.b2"]
     elif defect == "shape":
@@ -705,10 +747,10 @@ def test_non_finite_array_input_exits_2(tmp_path, capsys, command):
         lr_coords[0, 0, 0] = np.nan
         write_tstf(bad, lr_coords)
         write_tstf(tmp_path / "hr.tstf", hr_coords)
-        write_tstf(tmp_path / "sr.tstf", np.zeros((3, 8, 8)))
+        write_tstf(tmp_path / "sr.tstf", np.zeros((3, 32, 128)))
         argv = ["loss", "eval", "--sr", str(tmp_path / "sr.tstf"), "--hr",
                 str(tmp_path / "sr.tstf"), "--lr-traj", str(bad), "--hr-traj",
-                str(tmp_path / "hr.tstf"), "--lr-height", "8", "--lr-width", "32"]
+                str(tmp_path / "hr.tstf")]
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{bad} holds non-finite values" in err
@@ -768,7 +810,7 @@ def test_traj_select_weight_bundle_gives_the_selection_under_its_g(tmp_path):
     cfg.write_text(json.dumps(FUZZ_CONFIG))
     config = ModelConfig(**FUZZ_CONFIG)
     weights = TsMambaWeights.random(config, seed=5)
-    _write_bundle(tmp_path / "bundle", weights)
+    _write_bundle(tmp_path / "bundle", weight_map(weights))
     out, toks = tmp_path / "sel.json", tmp_path / "sel.tstf"
     with mock.patch("numpy.random.default_rng", side_effect=RuntimeError("RNG constructed")):
         assert main(["traj", "select", "--frames", str(frames), "--config", str(cfg),
@@ -803,12 +845,14 @@ def test_traj_select_reads_and_draws_g_alone(tmp_path):
                                        config)
     assert json.loads(out.read_text())["payload"]["indices"] == sel.indices.tolist()
 
-    manifest = _write_bundle(tmp_path / "bundle", TsMambaWeights.random(config, seed=5))
+    manifest = _write_bundle(tmp_path / "bundle",
+                             weight_map(TsMambaWeights.random(config, seed=5)))
     (tmp_path / "bundle" / manifest["r.tail_w"]).unlink()
     clip_args = ["--frames", str(frames), "--config", str(cfg),
                  "--weights", str(tmp_path / "bundle")]
     assert main(["traj", "select", *clip_args, "--out", str(out)]) == 0
-    assert not any(name.startswith(("tsma.", "r.")) for name in json.loads(out.read_text())["inputs"])
+    assert not any(Path(path).name.startswith(("tsma.", "r."))
+                   for path in json.loads(out.read_text())["inputs"])
     assert main(["model", "forward", *clip_args, "--out", str(tmp_path / "sr.tstf")]) == 2
 
 
@@ -821,7 +865,8 @@ def test_tstf_inputs_need_no_tstf_suffix(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(FUZZ_CONFIG))
     bundle = tmp_path / "bundle"
-    manifest = _write_bundle(bundle, TsMambaWeights.random(ModelConfig(**FUZZ_CONFIG), seed=2))
+    manifest = _write_bundle(bundle,
+                             weight_map(TsMambaWeights.random(ModelConfig(**FUZZ_CONFIG), seed=2)))
     srs = []
     for suffix in (".tstf", ".bin"):
         renamed = {name: path.replace(".tstf", suffix) for name, path in manifest.items()}
@@ -857,8 +902,8 @@ def test_traj_select_config_sets_the_temporal_window(tmp_path):
         assert main(["traj", "select", "--frames", str(frames), "--config", str(cfg),
                      "--out", str(out)]) == 0
     assert bm.call_count == 3
-    assert sorted(json.loads(out.read_text())["inputs"]) == [
-        "cfg.json", *(f"frame_{k:03d}.ppm" for k in range(2, 6))]
+    assert sorted(json.loads(out.read_text())["inputs"]) == sorted(
+        [str(cfg), *(str(frames / f"frame_{k:03d}.ppm") for k in range(2, 6))])
 
 
 def test_report_inputs_cover_the_config_and_the_weight_bundle(tmp_path, capsys):
@@ -871,9 +916,10 @@ def test_report_inputs_cover_the_config_and_the_weight_bundle(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(FUZZ_CONFIG))
     weights = TsMambaWeights.random(ModelConfig(**FUZZ_CONFIG), seed=1)
-    manifest = _write_bundle(tmp_path / "bundle", weights)
+    bundle = tmp_path / "bundle"
+    manifest = _write_bundle(bundle, weight_map(weights))
     select = ["traj", "select", "--frames", str(frames), "--radius", "0", "--config", str(cfg),
-              "--weights", str(tmp_path / "bundle")]
+              "--weights", str(bundle)]
     count = ["model", "count", "--config", str(cfg), "--height", "8", "--width", "8"]
 
     def inputs(argv):
@@ -881,15 +927,37 @@ def test_report_inputs_cover_the_config_and_the_weight_bundle(tmp_path, capsys):
         return json.loads(capsys.readouterr().out)["inputs"]
 
     before = inputs(select)
-    assert set(before) == {"frame_000.ppm", "frame_001.ppm", "cfg.json", "manifest.json",
-                           *(path for name, path in manifest.items() if name.startswith("g."))}
-    write_tstf(tmp_path / "bundle" / manifest["g.conv_b"], np.ones(FUZZ_CONFIG["channels"]))
+    assert set(before) == {str(frames / "frame_000.ppm"), str(frames / "frame_001.ppm"), str(cfg),
+                           str(bundle / "manifest.json"),
+                           *(str(bundle / path) for name, path in manifest.items()
+                             if name.startswith("g."))}
+    write_tstf(bundle / manifest["g.conv_b"], np.ones(FUZZ_CONFIG["channels"]))
     after = inputs(select)
-    assert {name for name in before if before[name] != after[name]} == {manifest["g.conv_b"]}
+    assert {path for path in before if before[path] != after[path]} == {
+        str(bundle / manifest["g.conv_b"])}
     counted = inputs(count)
-    assert set(counted) == {"cfg.json"}
+    assert set(counted) == {str(cfg)}
     cfg.write_text(json.dumps(dict(FUZZ_CONFIG, channels=5)))
-    assert inputs(count)["cfg.json"] != counted["cfg.json"]
+    assert inputs(count)[str(cfg)] != counted[str(cfg)]
+
+
+def test_report_inputs_are_keyed_by_path(tmp_path, capsys):
+    """Two inputs of one file name in different directories each keep their
+    digest, keyed by the path given, so a change to either shows."""
+    a, b = tmp_path / "a" / "x.tstf", tmp_path / "b" / "x.tstf"
+    for path, value in ((a, 0.0), (b, 1.0)):
+        path.parent.mkdir()
+        write_tstf(path, np.full((3, 8, 8), value))
+
+    def inputs():
+        assert main(["loss", "eval", "--sr", str(a), "--hr", str(b)]) == 0
+        return json.loads(capsys.readouterr().out)["inputs"]
+
+    before = inputs()
+    assert set(before) == {str(a), str(b)}
+    write_tstf(a, np.full((3, 8, 8), 0.5))
+    after = inputs()
+    assert {path for path in before if before[path] != after[path]} == {str(a)}
 
 
 def test_model_count_counts_the_model_a_bundle_holds(tmp_path, capsys):
@@ -907,15 +975,20 @@ def test_model_count_counts_the_model_a_bundle_holds(tmp_path, capsys):
     (["traj", "select", "--frames", "{frames}"], "--s"),
     (["traj", "select", "--frames", "{frames}"], "--se"),
     (["model", "count"], "--channels"),
+    (["ssm", "run", "--input", "{tmp}/seq.tstf", "--out", "{tmp}/out.tstf"], "--params"),
+    (["loss", "eval", "--sr", "{tmp}/seq.tstf", "--hr", "{tmp}/seq.tstf"], "--lr-height"),
+    (["loss", "eval", "--sr", "{tmp}/seq.tstf", "--hr", "{tmp}/seq.tstf"], "--lr-width"),
 ])
 def test_abbreviated_and_removed_flags_exit_2(tmp_path, capsys, argv, flag):
     """Flags are matched whole, so --se is not read as --seed; s_selected and
     channels are set through --config alone, so --s and --channels are no
-    flags of these commands."""
+    flags of these commands; ssm run reads its parameters as a --weights
+    bundle alone, and loss eval reads the LR size from --hr."""
     frames = tmp_path / "frames"
     frames.mkdir()
     _write_frames(frames, n=1, size=8)
-    argv = [arg.replace("{frames}", str(frames)) for arg in argv]
+    write_tstf(tmp_path / "seq.tstf", np.zeros((4, 2)))
+    argv = [arg.replace("{frames}", str(frames)).replace("{tmp}", str(tmp_path)) for arg in argv]
     assert main(argv) == 0
     capsys.readouterr()
     assert main(argv + [flag, "3" if flag.startswith("--s") else "16"]) == 2
@@ -956,27 +1029,36 @@ def _trajectory_stacks():
     return lr_coords, hr_coords
 
 
-def test_loss_eval_trajectories_need_lr_size(tmp_path, capsys):
+def test_loss_eval_reads_the_lr_size_from_hr(tmp_path, capsys):
+    """The LR frame is the --hr frame at 1/4 on both sides, so the stacks'
+    16 LR trajectories tile the 8x32 LR frame of a 32x128 HR with 4x4
+    tokens.  An HR that is not a frame, or whose sides are not positive
+    multiples of 4, exits 2 without a traceback."""
     sr = tmp_path / "sr.tstf"
-    write_tstf(sr, np.zeros((3, 8, 8), dtype=np.float32))
+    write_tstf(sr, np.zeros((3, 32, 128), dtype=np.float32))
     lr_coords, hr_coords = _trajectory_stacks()
     lr, hr = tmp_path / "lr.tstf", tmp_path / "hr.tstf"
     write_tstf(lr, lr_coords)
     write_tstf(hr, hr_coords)
-    args = ["loss", "eval", "--sr", str(sr), "--hr", str(sr),
-            "--lr-traj", str(lr), "--hr-traj", str(hr)]
-    assert main(args + ["--lr-height", "8", "--lr-width", "32"]) == 0
+    stacks = ["--lr-traj", str(lr), "--hr-traj", str(hr)]
+    args = ["loss", "eval", "--sr", str(sr), "--hr", str(sr), *stacks]
+    assert main(args) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["trajectory"] == 0.0
-    assert main(args) == 2
-    assert "--lr-height" in capsys.readouterr().err
-    assert main(args + ["--lr-height", "8"]) == 2
     # the upscale is fixed at 4, not a flag
-    assert main(args + ["--lr-height", "8", "--lr-width", "32", "--scale", "2"]) == 2
-    assert main(args[:-2] + ["--lr-height", "8", "--lr-width", "32"]) == 2
+    assert main(args + ["--scale", "2"]) == 2
+    assert main(args[:-2]) == 2
     assert "together" in capsys.readouterr().err
-    # 16 LR trajectories tile 8x32 with 4x4 tokens, but not 8x24
-    assert main(args + ["--lr-height", "8", "--lr-width", "24"]) == 2
-    assert "tile" in capsys.readouterr().err
+    # 16 LR trajectories do not tile the 8x24 LR frame of a 32x96 HR
+    other = tmp_path / "other.tstf"
+    for shape, said in (((3, 32, 96), "tile"), ((3, 30, 128), "multiples of 4"),
+                        ((6, 2), "[C, H, W] frame"), ((3, 0, 128), "multiples of 4")):
+        write_tstf(other, np.zeros(shape, dtype=np.float32))
+        with warnings.catch_warnings():
+            # the spatial loss of an empty HR is the NaN mean of no values
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["loss", "eval", "--sr", str(other), "--hr", str(other), *stacks]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and said in err and "Traceback" not in err
     # malformed stacks: depth 0, three coordinates per point, no depth axis,
     # no trajectories, depths that differ
     third = [(0, 0), (0, 0), (0, 1)]
@@ -987,7 +1069,7 @@ def test_loss_eval_trajectories_need_lr_size(tmp_path, capsys):
                            (lr_coords, hr_coords[:1])):
         write_tstf(lr, lr_bad)
         write_tstf(hr, hr_bad)
-        assert main(args + ["--lr-height", "8", "--lr-width", "32"]) == 2
+        assert main(args) == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -998,12 +1080,12 @@ def test_loss_eval_rejects_negative_weights(tmp_path, capsys, flag, value):
     """A negative or NaN epsilon or lambda exits 2 and writes no file; 0 is
     allowed."""
     sr, lr, hr = tmp_path / "sr.tstf", tmp_path / "lr.tstf", tmp_path / "hr.tstf"
-    write_tstf(sr, np.zeros((3, 8, 8), dtype=np.float32))
+    write_tstf(sr, np.zeros((3, 32, 128), dtype=np.float32))
     for path, coords in zip((lr, hr), _trajectory_stacks()):
         write_tstf(path, coords)
     out = tmp_path / "loss.json"
     args = ["loss", "eval", "--sr", str(sr), "--hr", str(sr), "--lr-traj", str(lr),
-            "--hr-traj", str(hr), "--lr-height", "8", "--lr-width", "32", "--out", str(out)]
+            "--hr-traj", str(hr), "--out", str(out)]
     assert main(args + [f"{flag}=0"]) == 0
     payload = json.loads(out.read_text())["payload"]
     assert payload["trajectory"] == 0.0 and payload["total"] == payload["spatial"]
@@ -1019,12 +1101,12 @@ def test_loss_eval_lam_needs_both_trajectory_stacks(tmp_path, capsys, lam, stack
     """--lam weighs the trajectory loss, so without both stacks it exits 2
     and writes no file, whatever its value; with both it is read."""
     sr, lr, hr = tmp_path / "sr.tstf", tmp_path / "lr.tstf", tmp_path / "hr.tstf"
-    write_tstf(sr, np.zeros((3, 8, 8), dtype=np.float32))
+    write_tstf(sr, np.zeros((3, 32, 128), dtype=np.float32))
     for path, coords in zip((lr, hr), _trajectory_stacks()):
         write_tstf(path, coords)
     out = tmp_path / "loss.json"
-    args = ["loss", "eval", "--sr", str(sr), "--hr", str(sr), "--lr-height", "8",
-            "--lr-width", "32", "--out", str(out), f"--lam={lam}"]
+    args = ["loss", "eval", "--sr", str(sr), "--hr", str(sr), "--out", str(out),
+            f"--lam={lam}"]
     given = {"neither": [], "lr": ["--lr-traj", str(lr)], "hr": ["--hr-traj", str(hr)]}
     assert main(args + given[stacks]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -1037,13 +1119,13 @@ def test_loss_eval_lam_needs_both_trajectory_stacks(tmp_path, capsys, lam, stack
     (["traj", "select", "--frames", "f", "--flows", "d"], "--radius", "2"),
     (["traj", "select", "--frames", "f", "--weights", "d"], "--seed", "0"),
     (["model", "forward", "--frames", "f", "--weights", "d", "--out", "o"], "--seed", "0"),
-    (["ssm", "run", "--input", "i", "--params", "p", "--out", "o"], "--seed", "0"),
+    (["ssm", "run", "--input", "i", "--weights", "d", "--out", "o"], "--seed", "0"),
 ], ids=["traj select", "traj select weights", "model forward", "ssm run"])
 def test_input_and_the_flag_that_makes_it_up_are_exclusive(capsys, argv, flag, default):
     """--radius only feeds the block matching that --flows replaces, and
-    --seed only draws the weights or parameters that --weights or --params
-    read: both of a pair exit 2 before any file is read, also with the flag
-    at its default value."""
+    --seed only draws the weights that --weights reads, in the model
+    commands and in ssm run: both of a pair exit 2 before any file is read,
+    also with the flag at its default value."""
     for value in (default, "5"):
         assert main(argv + [flag, value]) == 2
         assert "not allowed with" in capsys.readouterr().err
@@ -1112,7 +1194,7 @@ def fuzz_dir(tmp_path_factory):
     (d / "flows_trunc" / "flow_0001.tstf").write_bytes((d / "trunc.tstf").read_bytes())
     write_tstf(d / "flows_nan" / "flow_0001.tstf", np.full((2, 16, 16), np.nan))
     # A, D, dt, B, C of a 2-channel, state-dim-2 scan over the 6 steps of seq
-    write_tstf(d / "params.tstf", rng.normal(0, 0.5, 2 * 2 + 2 + 6 * 2 + 2 * 6 * 2))
+    _write_bundle(d / "s6", vars(ssm.SelectiveScanParams.init(2, 2, 6, rng)))
     main(["scan", "gen", "--variant", "scan3", "--size", "4", "--out", str(d / "scan.json")])
     (d / "broken.json").write_text(json.dumps({"size": 2, "order": [[0, 0], [0, 0],
                                                                     [1, 0], [1, 1]]}))
@@ -1120,8 +1202,8 @@ def fuzz_dir(tmp_path_factory):
     (d / "bundle_list" / "manifest.json").write_text("[1, 2]")
     (d / "trunc.json").write_text('{"size": 2, "ord')
     (d / "config.json").write_text(json.dumps(FUZZ_CONFIG))
-    _write_bundle(d / "bundle", TsMambaWeights.random(ModelConfig(**FUZZ_CONFIG), seed=1))
-    hr = rng.random((3, 8, 8))
+    _write_bundle(d / "bundle", weight_map(TsMambaWeights.random(ModelConfig(**FUZZ_CONFIG), seed=1)))
+    hr = rng.random((3, 32, 128))
     write_tstf(d / "hr.tstf", hr)
     write_tstf(d / "sr.tstf", hr + rng.normal(0, 0.01, hr.shape))
     lr_coords, hr_coords = _trajectory_stacks()
@@ -1144,7 +1226,7 @@ FUZZ_CALLS = {
                      ("--config", "file", "config.json"), ("--weights", "weights", "bundle")]],
     "ssm run": [[("--input", "file", "seq.tstf"), ("--state-dim", "int", "3"),
                  ("--seed", "int", "7")],
-                [("--input", "file", "seq.tstf"), ("--params", "file", "params.tstf"),
+                [("--input", "file", "seq.tstf"), ("--weights", "weights", "s6"),
                  ("--state-dim", "int", "2")]],
     "grad check": [[("--length", "int", "3"), ("--channels", "int", "2"),
                     ("--state-dim", "int", "2"), ("--tol", "float", "1e-5"),
@@ -1159,7 +1241,6 @@ FUZZ_CALLS = {
                    ("--epsilon", "float", "1e-4")],
                   [("--sr", "file", "sr.tstf"), ("--hr", "file", "sr.tstf"),
                    ("--lr-traj", "file", "lr_traj.tstf"), ("--hr-traj", "file", "hr_traj.tstf"),
-                   ("--lr-height", "int", "8"), ("--lr-width", "int", "32"),
                    ("--lam", "float", "0.1")]],
 }
 
@@ -1174,13 +1255,20 @@ FUZZ_WRONG = {
                "frames_gray", "frames_nan", "flows", "missing"],
     "flows": [None, "flows_shape", "flows_rank", "flows_trunc", "flows_nan", "frames",
               "missing"],
-    "weights": [None, "bundle_list", "frames", "missing"],
+    "weights": [None, "bundle_list", "bundle", "s6", "frames", "missing"],
 }
 
 # the file each subcommand writes besides stdout
 FUZZ_OUTPUTS = {"scan gen": "out.json", "disc analyze": "out.json", "disc search": "out.csv",
                 "traj select": "out.json", "ssm run": "out.tstf", "model forward": "out.tstf",
                 "model count": "out.json", "loss eval": "out.json"}
+
+
+def test_fuzz_calls_name_every_flag_of_the_parser():
+    """The fuzz's calls name every flag of the parser but the output paths,
+    so a flag that is added or removed cannot leave it stale."""
+    named = {flag for calls in FUZZ_CALLS.values() for call in calls for flag, _, _ in call}
+    assert (named - {None}) | {"--out", "--svg", "--tokens-out"} == _parser_flags(build_parser())
 
 
 def _fuzz_argv(fuzz_dir, command, slots):

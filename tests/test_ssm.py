@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsmamba.model import window_scans_for_grid
-from tsmamba.numerics import MAX_STATE_DIM, ModelConfig, layer_norm
+from tsmamba.numerics import MAX_SCAN_TABLE, MAX_STATE_DIM, ModelConfig, layer_norm
 from tsmamba.scanorder import ScanVariant
 from tsmamba.ssm import (
     SelectiveScanParams,
@@ -352,6 +352,15 @@ def test_state_dim_bounded_before_drawing():
     assert SelectiveScanParams.init(2, MAX_STATE_DIM, 3, rng).A.shape == (2, MAX_STATE_DIM)
     with pytest.raises(ValueError, match=f"at most {MAX_STATE_DIM}"):
         SelectiveScanParams.init(2, 10**11, 3, rng)
+
+
+def test_scan_table_bounded_before_drawing():
+    """L * C * N is bounded as the model's S6 blocks bound it: 64 channels at
+    state dim 64 admit 1024 steps, not 1025."""
+    assert SelectiveScanParams.table(64, 64, 1024)["dt"][0] == (1024, 64)
+    assert 64 * 64 * 1024 == MAX_SCAN_TABLE
+    with pytest.raises(ValueError, match=f"must be at most {MAX_SCAN_TABLE}"):
+        SelectiveScanParams.table(64, 64, 1025)
 
 
 def test_ss3d_rejects_out_of_range_cell():
