@@ -173,9 +173,9 @@ def _load_config(path):
 
 
 def _load_weight_bundle(directory, names, table):
-    """(name -> float64 array of each table row, paths of the files read) of
-    the bundle whose manifest.json names one TSTF file per layer, for each
-    of names and no other."""
+    """(name -> array of each table row as its file holds it, paths of the
+    files read) of the bundle whose manifest.json names one TSTF file per
+    layer, for each of names and no other."""
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path) as f:       # a missing manifest is an OSError: exit 2
         manifest = json.load(f)
@@ -193,12 +193,12 @@ def _load_weight_bundle(directory, names, table):
         t = _read_array(paths[-1])
         if t.shape != shape:
             raise CliError(f"layer {name}: shape {t.shape} != {shape}")
-        layers[name] = t.astype(np.float64)
+        layers[name] = t
     return layers, paths
 
 
 def _load_weights(args, names, rows):
-    """(name -> float64 array of each row, paths of the files read) from the
+    """(name -> array of each row, paths of the files read) from the
     --weights bundle, whose manifest names exactly names, or drawn from
     --seed in row order."""
     if args.weights:

@@ -33,6 +33,7 @@ from .scanorder import (
     ScanVariant,
     ShiftSpec,
     WindowPartition,
+    svg_grid,
     window_tiled_order,
 )
 
@@ -221,17 +222,7 @@ def report_to_svg(report):
     """Grid with eliminated regions marked by degree-colored circles, dashed
     for inter-window regions."""
     cell_px = 24
-    grid_size = report.intra.shape[0] + 1
-    s = grid_size * cell_px
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{s}" height="{s}" '
-        f'viewBox="0 0 {s} {s}">',
-        f'<rect width="{s}" height="{s}" fill="white"/>',
-    ]
-    for i in range(grid_size + 1):
-        p = i * cell_px
-        lines.append(f'<line x1="0" y1="{p}" x2="{s}" y2="{p}" stroke="#ccc"/>')
-        lines.append(f'<line x1="{p}" y1="0" x2="{p}" y2="{s}" stroke="#ccc"/>')
+    lines = svg_grid(report.intra.shape[0] + 1, cell_px, "#ccc")
     eliminated = report.eliminated
     for r, c in np.argwhere(eliminated > 0).tolist():
         color = _ELIM_COLORS.get(int(eliminated[r, c]), "#000")

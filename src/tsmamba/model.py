@@ -33,7 +33,6 @@ __all__ = [
     "RWeights",
     "TsMambaWeights",
     "weight_table",
-    "weight_map",
     "tsma_forward",
     "ts_mamba_forward",
     "charbonnier_loss",
@@ -189,16 +188,16 @@ class TsMambaWeights:
 
     @classmethod
     def from_map(cls, layers):
-        """weight_map's inverse: the model over a flat map, holding its arrays."""
+        """The model over a flat weight_table map, holding the map's arrays."""
         return cls(g=part_from_map(GWeights, layers, "g"),
                    tsma=part_from_map(TsmaWeights, layers, "tsma"),
                    r=part_from_map(RWeights, layers, "r"))
 
 
 def weight_table(config, c_in=3):
-    """weight_map name -> (shape, init) of each weight of the model at config
-    (see numerics.draw_weights), in the order a random model draws them;
-    c_in is the channel count of the frames G reads."""
+    """layer name -> (shape, init) of each weight of the model at config (see
+    numerics.draw_weights), in the order a random model draws them; c_in is
+    the channel count of the frames G reads."""
     c, t, s = config.channels, config.token_size, config.s_selected
 
     def layer(w, b, *shape):
@@ -243,31 +242,6 @@ def part_from_map(cls, layers, prefix):
     return cls(**values)
 
 
-def weight_map(weights):
-    """name -> array for every weight array of a TsMambaWeights, in bundle
-    order, named by the dataclass fields (the names of a weight bundle's
-    manifest).  The arrays are the live ones: a write into one is a write
-    into the model."""
-    layers = {}
-
-    def walk(prefix, part):
-        for f in fields(part):
-            value = getattr(part, f.name)
-            if isinstance(value, dict):          # block name -> SelectiveScanParams
-                for block, params in value.items():
-                    walk(f"{prefix}.{block}", params)
-            elif isinstance(value, list):        # residual blocks
-                for i, block in enumerate(value):
-                    for name, array in zip(("w1", "b1", "w2", "b2"), block):
-                        layers[f"{prefix}.{f.name}{i}.{name}"] = array
-            else:
-                layers[f"{prefix}.{f.name}"] = value
-
-    for f in fields(weights):
-        walk(f.name, getattr(weights, f.name))
-    return layers
-
-
 def ts_mamba_forward(frames, flows, weights, config):
     """Online forward over a frame list; returns the SR of the last frame.
 
@@ -296,6 +270,8 @@ def charbonnier_loss(sr, hr, epsilon=1e-4):
     x, y = np.asarray(sr, dtype=np.float64), np.asarray(hr, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"dim mismatch {x.shape} vs {y.shape}")
+    if x.size == 0:
+        raise ValueError(f"the SR and HR pair {list(x.shape)} holds no values")
     d = x - y
     return float(np.sqrt(d * d + epsilon * epsilon).mean())
 
@@ -341,7 +317,8 @@ def count_params_macs(config, lr_dims):
     A stage's parameters are the sizes of its weight_table rows.  A weight's
     MACs are its size times the output pixels of its layer, and a bias (a
     1-D row) takes none; the S6 blocks' MACs are the closed form of their
-    scans, as TSMA runs them.
+    scans, as TSMA runs them.  "r.untokenize" holds the MACs of G's
+    projection weight run again by untokenize, and no parameters.
     """
     h, w = lr_dims
     t, ws = config.token_size, config.window_size
@@ -357,11 +334,14 @@ def count_params_macs(config, lr_dims):
                "r.up1_": ("r.upsample", h * w), "r.up2_": ("r.upsample", 4 * h * w),
                "r.tail_": ("r.tail", 16 * h * w)}
     breakdown = {stage: {"params": 0, "macs": 0} for stage, _ in prefixes.values()}
-    for name, (shape, _) in weight_table(config).items():
+    table = weight_table(config)
+    for name, (shape, _) in table.items():
         stage, pixels = next(prefixes[p] for p in prefixes if name.startswith(p))
         size = math.prod(shape)
         breakdown[stage]["params"] += size
         breakdown[stage]["macs"] += size * pixels if len(shape) > 1 else 0
+    # untokenize runs g.proj_w a second time, on every token; its params are g.proj's
+    breakdown["r.untokenize"] = {"params": 0, "macs": math.prod(table["g.proj_w"][0]) * ntok}
     # S6: 6 MACs per update of C*N states, L steps per window of the padded grid
     steps = ws ** 2 * (config.s_selected + 1) * math.ceil(h // t / ws) * math.ceil(w // t / ws)
     ssm = breakdown["tsma.ssm_blocks"]

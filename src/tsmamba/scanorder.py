@@ -307,23 +307,30 @@ def scan_from_json(text):
     return ScanOrder(size=obj["size"], cells=obj["order"], label=obj.get("variant", ""))
 
 
-def scan_to_svg(scan):
-    """Deterministic SVG polyline through cell centers."""
-    cell_px = 24
-    s = scan.size * cell_px
-    pts = " ".join(
-        f"{c * cell_px + cell_px // 2},{r * cell_px + cell_px // 2}"
-        for r, c in scan.cells.tolist()
-    )
+def svg_grid(cells, cell_px, stroke):
+    """The opening lines of an SVG of a cells x cells grid, cell_px pixels a
+    cell: the header, a white background and the grid lines in stroke."""
+    s = cells * cell_px
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{s}" height="{s}" '
         f'viewBox="0 0 {s} {s}">',
         f'<rect width="{s}" height="{s}" fill="white"/>',
     ]
-    for i in range(scan.size + 1):
+    for i in range(cells + 1):
         p = i * cell_px
-        lines.append(f'<line x1="0" y1="{p}" x2="{s}" y2="{p}" stroke="#ddd"/>')
-        lines.append(f'<line x1="{p}" y1="0" x2="{p}" y2="{s}" stroke="#ddd"/>')
+        lines.append(f'<line x1="0" y1="{p}" x2="{s}" y2="{p}" stroke="{stroke}"/>')
+        lines.append(f'<line x1="{p}" y1="0" x2="{p}" y2="{s}" stroke="{stroke}"/>')
+    return lines
+
+
+def scan_to_svg(scan):
+    """Deterministic SVG polyline through cell centers."""
+    cell_px = 24
+    pts = " ".join(
+        f"{c * cell_px + cell_px // 2},{r * cell_px + cell_px // 2}"
+        for r, c in scan.cells.tolist()
+    )
+    lines = svg_grid(scan.size, cell_px, "#ddd")
     lines.append(f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="2"/>')
     lines.append("</svg>")
     return "\n".join(lines)

@@ -92,14 +92,18 @@ class SelectiveScanParams:
         return cls(**draw_weights(cls.table(channels, state_dim, length), rng))
 
     def check(self, length, channels):
-        """Raise ValueError unless each field has its table shape and is finite."""
-        for name, (shape, _) in self.table(channels, self.A.shape[-1], length).items():
-            value = getattr(self, name)
+        """The pack in float64, the one precision of every S6 computation
+        whatever the pack's dtype (a float64 field is not copied); raise
+        ValueError unless each field has its table shape and is finite."""
+        pack = SelectiveScanParams(**{name: np.asarray(value, dtype=np.float64)
+                                      for name, value in vars(self).items()})
+        for name, (shape, _) in self.table(channels, pack.A.shape[-1], length).items():
+            value = getattr(pack, name)
             if value.shape != shape:
                 raise ValueError(f"{name} shape {value.shape} != {shape}")
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"non-finite values in parameter {name}")
-        return self
+        return pack
 
 
 def _recurrence(params, u):
@@ -115,7 +119,7 @@ def _recurrence(params, u):
     windows = width // C
     if windows < 1 or width != windows * C:
         raise ValueError(f"sequence width {width} is not W >= 1 windows of {C} channels")
-    params.check(L, C)
+    params = params.check(L, C)
     delta = softplus(params.dt)                      # [L, C]
     abar = np.exp(delta[:, :, None] * params.A[None])  # [L, C, N]
     binp = delta[:, :, None] * params.B[:, None, :]    # [L, C, N]
@@ -153,6 +157,7 @@ def selective_scan_backward(params, sequence, upstream):
     u = np.asarray(sequence, dtype=np.float64)
     if u.shape[1:] != params.A.shape[:1]:
         raise ValueError(f"the backward runs one window: sequence must be [L, {len(params.A)}]")
+    params = params.check(*u.shape)
     _, (delta, abar, hs) = _recurrence(params, u)
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != u.shape:
@@ -195,9 +200,8 @@ def gradient_check(params, sequence, rng):
     L, C = u.shape
     check_gradient_check_size(L, C, params.A.shape[1])
     g = rng.normal(0.0, 1.0, (L, C))
-    # float64 copies that the loss reads, so an in-place step reaches it
-    p = SelectiveScanParams(**{k: np.array(a, dtype=np.float64)
-                               for k, a in vars(params).items()})
+    # copies that the loss reads, so an in-place step reaches it
+    p = SelectiveScanParams(**{k: a.copy() for k, a in vars(params.check(L, C)).items()})
 
     def loss():
         y, _ = _recurrence(p, u)

@@ -10,7 +10,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -20,9 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 import tsmamba
 from tsmamba import scanorder, ssm
-from tsmamba.cli import build_parser, main
+from tsmamba.cli import _load_weight_bundle, build_parser, main
 from tsmamba.discontinuity import analyze, search_procedures
-from tsmamba.model import TsMambaWeights, ts_mamba_forward, weight_map
+from tsmamba.model import TsMambaWeights, ts_mamba_forward, weight_table
 from tsmamba.numerics import (
     MAX_SCAN_TABLE,
     ModelConfig,
@@ -554,18 +553,18 @@ def test_model_count(tmp_path, capsys):
     assert main(["model", "count"]) == 0
     out = capsys.readouterr().out
     payload = json.loads(out)["payload"]
-    assert (payload["params"], payload["macs"]) == (464_675, 28_156_354_560)
+    assert (payload["params"], payload["macs"]) == (464_675, 28_215_336_960)
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "d1bc024ed916d51db44df5d53e00f628871e966b5dcc2cc08c6be03ef0f154a6"
+        "5db8a661f4d0215fc616dec3e494f0786c6ed05aedf6c7d514dd4dd9722c3cfe"
     cfg = tmp_path / "c87.json"
     cfg.write_text(json.dumps({"channels": 87}))
     assert main(["model", "count", "--config", str(cfg)]) == 0
     env = json.loads(capsys.readouterr().out)
-    assert (env["payload"]["params"], env["payload"]["macs"]) == (3_025_035, 203_505_708_960)
+    assert (env["payload"]["params"], env["payload"]["macs"]) == (3_025_035, 203_941_683_360)
     assert env["inputs"] == {str(cfg): hashlib.sha256(cfg.read_bytes()).hexdigest()}
     bare = json.dumps(dict(env, inputs={}), separators=(",", ":"), sort_keys=True)
     assert hashlib.sha256((bare + "\n").encode()).hexdigest() == \
-        "319e12b2ddaf192152b7e80d98d907a06da881451b2890d5033bd26943cfcc93"
+        "67ed25967484b8e12b12ddb8937c3d58a723fe989c892f8a1c1ca1f6ee351167"
 
 
 @pytest.mark.parametrize("argv", [
@@ -646,6 +645,11 @@ def test_model_forward_config_takes_only_settings(tmp_path, capsys, bad, named):
     assert not (tmp_path / "sr.tstf").exists()
 
 
+def _drawn(config, seed=0):
+    """The weight_table map of TsMambaWeights.random(config, seed)."""
+    return draw_weights(weight_table(config), np.random.default_rng(seed))
+
+
 def _write_bundle(directory, layers):
     """One TSTF file per array of a name -> array map, listed in
     manifest.json."""
@@ -658,6 +662,20 @@ def _write_bundle(directory, layers):
     return manifest
 
 
+def test_weight_bundle_rows_stay_float32(tmp_path):
+    """The loader keeps each row as the float32 array its file holds, and
+    the model built over the rows holds those arrays."""
+    config = ModelConfig(**FUZZ_CONFIG)
+    table = weight_table(config)
+    _write_bundle(tmp_path / "bundle", _drawn(config, seed=5))
+    layers, _ = _load_weight_bundle(str(tmp_path / "bundle"), table.keys(), table)
+    assert list(layers) == list(table)
+    for name, array in layers.items():
+        assert array.dtype == np.float32
+        assert array.tobytes() == read_tstf(tmp_path / "bundle" / f"{name}.tstf").tobytes()
+    assert TsMambaWeights.from_map(layers).r.tail_w is layers["r.tail_w"]
+
+
 def test_model_forward_weight_bundle(tmp_path):
     frames = tmp_path / "frames"
     frames.mkdir()
@@ -665,19 +683,21 @@ def test_model_forward_weight_bundle(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"channels": 6, "state_dim": 4, "n2_res_blocks": 2}))
     config = ModelConfig(channels=6, state_dim=4, n2_res_blocks=2)
-    weights = TsMambaWeights.random(config, seed=5)
-    _write_bundle(tmp_path / "bundle", weight_map(weights))
+    layers = _drawn(config, seed=5)
+    _write_bundle(tmp_path / "bundle", layers)
     out = tmp_path / "sr.tstf"
     # loading draws nothing: the bundle is the whole model
     with mock.patch("numpy.random.default_rng", side_effect=RuntimeError("RNG constructed")):
         assert main(["model", "forward", "--frames", str(frames), "--config", str(cfg),
                      "--weights", str(tmp_path / "bundle"), "--out", str(out)]) == 0
 
-    # the bundle holds float32 copies, which the loader writes into float64 arrays
-    for arr in weight_map(weights).values():
+    # the bundle holds float32 copies, which the loader keeps as read: the SR
+    # is that of the float64 model of the rounded values
+    for arr in layers.values():
         arr[...] = arr.astype(np.float32)
     clip = [read_pnm(p) for p in sorted(frames.iterdir())]
-    want = ts_mamba_forward(clip, [block_matching_flow(clip[1], clip[0], 2)], weights, config)
+    want = ts_mamba_forward(clip, [block_matching_flow(clip[1], clip[0], 2)],
+                            TsMambaWeights.from_map(layers), config)
     assert np.array_equal(read_tstf(out), want.data)
 
 
@@ -692,7 +712,7 @@ def test_model_forward_bad_weight_bundle(tmp_path, capsys, defect):
     cfg.write_text(json.dumps({"channels": 6, "state_dim": 4, "n2_res_blocks": 2}))
     config = ModelConfig(channels=6, state_dim=4, n2_res_blocks=2)
     bundle = tmp_path / "bundle"
-    manifest = _write_bundle(bundle, weight_map(TsMambaWeights.random(config, seed=5)))
+    manifest = _write_bundle(bundle, _drawn(config, seed=5))
     if defect == "missing":
         del manifest["r.res1.b2"]
     elif defect == "shape":
@@ -809,19 +829,19 @@ def test_traj_select_weight_bundle_gives_the_selection_under_its_g(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(FUZZ_CONFIG))
     config = ModelConfig(**FUZZ_CONFIG)
-    weights = TsMambaWeights.random(config, seed=5)
-    _write_bundle(tmp_path / "bundle", weight_map(weights))
+    layers = _drawn(config, seed=5)
+    _write_bundle(tmp_path / "bundle", layers)
     out, toks = tmp_path / "sel.json", tmp_path / "sel.tstf"
     with mock.patch("numpy.random.default_rng", side_effect=RuntimeError("RNG constructed")):
         assert main(["traj", "select", "--frames", str(frames), "--config", str(cfg),
                      "--weights", str(tmp_path / "bundle"), "--radius", "1",
                      "--out", str(out), "--tokens-out", str(toks)]) == 0
-    for arr in weight_map(weights).values():
+    for arr in layers.values():
         arr[...] = arr.astype(np.float32)
     clip = [read_pnm(p) for p in sorted(frames.iterdir())]
     _, sel = select_along_trajectories(
         clip, [block_matching_flow(clip[k], clip[k - 1], 1) for k in (1, 2, 3)],
-        weights.g, config)
+        TsMambaWeights.from_map(layers).g, config)
     assert json.loads(out.read_text())["payload"]["indices"] == sel.indices.tolist()
     assert np.array_equal(read_tstf(toks), sel.selected)
 
@@ -845,8 +865,7 @@ def test_traj_select_reads_and_draws_g_alone(tmp_path):
                                        config)
     assert json.loads(out.read_text())["payload"]["indices"] == sel.indices.tolist()
 
-    manifest = _write_bundle(tmp_path / "bundle",
-                             weight_map(TsMambaWeights.random(config, seed=5)))
+    manifest = _write_bundle(tmp_path / "bundle", _drawn(config, seed=5))
     (tmp_path / "bundle" / manifest["r.tail_w"]).unlink()
     clip_args = ["--frames", str(frames), "--config", str(cfg),
                  "--weights", str(tmp_path / "bundle")]
@@ -865,8 +884,7 @@ def test_tstf_inputs_need_no_tstf_suffix(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(FUZZ_CONFIG))
     bundle = tmp_path / "bundle"
-    manifest = _write_bundle(bundle,
-                             weight_map(TsMambaWeights.random(ModelConfig(**FUZZ_CONFIG), seed=2)))
+    manifest = _write_bundle(bundle, _drawn(ModelConfig(**FUZZ_CONFIG), seed=2))
     srs = []
     for suffix in (".tstf", ".bin"):
         renamed = {name: path.replace(".tstf", suffix) for name, path in manifest.items()}
@@ -915,9 +933,8 @@ def test_report_inputs_cover_the_config_and_the_weight_bundle(tmp_path, capsys):
     _write_frames(frames, n=2, size=8)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(FUZZ_CONFIG))
-    weights = TsMambaWeights.random(ModelConfig(**FUZZ_CONFIG), seed=1)
     bundle = tmp_path / "bundle"
-    manifest = _write_bundle(bundle, weight_map(weights))
+    manifest = _write_bundle(bundle, _drawn(ModelConfig(**FUZZ_CONFIG), seed=1))
     select = ["traj", "select", "--frames", str(frames), "--radius", "0", "--config", str(cfg),
               "--weights", str(bundle)]
     count = ["model", "count", "--config", str(cfg), "--height", "8", "--width", "8"]
@@ -967,8 +984,7 @@ def test_model_count_counts_the_model_a_bundle_holds(tmp_path, capsys):
     cfg.write_text(json.dumps(settings))
     assert main(["model", "count", "--config", str(cfg)]) == 0
     params = json.loads(capsys.readouterr().out)["payload"]["params"]
-    bundle = weight_map(TsMambaWeights.random(ModelConfig(**settings)))
-    assert params == sum(array.size for array in bundle.values())
+    assert params == sum(array.size for array in _drawn(ModelConfig(**settings)).values())
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -1032,8 +1048,8 @@ def _trajectory_stacks():
 def test_loss_eval_reads_the_lr_size_from_hr(tmp_path, capsys):
     """The LR frame is the --hr frame at 1/4 on both sides, so the stacks'
     16 LR trajectories tile the 8x32 LR frame of a 32x128 HR with 4x4
-    tokens.  An HR that is not a frame, or whose sides are not positive
-    multiples of 4, exits 2 without a traceback."""
+    tokens.  An HR that is not a frame, whose sides are not positive
+    multiples of 4, or that holds no values, exits 2 without a traceback."""
     sr = tmp_path / "sr.tstf"
     write_tstf(sr, np.zeros((3, 32, 128), dtype=np.float32))
     lr_coords, hr_coords = _trajectory_stacks()
@@ -1051,12 +1067,9 @@ def test_loss_eval_reads_the_lr_size_from_hr(tmp_path, capsys):
     # 16 LR trajectories do not tile the 8x24 LR frame of a 32x96 HR
     other = tmp_path / "other.tstf"
     for shape, said in (((3, 32, 96), "tile"), ((3, 30, 128), "multiples of 4"),
-                        ((6, 2), "[C, H, W] frame"), ((3, 0, 128), "multiples of 4")):
+                        ((6, 2), "[C, H, W] frame"), ((3, 0, 128), "holds no values")):
         write_tstf(other, np.zeros(shape, dtype=np.float32))
-        with warnings.catch_warnings():
-            # the spatial loss of an empty HR is the NaN mean of no values
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(["loss", "eval", "--sr", str(other), "--hr", str(other), *stacks]) == 2
+        assert main(["loss", "eval", "--sr", str(other), "--hr", str(other), *stacks]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and said in err and "Traceback" not in err
     # malformed stacks: depth 0, three coordinates per point, no depth axis,
@@ -1071,6 +1084,17 @@ def test_loss_eval_reads_the_lr_size_from_hr(tmp_path, capsys):
         write_tstf(hr, hr_bad)
         assert main(args) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_loss_eval_empty_pair_exits_2(tmp_path, capsys):
+    """An SR/HR pair of no values exits 2 naming it, with no numpy warning
+    (warnings fail the suite) and no --out file."""
+    empty, out = tmp_path / "empty.tstf", tmp_path / "loss.json"
+    write_tstf(empty, np.zeros((3, 0, 128), dtype=np.float32))
+    assert main(["loss", "eval", "--sr", str(empty), "--hr", str(empty), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the SR and HR pair [3, 0, 128] holds no values\n"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--epsilon", "-1"), ("--epsilon", "-1e-300"),
@@ -1202,7 +1226,7 @@ def fuzz_dir(tmp_path_factory):
     (d / "bundle_list" / "manifest.json").write_text("[1, 2]")
     (d / "trunc.json").write_text('{"size": 2, "ord')
     (d / "config.json").write_text(json.dumps(FUZZ_CONFIG))
-    _write_bundle(d / "bundle", weight_map(TsMambaWeights.random(ModelConfig(**FUZZ_CONFIG), seed=1)))
+    _write_bundle(d / "bundle", _drawn(ModelConfig(**FUZZ_CONFIG), seed=1))
     hr = rng.random((3, 32, 128))
     write_tstf(d / "hr.tstf", hr)
     write_tstf(d / "sr.tstf", hr + rng.normal(0, 0.01, hr.shape))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tsmamba import ssm
-from tsmamba.numerics import ModelConfig, bicubic_upsample
+from tsmamba.numerics import ModelConfig, bicubic_upsample, draw_weights
 from tsmamba.model import (
     TSMA_PATHS,
     TsMambaWeights,
@@ -17,7 +17,6 @@ from tsmamba.model import (
     trajectory_loss,
     ts_mamba_forward,
     untokenize,
-    weight_map,
     weight_table,
     window_scans_for_grid,
 )
@@ -53,6 +52,11 @@ def charbonnier_grad(sr, hr, epsilon=1e-4):
     x, y = np.asarray(sr, dtype=np.float64), np.asarray(hr, dtype=np.float64)
     d = x - y
     return d / (np.sqrt(d * d + epsilon * epsilon) * d.size)
+
+
+def _drawn(cfg, seed=0):
+    """The weight_table map of TsMambaWeights.random(cfg, seed)."""
+    return draw_weights(weight_table(cfg), np.random.default_rng(seed))
 
 
 def _toy_setup(channels=8, state_dim=4, seed=0):
@@ -182,44 +186,50 @@ def test_ssm_work_that_runs_is_counted(ht, wt):
     assert ran == counted["macs"]
 
 
+def test_untokenize_work_that_runs_is_counted():
+    """r.untokenize holds the MACs of the [N, C] @ [C, C*t*t] matmul that the
+    forward runs with G's projection weight, and no parameters (the weight
+    is counted under g.proj)."""
+    cfg = ModelConfig(**_TOY)
+    t = cfg.token_size
+    with mock.patch("tsmamba.model.untokenize", wraps=untokenize) as spy:
+        ts_mamba_forward(_clip(3 * t, 5 * t, 2), None, TsMambaWeights.random(cfg), cfg)
+    grid, _, proj_w = spy.call_args.args
+    counted = count_params_macs(cfg, (3 * t, 5 * t))["breakdown"]["r.untokenize"]
+    assert spy.call_count == 1
+    assert counted == {"params": 0, "macs": grid.size * proj_w.shape[1]}
+
+
 def test_wcb_weights_change_output():
-    cfg, weights, frames = _toy_setup()
+    cfg, _, frames = _toy_setup()
+    layers = _drawn(cfg)
+    weights = TsMambaWeights.from_map(layers)
     before = ts_mamba_forward(frames, None, weights, cfg)
-    weight_map(weights)["tsma.p1_intra.C"][...] += 0.5
+    layers["tsma.p1_intra.C"][...] += 0.5
     after = ts_mamba_forward(frames, None, weights, cfg)
     assert not np.array_equal(before.data, after.data)
 
 
-def test_weight_map_names_and_live_arrays():
+def test_from_map_holds_the_map_arrays():
+    """The parts hold the drawn map's own arrays, which are weight_table's
+    rows in its order."""
     cfg = ModelConfig(channels=4, state_dim=2, n1_res_blocks=1, n2_res_blocks=2)
-    weights = TsMambaWeights.random(cfg, seed=0)
-    layers = weight_map(weights)
-    res = ("w1", "b1", "w2", "b2")
-    assert list(layers) == (
-        ["g.conv_w", "g.conv_b", "g.proj_w", "g.proj_b"]
-        + [f"g.res0.{p}" for p in res]
-        + ["tsma.concat_proj_w", "tsma.concat_proj_b", "tsma.fusion_w", "tsma.fusion_b",
-           "tsma.ln_gamma", "tsma.ln_beta"]
-        + [f"tsma.{path}_{branch}.{p}" for path in ("p1", "p2")
-           for branch in ("std", "intra", "inter") for p in ("A", "D", "dt", "B", "C")]
-        + ["r.head_w", "r.head_b", "r.up1_w", "r.up1_b", "r.up2_w", "r.up2_b",
-           "r.tail_w", "r.tail_b"]
-        + [f"r.res{i}.{p}" for i in range(2) for p in res])
-    # the map holds the model's own arrays, the same objects on every call
+    layers = _drawn(cfg)
+    weights = TsMambaWeights.from_map(layers)
+    assert list(layers) == list(weight_table(cfg))
     assert layers["r.res1.w2"] is weights.r.res[1][2]
     assert layers["tsma.p2_std.dt"] is weights.tsma.block_params["p2_std"].dt
     assert layers["g.conv_b"] is weights.g.conv_b
-    assert all(array is layers[name] for name, array in weight_map(weights).items())
 
 
-def test_weight_map_writes_reach_the_forward_pass():
-    """Writing into three of weight_map's arrays gives the SR of weights whose
-    fields were set to those values directly."""
+def test_map_writes_reach_the_forward_pass():
+    """Writing into three arrays of the map a model was built from gives the
+    SR of weights whose fields were set to those values directly."""
     cfg = ModelConfig(**_TOY)
     frames = _clip(16, 16, 3, seed=4)
-    weights = TsMambaWeights.random(cfg, seed=0)
+    layers = _drawn(cfg)
+    weights = TsMambaWeights.from_map(layers)
     before = ts_mamba_forward(frames, None, weights, cfg).data
-    layers = weight_map(weights)
     for name in ("g.res0.b1", "tsma.p2_std.dt", "r.up1_w"):
         layers[name][...] = 0.01
     want = TsMambaWeights.random(cfg, seed=0)
@@ -364,24 +374,25 @@ def test_count_params_consistent_with_breakdown():
                 n1_res_blocks=1, n2_res_blocks=2),
 ])
 def test_count_params_matches_weights(cfg):
-    weights = weight_map(TsMambaWeights.random(cfg))
-    assert count_params_macs(cfg, (64, 64))["params"] == sum(a.size for a in weights.values())
-    # the table names every weight of the model, at its shape
-    table = {name: shape for name, (shape, _) in weight_table(cfg).items()}
-    assert table == {name: a.shape for name, a in weights.items()}
+    layers = _drawn(cfg)
+    assert count_params_macs(cfg, (64, 64))["params"] == sum(a.size for a in layers.values())
+    # the model reads every row of the table: without any one of them it cannot be built
+    for name in layers:
+        with pytest.raises(KeyError, match=name):
+            TsMambaWeights.from_map({k: a for k, a in layers.items() if k != name})
 
 
 def test_random_weights_pinned():
-    """The names, dtypes and bytes of a random model at a non-default config
-    are pinned, so a change to weight_table's rows, their inits or their
-    draw order shows."""
+    """The names, dtypes and bytes of a random model's map at a non-default
+    config, in table order, are pinned, so a change to weight_table's rows,
+    their inits or their draw order shows."""
     cfg = ModelConfig(channels=5, token_size=2, s_selected=1, temporal_window=3,
                       n1_res_blocks=1, n2_res_blocks=2)
     digest = hashlib.sha256()
-    for name, array in weight_map(TsMambaWeights.random(cfg, seed=3)).items():
+    for name, array in _drawn(cfg, seed=3).items():
         digest.update(f"{name} {array.dtype} {array.shape}\n".encode())
         digest.update(array.tobytes())
-    assert digest.hexdigest() == "71ff04469e778aef89d0138a648c4cacdfd16a18081c575fc1feb324c0a55f8c"
+    assert digest.hexdigest() == "b0b97ebeb41c52e88614cdffb4040b5ee5d80cba0807a9ecfd4fa318338512d4"
 
 
 @pytest.mark.parametrize("dims", [(10, 13), (1, 1), (0, 8), (8, 0), (-8, 8), (18, 16)])

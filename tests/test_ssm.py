@@ -188,10 +188,34 @@ def test_gradient_check_float32_params():
     assert gradient_check(f32, u, rng) < 1e-5
 
 
+@pytest.mark.parametrize("L,C,N", [(64, 8, 4), (12, 3, 4)])
+def test_float32_pack_computes_in_float64(L, C, N):
+    """A float32 pack gives the bytes of its float64 copy: the recurrence's
+    y, the forward's output, every backward gradient and the gradient
+    check's value (run at the smaller size only)."""
+    rng = np.random.default_rng(L)
+    params, u = _random_instance(rng, L, C, N)
+    f32 = SelectiveScanParams(**{k: a.astype(np.float32) for k, a in vars(params).items()})
+    f64 = SelectiveScanParams(**{k: a.astype(np.float64) for k, a in vars(f32).items()})
+    assert _recurrence(f32, u)[0].tobytes() == _recurrence(f64, u)[0].tobytes()
+    assert selective_scan_forward(f32, u).tobytes() == selective_scan_forward(f64, u).tobytes()
+    g = rng.normal(0, 1, u.shape)
+    got, want = selective_scan_backward(f32, u, g), selective_scan_backward(f64, u, g)
+    assert {k: a.tobytes() for k, a in got.items()} == {k: a.tobytes() for k, a in want.items()}
+    if L <= 12:
+        assert gradient_check(f32, u, np.random.default_rng(0)) == \
+            gradient_check(f64, u, np.random.default_rng(0))
+    # the checked pack is float64, and a float64 field is not copied
+    assert all(a.dtype == np.float64 for a in vars(f32.check(L, C)).values())
+    assert all(a is b for a, b in zip(vars(f64.check(L, C)).values(), vars(f64).values()))
+
+
 def _selective_scan_backward_loop(params, sequence, upstream):
     """Oracle: the per-step reverse loop, each gradient accumulated step by
-    step from d loss / d h_l.  Returns the same dict as the kernel."""
+    step from d loss / d h_l, on the float64 pack that every S6 computation
+    reads.  Returns the same dict as the kernel."""
     u = np.asarray(sequence, dtype=np.float64)
+    params = params.check(*u.shape)
     _, (delta, abar, hs) = _recurrence(params, u)
     g = np.asarray(upstream, dtype=np.float64)
     L, C = u.shape
